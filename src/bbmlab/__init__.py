@@ -23,15 +23,14 @@ from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, envelope_curve,
                       gaussian_tail_bound, limit_max_cdf,
                       many_to_two_pair_moment, martingale_second_moment)
-from .partition import (ComplexTemperature, PartitionStatistics,
-                        RescaledPartition, TruncatedPartition,
-                        additive_martingale, compute_statistics,
+from .partition import (ComplexTemperature, RescaledPartition,
+                        TruncatedPartition, additive_martingale,
                         derivative_martingale, log_partition, m_of_t,
                         partition_function, rescaled_partition,
                         scaled_partition, truncated_partition)
 from .phase import (GridCell, PhaseRegion, Region, classify, grid_scan,
                     limiting_free_energy, point_scan)
-from .stats import (StableFit, TailSlopeFit, cf_regression, empirical_cf,
+from .stats import (StableFit, TailSlopeFit, empirical_cf,
                     hill_estimator, isotropic_resample, isotropy_radii,
                     isotropy_statistic, ks_distance, max_tail_exponent)
 from .streams import make_rng, replica_seed, stream_key
@@ -42,11 +41,11 @@ __all__ = [
     "AcceptanceError", "BbmField", "Cluster", "ComplexTemperature",
     "CorrelatedField", "CoxFit", "EnvelopeSpec", "ExtremalSample",
     "GridCell", "GwTree", "LimitDraws", "LimitModel",
-    "OffspringDistribution", "PartitionStatistics", "PathDataMissing",
+    "OffspringDistribution", "PathDataMissing",
     "PhaseRegion", "Region", "RescaledPartition", "ResourceLimitError",
     "ScaledComplex", "StableFit", "TailSlopeFit", "TruncatedPartition",
-    "additive_martingale", "bridge_barrier_bound", "cf_regression",
-    "classify", "compensated_sum", "compute_statistics",
+    "additive_martingale", "bridge_barrier_bound",
+    "classify", "compensated_sum",
     "derivative_martingale", "empirical_cf", "envelope_curve",
     "envelope_violations", "estimate_cox_constants", "extremal_sample",
     "gaussian_tail_bound", "grid_scan", "hill_estimator",

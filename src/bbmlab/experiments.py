@@ -27,7 +27,7 @@ from . import stats
 from .extremal import (AcceptanceError, LimitModel, estimate_cox_constants,
                        load_cluster_bank, sample_cluster, sample_limit_partition,
                        save_cluster_bank)
-from .field import CorrelatedField, sample_correlated_pair, sample_field
+from .field import BbmField, CorrelatedField, correlate, sample_field
 from .gwtree import NODE_BUDGET, sample_tree
 from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
@@ -35,8 +35,13 @@ from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
 from .partition import (ComplexTemperature, SQRT2, additive_martingale,
                         derivative_martingale, m_of_t, rescaled_partition,
                         truncated_partition)
-from .phase import GridCell, classify, grid_scan, limiting_free_energy
+from .phase import free_energies, grid_betas, scan_cells
 from .streams import TAG_PAIR_X, TAG_PAIR_Z, make_rng, replica_seed, stream_key
+
+# No longer called here.  perfbench/spans.py rebinds these names in this
+# module to time them, so they stay imported until its BINDINGS move.
+from .field import sample_correlated_pair  # noqa: F401
+from .phase import classify, grid_scan, limiting_free_energy  # noqa: F401
 
 FAILURE_BUDGET = 0.10
 DEFAULT_SEED = 20260825
@@ -67,7 +72,6 @@ class ExperimentConfig:
     delta: float = 0.1
     output_dir: str = "runs"
     max_nodes: int = NODE_BUDGET
-    path_step: float = 0.05
     bridge_step: float = 0.01
     sigma_range: list | None = None
     tau_range: list | None = None
@@ -98,7 +102,8 @@ class ExperimentConfig:
                 for b in self.beta_list]
 
     def effective_threads(self) -> int:
-        return self.threads if self.threads else (os.cpu_count() or 1)
+        return self.threads if self.threads else \
+            len(os.sched_getaffinity(0))
 
 
 def parse_complex(value) -> complex:
@@ -203,11 +208,27 @@ def _guarded(worker, cfg, task):
     try:
         return True, worker(cfg, task)
     except Exception as exc:  # contained: replica failures are counted
-        return False, f"{type(exc).__name__}: {exc}"
+        name = type(exc).__name__
+        return False, {"error_type": name, "error": f"{name}: {exc}"}
 
 
-def _collect(worker, cfg: ExperimentConfig, tasks: list) -> tuple[list, list]:
-    """Run worker(cfg, task) per task; results come back in task order."""
+def _task_record(cfg: ExperimentConfig, task: int) -> dict:
+    return {"task": task, "seed": replica_seed(cfg.seed, task)}
+
+
+def _replica_record(cfg: ExperimentConfig, task: tuple) -> dict:
+    t, index = task
+    return {"t": t, "replica": index, "seed": replica_seed(cfg.seed, index)}
+
+
+def _collect(worker, cfg: ExperimentConfig, tasks: list,
+             record=_task_record) -> tuple[list, list]:
+    """Run worker(cfg, task) per task; results come back in task order.
+
+    A failed task leaves None in its slot and adds a failure record:
+    record(cfg, task), which names the task and its seed, plus the
+    exception's type and message.
+    """
     call = functools.partial(_guarded, worker, cfg)
     threads = cfg.effective_threads()
     if threads <= 1 or len(tasks) <= 1:
@@ -217,12 +238,10 @@ def _collect(worker, cfg: ExperimentConfig, tasks: list) -> tuple[list, list]:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(call, tasks, chunksize=chunk))
     payloads, failures = [], []
-    for i, (ok, val) in enumerate(outcomes):
-        if ok:
-            payloads.append(val)
-        else:
-            payloads.append(None)
-            failures.append({"task": i, "error": val})
+    for task, (ok, val) in zip(tasks, outcomes):
+        payloads.append(val if ok else None)
+        if not ok:
+            failures.append({**record(cfg, task), **val})
     return payloads, failures
 
 
@@ -325,17 +344,60 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------- replicas
 
 
-def _tree_worker(cfg: ExperimentConfig, task) -> tuple:
-    t, index = task
-    rs = replica_seed(cfg.seed, index)
-    tree = sample_tree(cfg.dist(), t, rs, max_nodes=cfg.max_nodes)
-    return t, index, rs, tree.n_leaves
+class Replica:
+    """One replica of the pipeline: the tree and fields of task (t, index).
+
+    The seed is replica_seed(cfg.seed, index) and the tree on [0, t] is
+    drawn on construction.  The x and z fields come from the seed's
+    TAG_PAIR_X and TAG_PAIR_Z streams, each drawn on first use and then
+    kept, so every pair(rho) view of one replica shares one x and one z.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, dist: OffspringDistribution,
+                 task: tuple):
+        self.t, self.index = task
+        self.seed = replica_seed(cfg.seed, self.index)
+        self.tree = sample_tree(dist, self.t, self.seed,
+                                max_nodes=cfg.max_nodes)
+
+    @functools.cached_property
+    def x_field(self) -> BbmField:
+        return sample_field(self.tree, stream_key(self.seed, TAG_PAIR_X))
+
+    @functools.cached_property
+    def z_field(self) -> BbmField:
+        return sample_field(self.tree, stream_key(self.seed, TAG_PAIR_Z))
+
+    def pair(self, rho: float) -> CorrelatedField:
+        """(x, y) with correlation rho; z is drawn only for |rho| < 1."""
+        z_field = None if abs(rho) == 1.0 else self.z_field
+        return correlate(self.x_field, z_field, rho, self.seed)
+
+
+def _observe(observable, dist, cfg: ExperimentConfig, task: tuple) -> list:
+    return observable(cfg, Replica(cfg, dist, task))
+
+
+def _run_replicas(observable, cfg: ExperimentConfig,
+                  ts: list) -> tuple[list, list, int]:
+    """observable(cfg, replica) for replicas 0..replicas-1 at each t in ts.
+
+    Each observable returns a list of rows; the result is (rows in task
+    order, t-major; failure records; task count).
+    """
+    tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
+    worker = functools.partial(_observe, observable, cfg.dist())
+    payloads, failures = _collect(worker, cfg, tasks, _replica_record)
+    rows = [row for p in payloads if p is not None for row in p]
+    return rows, failures, len(tasks)
+
+
+def _tree_rows(cfg: ExperimentConfig, rep: Replica) -> list:
+    return [(rep.t, rep.index, rep.seed, rep.tree.n_leaves)]
 
 
 def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    tasks = [(t, i) for t in cfg.ts() for i in range(cfg.replicas)]
-    payloads, failures = _collect(_tree_worker, cfg, tasks)
-    rows = [p for p in payloads if p is not None]
+    rows, failures, tasks = _run_replicas(_tree_rows, cfg, cfg.ts())
     summary = {}
     for t in cfg.ts():
         ns = np.array([r[3] for r in rows if r[0] == t], dtype=np.float64)
@@ -349,43 +411,23 @@ def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     return RunnerOutput(
         csvs={"tree_moments.csv":
               (["t", "replica", "seed", "n_leaves"], rows)},
-        summary=summary, failures=failures, tasks=len(tasks))
+        summary=summary, failures=failures, tasks=tasks)
 
 
-def _pair_on_tree(tree, rho: float, seed: int, x_field, z_field):
-    """Correlated view with shared underlying x/z fields."""
-    x = x_field.x
-    if abs(rho) == 1.0:
-        return CorrelatedField(tree=tree, rho=rho, seed=seed, x_field=x_field,
-                               z_field=None, x=x,
-                               y=math.copysign(1.0, rho) * x, z=None)
-    z = z_field.x
-    return CorrelatedField(tree=tree, rho=rho, seed=seed, x_field=x_field,
-                           z_field=z_field, x=x,
-                           y=rho * x + math.sqrt(1.0 - rho * rho) * z, z=z)
-
-
-def _martingale_worker(cfg: ExperimentConfig, index: int) -> list:
-    rs = replica_seed(cfg.seed, index)
-    tree = sample_tree(cfg.dist(), cfg.t, rs, max_nodes=cfg.max_nodes)
-    x_field = sample_field(tree, stream_key(rs, TAG_PAIR_X))
-    need_z = any(abs(r) != 1.0 for r in cfg.rhos())
-    z_field = sample_field(tree, stream_key(rs, TAG_PAIR_Z)) if need_z \
-        else None
-    out = []
+def _martingale_rows(cfg: ExperimentConfig, rep: Replica) -> list:
+    rows = []
+    bts = cfg.betas()
     for rho in cfg.rhos():
-        fld = _pair_on_tree(tree, rho, rs, x_field, z_field)
-        for bt in cfg.betas():
+        fld = rep.pair(rho)
+        for bt in bts:
             m = additive_martingale(fld, bt)
-            out.append((cfg.t, bt.sigma, bt.tau, rho, index, rs,
-                        tree.n_leaves, m.real, m.imag, abs(m) ** 2))
-    return out
+            rows.append((rep.t, bt.sigma, bt.tau, rho, rep.index, rep.seed,
+                         rep.tree.n_leaves, m.real, m.imag, abs(m) ** 2))
+    return rows
 
 
 def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    tasks = list(range(cfg.replicas))
-    payloads, failures = _collect(_martingale_worker, cfg, tasks)
-    rows = [row for p in payloads if p is not None for row in p]
+    rows, failures, tasks = _run_replicas(_martingale_rows, cfg, [cfg.t])
     k_fac = cfg.dist().second_factorial_moment
     summary = {}
     for bt in cfg.betas():
@@ -410,55 +452,26 @@ def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     cols = ["t", "sigma", "tau", "rho", "replica", "seed", "n_leaves",
             "m_re", "m_im", "m_abs2"]
     return RunnerOutput(csvs={"martingale.csv": (cols, rows)},
-                        summary=summary, failures=failures, tasks=len(tasks))
+                        summary=summary, failures=failures, tasks=tasks)
 
 
-def _free_energy_worker(cfg: ExperimentConfig, task) -> tuple:
-    from .accum import scaled_exp_sum
-    t, index = task
-    rs = replica_seed(cfg.seed, index)
-    tree = sample_tree(cfg.dist(), t, rs, max_nodes=cfg.max_nodes)
-    fld = sample_correlated_pair(tree, cfg.rho, rs)
-    ps = [scaled_exp_sum(bt.sigma * fld.x, bt.tau * fld.y).abs_log / t
-          for bt in cfg.betas()]
-    return t, index, ps
+def _free_energy_rows(bts: list, cfg: ExperimentConfig,
+                      rep: Replica) -> list:
+    return [(rep.t, free_energies(rep.pair(cfg.rho), bts, rep.t))]
 
 
 def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    grid_mode = cfg.sigma_range is not None
-    cells: list[GridCell] = []
-    failures: list = []
-    tasks_total = 0
-    if grid_mode:
+    if cfg.sigma_range is not None:
         if cfg.tau_range is None or cfg.resolution < 1:
             raise ConfigError(
                 "grid scan needs sigma_range, tau_range and resolution")
-        for t in cfg.ts():
-            cells.extend(grid_scan(tuple(cfg.sigma_range),
-                                   tuple(cfg.tau_range), cfg.resolution,
-                                   cfg.dist(), t, cfg.replicas, cfg.rho,
-                                   cfg.seed, max_nodes=cfg.max_nodes))
-            tasks_total += cfg.replicas
+        bts = grid_betas(cfg.sigma_range, cfg.tau_range, cfg.resolution)
     else:
-        betas = cfg.betas()
-        for t in cfg.ts():
-            tasks = [(t, i) for i in range(cfg.replicas)]
-            payloads, fails = _collect(_free_energy_worker, cfg, tasks)
-            failures.extend(fails)
-            tasks_total += len(tasks)
-            good = np.array([p[2] for p in payloads if p is not None])
-            for j, bt in enumerate(betas):
-                if good.size:
-                    mean, se = _mean_se(good[:, j])
-                else:
-                    mean, se = math.nan, math.nan
-                cells.append(GridCell(
-                    sigma=bt.sigma, tau=bt.tau,
-                    phase=classify(bt).region.value,
-                    p_limit=limiting_free_energy(bt),
-                    p_hat=mean, stderr=se,
-                    n_replicas=int(good.shape[0]) if good.size else 0,
-                    t=t))
+        bts = cfg.betas()
+    observable = functools.partial(_free_energy_rows, bts)
+    samples, failures, tasks = _run_replicas(observable, cfg, cfg.ts())
+    cells = [cell for t in cfg.ts() for cell in
+             scan_cells(bts, [ps for rt, ps in samples if rt == t], t)]
     rows = [(c.sigma, c.tau, c.phase, c.p_limit, c.p_hat, c.stderr,
              c.n_replicas, c.t) for c in cells]
     cols = ["sigma", "tau", "phase", "p_limit", "p_hat", "stderr",
@@ -470,8 +483,7 @@ def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
                    [abs(c.p_hat - c.p_limit) for c in cells]))
                if cells else math.nan}
     return RunnerOutput(csvs={"free_energy.csv": (cols, rows)},
-                        summary=summary, failures=failures,
-                        tasks=tasks_total,
+                        summary=summary, failures=failures, tasks=tasks,
                         extra_outputs={"phase_grid.csv": grid_path})
 
 
@@ -487,19 +499,14 @@ def emit_phase_figure_data(cells, path: str) -> None:
             writer.writerow([c.sigma, c.tau, c.p_limit, c.p_hat])
 
 
-def _glassy_worker(cfg: ExperimentConfig, index: int) -> tuple:
-    rs = replica_seed(cfg.seed, index)
-    tree = sample_tree(cfg.dist(), cfg.t, rs, max_nodes=cfg.max_nodes)
-    fld = sample_correlated_pair(tree, cfg.rho, rs)
-    bt = cfg.betas()[0]
-    val = rescaled_partition(fld, bt).real_shift
-    return index, rs, tree.n_leaves, val.real, val.imag, abs(val)
+def _glassy_rows(cfg: ExperimentConfig, rep: Replica) -> list:
+    val = rescaled_partition(rep.pair(cfg.rho), cfg.betas()[0]).real_shift
+    return [(rep.index, rep.seed, rep.tree.n_leaves, val.real, val.imag,
+             abs(val))]
 
 
 def _run_glassy_tail(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    tasks = list(range(cfg.replicas))
-    payloads, failures = _collect(_glassy_worker, cfg, tasks)
-    rows = [p for p in payloads if p is not None]
+    rows, failures, tasks = _run_replicas(_glassy_rows, cfg, [cfg.t])
     moduli = np.array([r[5] for r in rows])
     bt = cfg.betas()[0]
     target = SQRT2 / abs(bt.sigma) if bt.sigma else math.nan
@@ -513,7 +520,7 @@ def _run_glassy_tail(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     cols = ["replica", "seed", "n_leaves", "x_re", "x_im", "abs_x"]
     return RunnerOutput(csvs={"glassy_tail.csv": (cols, rows)},
                         summary=summary, failures=failures,
-                        tasks=len(tasks))
+                        tasks=tasks)
 
 
 def _read_complex_samples(path: str) -> np.ndarray:
@@ -535,11 +542,8 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     if cfg.input_csv:
         samples = _read_complex_samples(cfg.input_csv)
     else:
-        payloads, failures = _collect(_glassy_worker, cfg,
-                                      list(range(cfg.replicas)))
-        tasks = cfg.replicas
-        samples = np.array([complex(p[3], p[4]) for p in payloads
-                            if p is not None])
+        rows, failures, tasks = _run_replicas(_glassy_rows, cfg, [cfg.t])
+        samples = np.array([complex(r[3], r[4]) for r in rows])
     radii = stats.isotropy_radii(samples)
     statistic = stats.isotropy_statistic(samples, radii)
     control = stats.isotropic_resample(samples, stream_key(cfg.seed, 0x150))
@@ -565,23 +569,19 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
                         summary=summary, failures=failures, tasks=tasks)
 
 
-def _truncation_worker(cfg: ExperimentConfig, index: int) -> list:
-    rs = replica_seed(cfg.seed, index)
-    tree = sample_tree(cfg.dist(), cfg.t, rs, max_nodes=cfg.max_nodes)
-    fld = sample_correlated_pair(tree, cfg.rho, rs)
+def _truncation_rows(cfg: ExperimentConfig, rep: Replica) -> list:
+    fld = rep.pair(cfg.rho)
     bt = cfg.betas()[0]
-    out = []
+    rows = []
     for a in cfg.a_list:
         part = truncated_partition(fld, bt, float(a))
-        out.append((index, rs, tree.n_leaves, float(a),
-                    part.kept.real, part.kept.imag, abs(part.discarded)))
-    return out
+        rows.append((rep.index, rep.seed, rep.tree.n_leaves, float(a),
+                     part.kept.real, part.kept.imag, abs(part.discarded)))
+    return rows
 
 
 def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    tasks = list(range(cfg.replicas))
-    payloads, failures = _collect(_truncation_worker, cfg, tasks)
-    rows = [row for p in payloads if p is not None for row in p]
+    rows, failures, tasks = _run_replicas(_truncation_rows, cfg, [cfg.t])
     summary = {"delta": cfg.delta}
     p_by_a = []
     for a in cfg.a_list:
@@ -599,23 +599,19 @@ def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
             "disc_abs"]
     return RunnerOutput(csvs={"truncation.csv": (cols, rows)},
                         summary=summary, failures=failures,
-                        tasks=len(tasks))
+                        tasks=tasks)
 
 
-def _extremal_worker(cfg: ExperimentConfig, task) -> tuple:
-    t, index = task
-    rs = replica_seed(cfg.seed, index)
-    tree = sample_tree(cfg.dist(), t, rs, max_nodes=cfg.max_nodes)
-    fld = sample_correlated_pair(tree, 1.0, rs)
-    shift = float(np.max(fld.x)) - m_of_t(t)
-    return t, index, rs, tree.n_leaves, shift, derivative_martingale(fld)
+def _extremal_rows(cfg: ExperimentConfig, rep: Replica) -> list:
+    fld = rep.pair(1.0)
+    shift = float(np.max(fld.x)) - m_of_t(rep.t)
+    return [(rep.t, rep.index, rep.seed, rep.tree.n_leaves, shift,
+             derivative_martingale(fld))]
 
 
 def _run_extremal_max(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     ts = cfg.ts()
-    tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
-    payloads, failures = _collect(_extremal_worker, cfg, tasks)
-    rows = [p for p in payloads if p is not None]
+    rows, failures, tasks = _run_replicas(_extremal_rows, cfg, ts)
     summary = {}
     shifts = {}
     zvals = {}
@@ -645,11 +641,14 @@ def _run_extremal_max(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     cols = ["t", "replica", "seed", "n_leaves", "max_shift", "z_deriv"]
     return RunnerOutput(csvs={"extremal_max.csv": (cols, rows)},
                         summary=summary, failures=failures,
-                        tasks=len(tasks))
+                        tasks=tasks)
 
 
-def _bridge_worker(cfg: ExperimentConfig, task) -> tuple:
-    chunk_index, n_paths = task
+BRIDGE_CHUNK = 2000
+
+
+def _bridge_worker(cfg: ExperimentConfig, chunk_index: int) -> tuple:
+    n_paths = min(BRIDGE_CHUNK, cfg.replicas - chunk_index * BRIDGE_CHUNK)
     rs = replica_seed(cfg.seed, chunk_index)
     rng = make_rng(rs, 0xB1)
     t, a, step = cfg.t, cfg.r, cfg.bridge_step
@@ -666,15 +665,7 @@ def _bridge_worker(cfg: ExperimentConfig, task) -> tuple:
 def _run_bridge_check(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     if not 0.0 < 2.0 * cfg.r < cfg.t:
         raise ConfigError("bridge_check needs 0 < 2r < t")
-    chunk = 2000
-    tasks = []
-    remaining = cfg.replicas
-    i = 0
-    while remaining > 0:
-        take = min(chunk, remaining)
-        tasks.append((i, take))
-        remaining -= take
-        i += 1
+    tasks = list(range(-(-cfg.replicas // BRIDGE_CHUNK)))
     payloads, failures = _collect(_bridge_worker, cfg, tasks)
     rows = [p for p in payloads if p is not None]
     n_total = sum(r[2] for r in rows)
@@ -701,26 +692,32 @@ def _run_bridge_check(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         summary=summary, failures=failures, tasks=len(tasks))
 
 
-def _cluster_worker(cfg: ExperimentConfig, index: int):
+def _cluster_worker(dist: OffspringDistribution, cfg: ExperimentConfig,
+                    index: int):
     rs = replica_seed(cfg.seed, index)
-    cl = sample_cluster(cfg.t_cond, cfg.dist(), rs,
-                        max_attempts=cfg.max_attempts)
+    cl = sample_cluster(cfg.t_cond, dist, rs, max_attempts=cfg.max_attempts)
     return index, rs, cl
 
 
+def _sample_clusters(cfg: ExperimentConfig,
+                     dist: OffspringDistribution) -> tuple[list, list]:
+    """(index, seed, cluster) for each accepted task, and failure records."""
+    worker = functools.partial(_cluster_worker, dist)
+    payloads, failures = _collect(worker, cfg, list(range(cfg.min_clusters)))
+    return [p for p in payloads if p is not None], failures
+
+
 def _run_cluster_bank(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    tasks = list(range(cfg.min_clusters))
-    payloads, failures = _collect(_cluster_worker, cfg, tasks)
-    results = [p for p in payloads if p is not None]
-    clusters = [p[2] for p in results]
+    dist = cfg.dist()
+    results, failures = _sample_clusters(cfg, dist)
+    clusters = [c for _, _, c in results]
     if not clusters:
         raise AcceptanceError("no clusters accepted at all")
     bank_path = os.path.join(run_dir, "bank.txt")
     attempts = sum(c.attempts for c in clusters)
-    save_cluster_bank(bank_path, clusters, cfg.dist(), attempts=attempts)
-    rows = [(p[0], p[1], c.atoms.size, c.attempts, c.max_value,
-             float(c.atoms.min())) for p, c in
-            ((p, p[2]) for p in results)]
+    save_cluster_bank(bank_path, clusters, dist, attempts=attempts)
+    rows = [(i, rs, c.atoms.size, c.attempts, c.max_value,
+             float(c.atoms.min())) for i, rs, c in results]
     summary = {
         "accepted": len(clusters),
         "attempts": attempts,
@@ -730,7 +727,7 @@ def _run_cluster_bank(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     cols = ["index", "seed", "n_atoms", "attempts", "max_value", "min_atom"]
     return RunnerOutput(csvs={"clusters.csv": (cols, rows)},
                         summary=summary, failures=failures,
-                        tasks=len(tasks),
+                        tasks=cfg.min_clusters,
                         extra_outputs={"bank.txt": bank_path})
 
 
@@ -740,10 +737,9 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     if cfg.bank_path:
         clusters, _meta = load_cluster_bank(cfg.bank_path)
     else:
-        payloads, failures = _collect(_cluster_worker, cfg,
-                                      list(range(cfg.min_clusters)))
+        results, failures = _sample_clusters(cfg, cfg.dist())
         tasks = cfg.min_clusters
-        clusters = [p[2] for p in payloads if p is not None]
+        clusters = [c for _, _, c in results]
     model = LimitModel(cox_constant=cfg.cox_c, z_weight=cfg.cox_z,
                        clusters=clusters)
     bt = cfg.betas()[0]

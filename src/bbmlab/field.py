@@ -153,26 +153,35 @@ def sample_field(tree: GwTree, seed: int, keep_paths: bool = False,
     return BbmField(tree=tree, seed=seed, node_pos=node_pos, paths=paths)
 
 
+def correlate(x_field: BbmField, z_field: BbmField | None, rho: float,
+              seed: int) -> CorrelatedField:
+    """The pair view y = rho x + sqrt(1-rho^2) z of two fields on one tree.
+
+    At |rho| = 1 z_field is not read (pass None) and y is exactly +-x.
+    """
+    if not -1.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [-1, 1], got {rho!r}")
+    x = x_field.x
+    if abs(rho) == 1.0:
+        return CorrelatedField(tree=x_field.tree, rho=rho, seed=seed,
+                               x_field=x_field, z_field=None,
+                               x=x, y=math.copysign(1.0, rho) * x, z=None)
+    z = z_field.x
+    y = rho * x + math.sqrt(1.0 - rho * rho) * z
+    return CorrelatedField(tree=x_field.tree, rho=rho, seed=seed,
+                           x_field=x_field, z_field=z_field, x=x, y=y, z=z)
+
+
 def sample_correlated_pair(tree: GwTree, rho: float, seed: int,
                            keep_paths: bool = False,
                            path_step: float = DEFAULT_PATH_STEP
                            ) -> CorrelatedField:
     """Draw (x, y) with correlation rho; paths (if kept) belong to x."""
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho!r}")
     x_field = sample_field(tree, stream_key(seed, TAG_PAIR_X),
                            keep_paths=keep_paths, path_step=path_step)
-    x = x_field.x
-    if abs(rho) == 1.0:
-        return CorrelatedField(tree=tree, rho=rho, seed=seed,
-                               x_field=x_field, z_field=None,
-                               x=x, y=math.copysign(1.0, rho) * x, z=None)
-    z_field = sample_field(tree, stream_key(seed, TAG_PAIR_Z))
-    z = z_field.x
-    y = rho * x + math.sqrt(1.0 - rho * rho) * z
-    return CorrelatedField(tree=tree, rho=rho, seed=seed,
-                           x_field=x_field, z_field=z_field,
-                           x=x, y=y, z=z)
+    z_field = None if abs(rho) == 1.0 else \
+        sample_field(tree, stream_key(seed, TAG_PAIR_Z))
+    return correlate(x_field, z_field, rho, seed)
 
 
 def max_position(field) -> tuple[float, int]:

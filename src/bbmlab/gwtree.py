@@ -17,7 +17,6 @@ triple reproduces the identical tree on any machine.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,13 +102,6 @@ class GwTree:
         leaf_ids = np.flatnonzero(np.isnan(self.split))
         assert np.array_equal(leaf_ids, self.leaves)
         assert self.n_leaves >= 1
-
-    def dump(self, stream=None) -> None:
-        """Debug listing: one ``node_id parent_id birth split`` line per node."""
-        out = stream if stream is not None else sys.stdout
-        for i in range(self.n_nodes):
-            out.write(f"{i} {self.parent[i]} {self.birth[i]!r} "
-                      f"{self.split[i]!r}\n")
 
 
 def sample_tree(dist: OffspringDistribution, t: float, seed: int,

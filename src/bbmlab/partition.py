@@ -137,43 +137,3 @@ def log_partition(field, beta) -> float:
     if t <= 0.0:
         raise ValueError("log_partition needs a horizon t > 0")
     return scaled_partition(field, beta).abs_log / t
-
-
-@dataclass(frozen=True)
-class PartitionStatistics:
-    """One field's partition summary, as written to experiment CSVs."""
-
-    t: float
-    beta: complex
-    rho: float
-    seed: int
-    n_leaves: int
-    raw: complex
-    rescaled_full: complex
-    rescaled_real: complex
-    martingale: complex
-    derivative_martingale: float
-    log_partition: float
-
-
-def compute_statistics(field, beta) -> PartitionStatistics:
-    bt = ComplexTemperature.of(beta)
-    t = field.tree.t
-    m = m_of_t(t)
-    scaled = scaled_partition(field, beta)
-    real_shift = scaled.shifted(-bt.sigma * m)
-    log_norm = -t * (1.0 + 0.5 * (bt.sigma ** 2 - bt.tau ** 2))
-    angle = -t * bt.sigma * field.rho * bt.tau
-    return PartitionStatistics(
-        t=t,
-        beta=bt.beta,
-        rho=field.rho,
-        seed=field.seed,
-        n_leaves=field.tree.n_leaves,
-        raw=scaled.value,
-        rescaled_full=real_shift.rotated(-bt.tau * m).value,
-        rescaled_real=real_shift.value,
-        martingale=scaled.shifted(log_norm).rotated(angle).value,
-        derivative_martingale=derivative_martingale(field),
-        log_partition=scaled.abs_log / t,
-    )

@@ -14,7 +14,7 @@ closure boundary, which this module asserts whenever it answers on one.
 Classification is margin-based: a point is BOUNDARY when some defining
 inequality sits within tolerance of equality while the closed form of the
 adjoining region holds.  The classifier and the case formulas are purely
-analytic; only grid_scan below touches the simulator.
+analytic; only point_scan and grid_scan below touch the simulator.
 """
 
 from __future__ import annotations
@@ -123,35 +123,26 @@ class GridCell:
     t: float
 
 
-def point_scan(betas, dist: OffspringDistribution, t: float, replicas: int,
-               rho: float, seed: int,
-               max_nodes: int = NODE_BUDGET) -> list[GridCell]:
-    """Estimate p_t at each beta, reusing one set of field replicas.
+def free_energies(field, bts, t: float) -> list[float]:
+    """p_t = (1/t) log |X(t)| of one field at each temperature in ``bts``."""
+    x, y = field.x, field.y
+    return [scaled_exp_sum(bt.sigma * x, bt.tau * y).abs_log / t
+            for bt in bts]
 
-    All cells are evaluated on the same simulated fields (the estimates
-    share noise but stay unbiased cell by cell), so the cost is one
-    simulation pass regardless of how many betas are scanned.
+
+def scan_cells(bts, samples, t: float) -> list[GridCell]:
+    """One cell per temperature from per-replica free_energies lists.
+
+    Sums run in replica order and the standard error uses the population
+    variance, so a scan's cells do not depend on how replicas were run.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    bts = [ComplexTemperature.of(b) for b in betas]
     sums = np.zeros(len(bts))
     sums2 = np.zeros(len(bts))
-    n_ok = 0
-    for i in range(replicas):
-        rs = replica_seed(seed, i)
-        try:
-            tree = sample_tree(dist, t, rs, max_nodes=max_nodes)
-            fld = sample_correlated_pair(tree, rho, rs)
-        except ResourceLimitError:
-            continue
-        sx = fld.x
-        sy = fld.y
-        for j, bt in enumerate(bts):
-            p = scaled_exp_sum(bt.sigma * sx, bt.tau * sy).abs_log / t
+    for ps in samples:
+        for j, p in enumerate(ps):
             sums[j] += p
             sums2[j] += p * p
-        n_ok += 1
+    n_ok = len(samples)
     cells = []
     for j, bt in enumerate(bts):
         if n_ok:
@@ -168,15 +159,45 @@ def point_scan(betas, dist: OffspringDistribution, t: float, replicas: int,
     return cells
 
 
-def grid_scan(sigma_range: tuple[float, float], tau_range: tuple[float, float],
-              resolution: int, dist: OffspringDistribution, t: float,
-              replicas: int, rho: float, seed: int,
-              max_nodes: int = NODE_BUDGET) -> list[GridCell]:
-    """Rectangular scan, row-major in sigma then tau."""
+def point_scan(betas, dist: OffspringDistribution, t: float, replicas: int,
+               rho: float, seed: int,
+               max_nodes: int = NODE_BUDGET) -> list[GridCell]:
+    """Estimate p_t at each beta, reusing one set of field replicas.
+
+    All cells are evaluated on the same simulated fields (the estimates
+    share noise but stay unbiased cell by cell), so the cost is one
+    simulation pass regardless of how many betas are scanned.
+    """
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    bts = [ComplexTemperature.of(b) for b in betas]
+    samples = []
+    for i in range(replicas):
+        rs = replica_seed(seed, i)
+        try:
+            tree = sample_tree(dist, t, rs, max_nodes=max_nodes)
+            fld = sample_correlated_pair(tree, rho, rs)
+        except ResourceLimitError:
+            continue
+        samples.append(free_energies(fld, bts, t))
+    return scan_cells(bts, samples, t)
+
+
+def grid_betas(sigma_range: tuple[float, float],
+               tau_range: tuple[float, float],
+               resolution: int) -> list[ComplexTemperature]:
+    """Rectangular grid of temperatures, row-major in sigma then tau."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     sig = np.linspace(sigma_range[0], sigma_range[1], resolution)
     tau = np.linspace(tau_range[0], tau_range[1], resolution)
-    betas = [complex(s, u) for s in sig for u in tau]
-    return point_scan(betas, dist, t, replicas, rho, seed,
-                      max_nodes=max_nodes)
+    return [ComplexTemperature.of(complex(s, u)) for s in sig for u in tau]
+
+
+def grid_scan(sigma_range: tuple[float, float], tau_range: tuple[float, float],
+              resolution: int, dist: OffspringDistribution, t: float,
+              replicas: int, rho: float, seed: int,
+              max_nodes: int = NODE_BUDGET) -> list[GridCell]:
+    """point_scan over grid_betas(sigma_range, tau_range, resolution)."""
+    return point_scan(grid_betas(sigma_range, tau_range, resolution), dist,
+                      t, replicas, rho, seed, max_nodes=max_nodes)

@@ -17,13 +17,12 @@ from .streams import TAG_SYNTH, make_rng
 
 @dataclass(frozen=True)
 class StableFit:
-    """Tail-index fit; method is 'hill' or 'cf_regression'."""
+    """Tail-index fit; method names the estimator ('hill')."""
 
     alpha_hat: float
     alpha_se: float
     k_used: int
     method: str
-    scale: float | None = None
 
 
 @dataclass(frozen=True)
@@ -117,49 +116,6 @@ def isotropy_radii(samples, count: int = 3, band=(0.3, 0.7),
     targets = np.linspace(band[1], band[0], count)
     picked = sorted({int(np.argmin(np.abs(level - v))) for v in targets})
     return grid[picked]
-
-
-def cf_regression(samples, radii=None, n_angles: int = 8) -> StableFit:
-    """Stable-index fit from log(-log |phi_hat|) ~ log r.
-
-    For an isotropic alpha-stable law |phi(z)| = e^(-c |z|^alpha), so the
-    slope estimates alpha and the intercept log c.  alpha_hat is clamped
-    to 2 from above (no CF decays faster than Gaussian).
-    """
-    y = np.asarray(samples, dtype=np.complex128)
-    r = isotropy_radii(y, count=6, band=(0.25, 0.75)) if radii is None \
-        else np.asarray(radii, dtype=np.float64)
-    m = np.abs(_cf_table(y, r, n_angles)).mean(axis=1)
-    good = (m > 1e-8) & (m < 1.0 - 1e-8)
-    if np.count_nonzero(good) < 3:
-        raise ValueError("need at least 3 radii with usable CF moduli")
-    lx = np.log(r[good])
-    ly = np.log(-np.log(m[good]))
-    slope, intercept, se = _ols(lx, ly)
-    if slope <= 0.0:
-        raise ValueError("characteristic function does not decay in |z|")
-    return StableFit(alpha_hat=min(slope, 2.0), alpha_se=se,
-                     k_used=int(np.count_nonzero(good)),
-                     method="cf_regression", scale=math.exp(intercept))
-
-
-def _ols(x: np.ndarray, y: np.ndarray,
-         w: np.ndarray | None = None) -> tuple[float, float, float]:
-    """(Weighted) least squares line fit: slope, intercept, slope se."""
-    if w is None:
-        w = np.ones_like(x)
-    sw = w.sum()
-    mx = (w * x).sum() / sw
-    my = (w * y).sum() / sw
-    sxx = (w * (x - mx) ** 2).sum()
-    if sxx <= 0.0:
-        raise ValueError("degenerate regressor (no spread)")
-    slope = (w * (x - mx) * (y - my)).sum() / sxx
-    intercept = my - slope * mx
-    resid = y - intercept - slope * x
-    dof = max(x.size - 2, 1)
-    se = math.sqrt(((w * resid * resid).sum() / sw) / sxx * x.size / dof)
-    return float(slope), float(intercept), float(se)
 
 
 def ks_distance(a, b) -> float:

@@ -21,14 +21,12 @@ MASK64 = (1 << 64) - 1
 # Role tags.  Values are arbitrary but frozen: changing them changes every
 # stream downstream of a seed.
 TAG_TREE = 0x01
-TAG_OFFSPRING = 0x02
 TAG_FIELD = 0x03
 TAG_BRIDGE = 0x04
 TAG_PAIR_X = 0x05
 TAG_PAIR_Z = 0x06
 TAG_COX = 0x07
 TAG_CLUSTER = 0x08
-TAG_MARKS = 0x09
 TAG_SYNTH = 0x0A
 
 

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from bbmlab import (OffspringDistribution, additive_martingale, cli,
-                    grid_scan, m_of_t, martingale_second_moment,
+                    experiments, grid_scan, m_of_t, martingale_second_moment,
                     sample_correlated_pair, sample_tree)
 from bbmlab.experiments import (ConfigError, DEFAULT_SEED, ExperimentConfig,
-                                REQUIRED_KEYS, emit_phase_figure_data,
-                                load_config, parse_complex, run,
-                                validate_config)
+                                REQUIRED_KEYS, Replica,
+                                emit_phase_figure_data, load_config,
+                                parse_complex, run, validate_config)
 from bbmlab.phase import GridCell
 from bbmlab.streams import replica_seed
 
@@ -198,6 +198,103 @@ class TestFailureBudget:
         assert len(result.failures) > 1
         assert all("ResourceLimitError" in f["error"]
                    for f in result.failures)
+
+    def test_failure_records_name_their_replica(self, tmp_path):
+        cfg = ExperimentConfig(experiment="tree_moments", replicas=20,
+                               t_list=[1.0, 6.0], max_nodes=50,
+                               output_dir=str(tmp_path))
+        result = run(cfg)
+        assert result.failures
+        for f in result.failures:
+            assert f["t"] == 6.0
+            assert f["seed"] == replica_seed(cfg.seed, f["replica"])
+            assert f["error_type"] == "ResourceLimitError"
+        with open(os.path.join(result.run_dir, "manifest.json"),
+                  encoding="utf-8") as fh:
+            assert json.load(fh)["failures"] == result.failures
+
+    def test_cluster_failure_names_its_task(self, tmp_path):
+        cfg = ExperimentConfig(experiment="cluster_bank", t_cond=3.0,
+                               min_clusters=10, max_attempts=2,
+                               output_dir=str(tmp_path))
+        result = run(cfg)
+        assert 0 < len(result.failures) < cfg.min_clusters
+        for f in result.failures:
+            assert f["seed"] == replica_seed(cfg.seed, f["task"])
+            assert f["error_type"] == "AcceptanceError"
+        rows = read_rows(result.outputs["clusters.csv"])
+        failed = {f["task"] for f in result.failures}
+        assert failed.isdisjoint(int(r["index"]) for r in rows)
+        assert len(failed) + len(rows) == cfg.min_clusters
+
+
+class TestFreeEnergyScan:
+    GRID = dict(experiment="free_energy_scan", replicas=20,
+                t_list=[1.0, 6.0], sigma_range=[0.2, 2.0],
+                tau_range=[0.0, 1.5], resolution=3)
+
+    def test_grid_failures_are_counted(self, tmp_path):
+        cfg = ExperimentConfig(**self.GRID, max_nodes=50,
+                               output_dir=str(tmp_path))
+        result = run(cfg)
+        assert result.tasks == 40
+        assert len(result.failures) == 20
+        assert {f["t"] for f in result.failures} == {6.0}
+        assert not result.ok
+        rows = read_rows(result.outputs["free_energy.csv"])
+        assert {r["n_replicas"] for r in rows if r["t"] == "6.0"} == {"0"}
+
+    def test_grid_pool_matches_serial(self, tmp_path):
+        bodies = {}
+        for threads in (1, 2):
+            cfg = ExperimentConfig(**self.GRID, rho=0.5, threads=threads,
+                                   output_dir=str(tmp_path / str(threads)))
+            result = run(cfg)
+            bodies[threads] = []
+            for name in ("free_energy.csv", "phase_grid.csv"):
+                with open(result.outputs[name], encoding="utf-8") as fh:
+                    bodies[threads] += [ln for ln in fh
+                                        if not ln.startswith("#")]
+        assert bodies[1] == bodies[2]
+
+
+class TestReplica:
+    def test_pair_matches_sample_correlated_pair(self):
+        cfg = ExperimentConfig(experiment="martingale", t=3.0)
+        rep = Replica(cfg, BINARY, (3.0, 4))
+        rs = replica_seed(cfg.seed, 4)
+        tree = sample_tree(BINARY, 3.0, rs)
+        assert rep.seed == rs and rep.tree.n_nodes == tree.n_nodes
+        for rho in (-1.0, 0.0, 0.6, 1.0):
+            want = sample_correlated_pair(tree, rho, rs)
+            got = rep.pair(rho)
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.y, want.y)
+
+    def test_fields_drawn_once_per_replica(self, tmp_path, monkeypatch):
+        calls = []
+        original = experiments.sample_field
+
+        def counting(tree, seed, *args, **kwargs):
+            calls.append((tree.seed, seed))
+            return original(tree, seed, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_field", counting)
+        cfg = ExperimentConfig(experiment="martingale", replicas=3, t=2.0,
+                               threads=1, rho_list=[0.0, 0.5, 0.8, 1.0],
+                               output_dir=str(tmp_path))
+        run(cfg)
+        assert len(calls) == 2 * cfg.replicas
+        assert len(set(calls)) == len(calls)
+
+
+def test_default_worker_count_follows_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    cfg = ExperimentConfig(experiment="tree_moments")
+    assert cfg.effective_threads() == 1
+    assert ExperimentConfig(experiment="tree_moments",
+                            threads=3).effective_threads() == 3
 
 
 class TestPhaseFigureData:

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from bbmlab import (ComplexTemperature, OffspringDistribution,
-                    additive_martingale, compute_statistics,
-                    derivative_martingale, log_partition, m_of_t,
-                    partition_function, rescaled_partition,
-                    sample_correlated_pair, sample_tree, truncated_partition)
+                    additive_martingale, derivative_martingale,
+                    log_partition, m_of_t, partition_function,
+                    rescaled_partition, sample_correlated_pair, sample_tree,
+                    truncated_partition)
 from bbmlab.field import BbmField, CorrelatedField
 from bbmlab.streams import replica_seed, stream_key
 
@@ -188,23 +188,6 @@ class TestLogPartition:
 
 
 class TestComputeStatistics:
-    def test_consistent_with_components(self):
-        fld = sampled_field(t=4.0, rho=0.5, tag=0x55)
-        beta = complex(1.2, 0.9)
-        st = compute_statistics(fld, beta)
-        assert st.raw == partition_function(fld, beta)
-        res = rescaled_partition(fld, beta)
-        assert st.rescaled_full == res.full
-        assert st.rescaled_real == res.real_shift
-        assert st.martingale == additive_martingale(fld, beta)
-        assert st.derivative_martingale == derivative_martingale(fld)
-        assert st.log_partition == log_partition(fld, beta)
-        assert st.n_leaves == fld.tree.n_leaves
-        assert st.rho == fld.rho and st.t == fld.tree.t
-        # defining identity of the log-partition value
-        assert st.log_partition == pytest.approx(
-            math.log(abs(st.raw)) / st.t, rel=1e-12)
-
     def test_temperature_helper(self):
         bt = ComplexTemperature.of(complex(1.2, 0.9))
         assert bt.sigma == 1.2 and bt.tau == 0.9
