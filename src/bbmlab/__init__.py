@@ -28,7 +28,7 @@ from .partition import (ComplexTemperature, RescaledPartition,
                         derivative_martingale, log_partition, m_of_t,
                         partition_function, rescaled_partition,
                         scaled_partition, truncated_partition)
-from .phase import (GridCell, PhaseRegion, Region, classify, grid_scan,
+from .phase import (GridCell, Region, classify, grid_scan,
                     limiting_free_energy, point_scan)
 from .stats import (StableFit, TailSlopeFit, empirical_cf,
                     hill_estimator, isotropic_resample, isotropy_radii,
@@ -42,7 +42,7 @@ __all__ = [
     "CorrelatedField", "CoxFit", "EnvelopeSpec", "ExtremalSample",
     "GridCell", "GwTree", "LimitDraws", "LimitModel",
     "OffspringDistribution", "PathDataMissing",
-    "PhaseRegion", "Region", "RescaledPartition", "ResourceLimitError",
+    "Region", "RescaledPartition", "ResourceLimitError",
     "ScaledComplex", "StableFit", "TailSlopeFit", "TruncatedPartition",
     "additive_martingale", "bridge_barrier_bound",
     "classify", "compensated_sum",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime failure (including runs where more than
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,64 +42,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ORACLE_USAGE = {
-    "m_of_t": "m_of_t T",
-    "gaussian_tail": "gaussian_tail X",
-    "bridge_bound": "bridge_bound A T",
-    "envelope": "envelope S T GAMMA",
-    "martingale_m2": "martingale_m2 BETA T K",
-    "pair_moment": "pair_moment LAMBDA RHO TAU T K",
-    "free_energy": "free_energy BETA",
-    "classify": "classify BETA",
-    "limit_max_cdf": "limit_max_cdf Y C Z",
+# name -> (argument names for the usage line, closed form); BETA and
+# LAMBDA arguments are complex, every other argument is a float
+_ORACLES = {
+    "m_of_t": ("T", m_of_t),
+    "gaussian_tail": ("X", gaussian_tail_bound),
+    "bridge_bound": ("A T", bridge_barrier_bound),
+    "envelope": ("S T GAMMA", envelope_curve),
+    "martingale_m2": ("BETA T K", functools.partial(
+        martingale_second_moment, allow_unbounded=True)),
+    "pair_moment": ("LAMBDA RHO TAU T K", many_to_two_pair_moment),
+    "free_energy": ("BETA", limiting_free_energy),
+    "classify": ("BETA", lambda beta: classify(beta).value),
+    "limit_max_cdf": ("Y C Z", limit_max_cdf),
 }
 
 
-def _oracle_value(name: str, raw: list[str]):
-    if name == "m_of_t":
-        (t,) = map(float, raw)
-        return m_of_t(t)
-    if name == "gaussian_tail":
-        (x,) = map(float, raw)
-        return gaussian_tail_bound(x)
-    if name == "bridge_bound":
-        a, t = map(float, raw)
-        return bridge_barrier_bound(a, t)
-    if name == "envelope":
-        s, t, gamma = map(float, raw)
-        return envelope_curve(s, t, gamma)
-    if name == "martingale_m2":
-        beta = parse_complex(raw[0])
-        t, k = float(raw[1]), float(raw[2])
-        return martingale_second_moment(beta, t, k, allow_unbounded=True)
-    if name == "pair_moment":
-        lam = parse_complex(raw[0])
-        rho, tau, t, k = map(float, raw[1:])
-        return many_to_two_pair_moment(lam, rho, tau, t, k)
-    if name == "free_energy":
-        return limiting_free_energy(parse_complex(raw[0]))
-    if name == "classify":
-        return classify(parse_complex(raw[0])).region.value
-    if name == "limit_max_cdf":
-        y, c, z = map(float, raw)
-        return limit_max_cdf(y, c, z)
-    raise ConfigError(f"unknown oracle {name!r}")
+def _oracle_arg(name: str, raw: str):
+    return parse_complex(raw) if name in ("BETA", "LAMBDA") else float(raw)
 
 
 def _run_oracle(args) -> int:
     if args.name == "list":
-        for usage in _ORACLE_USAGE.values():
-            print(usage)
+        for name, (params, _) in _ORACLES.items():
+            print(f"{name} {params}")
         return 0
-    try:
-        value = _oracle_value(args.name, args.args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.name not in _ORACLES:
+        print(f"error: unknown oracle {args.name!r}", file=sys.stderr)
         return 2
-    except (TypeError, ValueError) as exc:
-        usage = _ORACLE_USAGE.get(args.name, "")
-        print(f"error: {exc}" + (f" (usage: {usage})" if usage else ""),
-              file=sys.stderr)
+    params, closed_form = _ORACLES[args.name]
+    names = params.split()
+    try:
+        if len(args.args) != len(names):
+            raise ValueError(f"expected {len(names)} arguments, "
+                             f"got {len(args.args)}")
+        value = closed_form(*map(_oracle_arg, names, args.args))
+    except ValueError as exc:
+        print(f"error: {exc} (usage: {args.name} {params})", file=sys.stderr)
         return 2
     print(value)
     return 0

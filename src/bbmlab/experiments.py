@@ -1,12 +1,13 @@
 """Experiment drivers: replica orchestration and artifact emission.
 
-Every experiment takes one declarative config, fans replicas out over a
-process pool (replica i always uses seed XOR i, and results are gathered
-in replica order), and writes into a fresh timestamped directory: one or
-more CSV files whose bodies are byte-identical across reruns of the same
-config and seed, plus a manifest recording the seed schedule, failures,
-versions and wall time.  Replica-level errors are contained and counted;
-a run fails when more than 10 percent of its replicas fail.
+Every experiment takes one declarative config, checked in full before the
+run directory is made, fans replicas out over a process pool (replica i
+always uses seed XOR i, and results are gathered in replica order), and
+writes into a fresh timestamped directory: one or more CSV files whose
+bodies are byte-identical across reruns of the same config and seed, plus
+a manifest recording the seed schedule, failures, versions and wall time.
+Replica-level errors are contained and counted; a run fails when more
+than 10 percent of its replicas fail.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
                       martingale_second_moment)
 from .partition import (ComplexTemperature, SQRT2, additive_martingale,
-                        derivative_martingale, m_of_t, rescaled_partition,
-                        truncated_partition)
-from .phase import free_energies, grid_betas, scan_cells
+                        derivative_martingale, log_partition, m_of_t,
+                        rescaled_partition, truncated_partition)
+from .phase import grid_betas, scan_cells
 from .streams import TAG_PAIR_X, TAG_PAIR_Z, make_rng, replica_seed, stream_key
 
 # No longer called here.  perfbench/spans.py rebinds these names in this
@@ -45,6 +46,10 @@ from .phase import classify, grid_scan, limiting_free_energy  # noqa: F401
 
 FAILURE_BUDGET = 0.10
 DEFAULT_SEED = 20260825
+
+# Run-level side streams, keyed stream_key(cfg.seed, tag).
+COX_STREAM = 0x11D
+CALIBRATION_STREAM = 0x150
 
 
 class ConfigError(ValueError):
@@ -67,7 +72,6 @@ class ExperimentConfig:
     a_list: list = field(default_factory=lambda: [2.0, 4.0, 6.0, 8.0])
     offspring: list = field(default_factory=lambda: [(2, 1.0)])
     allow_general_offspring: bool = False
-    gamma: float = 0.4
     r: float = 1.0
     delta: float = 0.1
     output_dir: str = "runs"
@@ -108,17 +112,17 @@ class ExperimentConfig:
 
 def parse_complex(value) -> complex:
     """Accept 2.0, "1.2+0.9i", "1.2+0.9j", or [re, im]."""
-    if isinstance(value, complex):
-        return value
-    if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, complex):
+            return value
+        if isinstance(value, (int, float)):
+            return complex(float(value), 0.0)
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+        if isinstance(value, str):
             return complex(value.strip().replace("i", "j"))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse complex value {value!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse complex value {value!r}") from exc
     raise ConfigError(f"cannot parse complex value {value!r}")
 
 
@@ -167,12 +171,22 @@ def load_config(path: str | None, overrides: dict) -> tuple[ExperimentConfig, se
 
 
 def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
+    """Reject a config before anything runs; every check raises ConfigError."""
     if cfg.experiment not in REQUIRED_KEYS:
         raise ConfigError(
             f"unknown experiment {cfg.experiment!r}; choose from "
             f"{sorted(REQUIRED_KEYS)}")
     if cfg.replicas < 1:
         raise ConfigError("replicas must be >= 1")
+    if not cfg.beta_list:
+        raise ConfigError("beta_list must not be empty")
+    cfg.betas()  # parses every entry
+    if (cfg.experiment == "free_energy_scan" and cfg.sigma_range is not None
+            and (cfg.tau_range is None or cfg.resolution < 1)):
+        raise ConfigError(
+            "grid scan needs sigma_range, tau_range and resolution")
+    if cfg.experiment == "bridge_check" and not 0.0 < 2.0 * cfg.r < cfg.t:
+        raise ConfigError("bridge_check needs 0 < 2r < t")
     if provided is None:
         return
     missing = []
@@ -190,7 +204,8 @@ class RunnerOutput:
     csvs: dict
     summary: dict
     failures: list
-    tasks: int
+    schedule: list  # _task_range entries: the tasks that ran, per horizon
+    streams: dict = field(default_factory=dict)  # side-stream name -> tag
     extra_outputs: dict = field(default_factory=dict)
 
 
@@ -202,6 +217,14 @@ class RunResult:
     failures: list
     tasks: int
     ok: bool
+
+
+def _task_range(kind: str, horizon: str, value: float, count: int) -> dict:
+    """Seed-schedule entry: tasks 0..count-1 of one kind at one horizon.
+
+    Task i runs on replica_seed(seed, i); ``range`` is half-open.
+    """
+    return {"kind": kind, horizon: value, "range": [0, count]}
 
 
 def _guarded(worker, cfg, task):
@@ -300,15 +323,22 @@ def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
         path = os.path.join(run_dir, name)
         _write_csv(path, columns, rows, echo)
         outputs[name] = path
-    ok = len(out.failures) <= FAILURE_BUDGET * max(out.tasks, 1)
+    tasks = sum(e["range"][1] - e["range"][0] for e in out.schedule)
+    ok = len(out.failures) <= FAILURE_BUDGET * max(tasks, 1)
     manifest = {
         "experiment": config.experiment,
         "config": _jsonable(echo),
         "started_utc": started,
         "wall_time_s": wall,
-        "replica_seeds": [replica_seed(config.seed, i)
-                          for i in range(config.replicas)],
-        "tasks": out.tasks,
+        "seed_schedule": {
+            "rule": "replica_seed(seed, i) = seed XOR i",
+            "seed": config.seed,
+            "tasks": out.schedule,
+            "streams": {name: {"tag": hex(tag),
+                               "key": stream_key(config.seed, tag)}
+                        for name, tag in out.streams.items()},
+        },
+        "tasks": tasks,
         "failures": out.failures,
         "ok": ok,
         "versions": _versions(),
@@ -320,7 +350,7 @@ def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
         json.dump(manifest, fh, indent=2)
     return RunResult(run_dir=run_dir, outputs=outputs,
                      summary=out.summary, failures=out.failures,
-                     tasks=out.tasks, ok=ok)
+                     tasks=tasks, ok=ok)
 
 
 def _versions() -> dict:
@@ -383,13 +413,14 @@ def _run_replicas(observable, cfg: ExperimentConfig,
     """observable(cfg, replica) for replicas 0..replicas-1 at each t in ts.
 
     Each observable returns a list of rows; the result is (rows in task
-    order, t-major; failure records; task count).
+    order, t-major; failure records; seed-schedule entries).
     """
     tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
     worker = functools.partial(_observe, observable, cfg.dist())
     payloads, failures = _collect(worker, cfg, tasks, _replica_record)
     rows = [row for p in payloads if p is not None for row in p]
-    return rows, failures, len(tasks)
+    return rows, failures, [_task_range("replica", "t", t, cfg.replicas)
+                            for t in ts]
 
 
 def _tree_rows(cfg: ExperimentConfig, rep: Replica) -> list:
@@ -397,7 +428,7 @@ def _tree_rows(cfg: ExperimentConfig, rep: Replica) -> list:
 
 
 def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, tasks = _run_replicas(_tree_rows, cfg, cfg.ts())
+    rows, failures, schedule = _run_replicas(_tree_rows, cfg, cfg.ts())
     summary = {}
     for t in cfg.ts():
         ns = np.array([r[3] for r in rows if r[0] == t], dtype=np.float64)
@@ -411,7 +442,7 @@ def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     return RunnerOutput(
         csvs={"tree_moments.csv":
               (["t", "replica", "seed", "n_leaves"], rows)},
-        summary=summary, failures=failures, tasks=tasks)
+        summary=summary, failures=failures, schedule=schedule)
 
 
 def _martingale_rows(cfg: ExperimentConfig, rep: Replica) -> list:
@@ -427,7 +458,7 @@ def _martingale_rows(cfg: ExperimentConfig, rep: Replica) -> list:
 
 
 def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, tasks = _run_replicas(_martingale_rows, cfg, [cfg.t])
+    rows, failures, schedule = _run_replicas(_martingale_rows, cfg, [cfg.t])
     k_fac = cfg.dist().second_factorial_moment
     summary = {}
     for bt in cfg.betas():
@@ -452,51 +483,37 @@ def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     cols = ["t", "sigma", "tau", "rho", "replica", "seed", "n_leaves",
             "m_re", "m_im", "m_abs2"]
     return RunnerOutput(csvs={"martingale.csv": (cols, rows)},
-                        summary=summary, failures=failures, tasks=tasks)
+                        summary=summary, failures=failures, schedule=schedule)
 
 
 def _free_energy_rows(bts: list, cfg: ExperimentConfig,
                       rep: Replica) -> list:
-    return [(rep.t, free_energies(rep.pair(cfg.rho), bts, rep.t))]
+    fld = rep.pair(cfg.rho)
+    return [(rep.t, [log_partition(fld, bt) for bt in bts])]
 
 
 def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     if cfg.sigma_range is not None:
-        if cfg.tau_range is None or cfg.resolution < 1:
-            raise ConfigError(
-                "grid scan needs sigma_range, tau_range and resolution")
         bts = grid_betas(cfg.sigma_range, cfg.tau_range, cfg.resolution)
     else:
         bts = cfg.betas()
     observable = functools.partial(_free_energy_rows, bts)
-    samples, failures, tasks = _run_replicas(observable, cfg, cfg.ts())
+    samples, failures, schedule = _run_replicas(observable, cfg, cfg.ts())
     cells = [cell for t in cfg.ts() for cell in
              scan_cells(bts, [ps for rt, ps in samples if rt == t], t)]
     rows = [(c.sigma, c.tau, c.phase, c.p_limit, c.p_hat, c.stderr,
              c.n_replicas, c.t) for c in cells]
     cols = ["sigma", "tau", "phase", "p_limit", "p_hat", "stderr",
             "n_replicas", "t"]
-    grid_path = os.path.join(run_dir, "phase_grid.csv")
-    emit_phase_figure_data(cells, grid_path)
+    # contour-ready projection of the same cells
+    grid = [(c.sigma, c.tau, c.p_limit, c.p_hat) for c in cells]
     summary = {"cells": len(cells),
                "max_abs_error": float(np.nanmax(
-                   [abs(c.p_hat - c.p_limit) for c in cells]))
-               if cells else math.nan}
-    return RunnerOutput(csvs={"free_energy.csv": (cols, rows)},
-                        summary=summary, failures=failures, tasks=tasks,
-                        extra_outputs={"phase_grid.csv": grid_path})
-
-
-def emit_phase_figure_data(cells, path: str) -> None:
-    """Contour-ready projection of scan cells: one row per grid cell."""
-    cells = list(cells)
-    if not cells:
-        raise ValueError("empty scan table")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sigma", "tau", "p_limit", "p_hat"])
-        for c in cells:
-            writer.writerow([c.sigma, c.tau, c.p_limit, c.p_hat])
+                   [abs(c.p_hat - c.p_limit) for c in cells]))}
+    return RunnerOutput(
+        csvs={"free_energy.csv": (cols, rows),
+              "phase_grid.csv": (["sigma", "tau", "p_limit", "p_hat"], grid)},
+        summary=summary, failures=failures, schedule=schedule)
 
 
 def _glassy_rows(cfg: ExperimentConfig, rep: Replica) -> list:
@@ -506,7 +523,7 @@ def _glassy_rows(cfg: ExperimentConfig, rep: Replica) -> list:
 
 
 def _run_glassy_tail(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, tasks = _run_replicas(_glassy_rows, cfg, [cfg.t])
+    rows, failures, schedule = _run_replicas(_glassy_rows, cfg, [cfg.t])
     moduli = np.array([r[5] for r in rows])
     bt = cfg.betas()[0]
     target = SQRT2 / abs(bt.sigma) if bt.sigma else math.nan
@@ -520,7 +537,7 @@ def _run_glassy_tail(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     cols = ["replica", "seed", "n_leaves", "x_re", "x_im", "abs_x"]
     return RunnerOutput(csvs={"glassy_tail.csv": (cols, rows)},
                         summary=summary, failures=failures,
-                        tasks=tasks)
+                        schedule=schedule)
 
 
 def _read_complex_samples(path: str) -> np.ndarray:
@@ -538,18 +555,19 @@ def _read_complex_samples(path: str) -> np.ndarray:
 
 def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     failures: list = []
-    tasks = 0
+    schedule: list = []
     if cfg.input_csv:
         samples = _read_complex_samples(cfg.input_csv)
     else:
-        rows, failures, tasks = _run_replicas(_glassy_rows, cfg, [cfg.t])
+        rows, failures, schedule = _run_replicas(_glassy_rows, cfg, [cfg.t])
         samples = np.array([complex(r[3], r[4]) for r in rows])
     radii = stats.isotropy_radii(samples)
     statistic = stats.isotropy_statistic(samples, radii)
-    control = stats.isotropic_resample(samples, stream_key(cfg.seed, 0x150))
+    control = stats.isotropic_resample(
+        samples, stream_key(cfg.seed, CALIBRATION_STREAM))
     calibration = stats.isotropy_statistic(control, radii)
     rows = []
-    n_angles = 16
+    n_angles = stats.ISOTROPY_ANGLES
     for label, data in (("sample", samples), ("calibration", control)):
         for r in radii:
             for j in range(n_angles):
@@ -566,7 +584,8 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     }
     cols = ["source", "radius", "angle", "cf_re", "cf_im"]
     return RunnerOutput(csvs={"isotropy.csv": (cols, rows)},
-                        summary=summary, failures=failures, tasks=tasks)
+                        summary=summary, failures=failures, schedule=schedule,
+                        streams={"calibration": CALIBRATION_STREAM})
 
 
 def _truncation_rows(cfg: ExperimentConfig, rep: Replica) -> list:
@@ -581,7 +600,7 @@ def _truncation_rows(cfg: ExperimentConfig, rep: Replica) -> list:
 
 
 def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, tasks = _run_replicas(_truncation_rows, cfg, [cfg.t])
+    rows, failures, schedule = _run_replicas(_truncation_rows, cfg, [cfg.t])
     summary = {"delta": cfg.delta}
     p_by_a = []
     for a in cfg.a_list:
@@ -599,7 +618,7 @@ def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
             "disc_abs"]
     return RunnerOutput(csvs={"truncation.csv": (cols, rows)},
                         summary=summary, failures=failures,
-                        tasks=tasks)
+                        schedule=schedule)
 
 
 def _extremal_rows(cfg: ExperimentConfig, rep: Replica) -> list:
@@ -611,7 +630,7 @@ def _extremal_rows(cfg: ExperimentConfig, rep: Replica) -> list:
 
 def _run_extremal_max(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     ts = cfg.ts()
-    rows, failures, tasks = _run_replicas(_extremal_rows, cfg, ts)
+    rows, failures, schedule = _run_replicas(_extremal_rows, cfg, ts)
     summary = {}
     shifts = {}
     zvals = {}
@@ -641,7 +660,7 @@ def _run_extremal_max(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     cols = ["t", "replica", "seed", "n_leaves", "max_shift", "z_deriv"]
     return RunnerOutput(csvs={"extremal_max.csv": (cols, rows)},
                         summary=summary, failures=failures,
-                        tasks=tasks)
+                        schedule=schedule)
 
 
 BRIDGE_CHUNK = 2000
@@ -663,8 +682,6 @@ def _bridge_worker(cfg: ExperimentConfig, chunk_index: int) -> tuple:
 
 
 def _run_bridge_check(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    if not 0.0 < 2.0 * cfg.r < cfg.t:
-        raise ConfigError("bridge_check needs 0 < 2r < t")
     tasks = list(range(-(-cfg.replicas // BRIDGE_CHUNK)))
     payloads, failures = _collect(_bridge_worker, cfg, tasks)
     rows = [p for p in payloads if p is not None]
@@ -689,7 +706,8 @@ def _run_bridge_check(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         csvs={"bridge.csv": (["chunk", "seed", "paths", "n_stay"], rows),
               "gauss_tail.csv": (["x", "bound", "exact_tail", "dominates"],
                                  tail_rows)},
-        summary=summary, failures=failures, tasks=len(tasks))
+        summary=summary, failures=failures,
+        schedule=[_task_range("chunk", "t", cfg.t, len(tasks))])
 
 
 def _cluster_worker(dist: OffspringDistribution, cfg: ExperimentConfig,
@@ -700,22 +718,24 @@ def _cluster_worker(dist: OffspringDistribution, cfg: ExperimentConfig,
 
 
 def _sample_clusters(cfg: ExperimentConfig,
-                     dist: OffspringDistribution) -> tuple[list, list]:
-    """(index, seed, cluster) for each accepted task, and failure records."""
+                     dist: OffspringDistribution) -> tuple[list, list, list]:
+    """(index, seed, cluster) for each accepted task, failure records and
+    seed-schedule entries."""
     worker = functools.partial(_cluster_worker, dist)
     payloads, failures = _collect(worker, cfg, list(range(cfg.min_clusters)))
-    return [p for p in payloads if p is not None], failures
+    return ([p for p in payloads if p is not None], failures,
+            [_task_range("cluster", "t_cond", cfg.t_cond, cfg.min_clusters)])
 
 
 def _run_cluster_bank(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     dist = cfg.dist()
-    results, failures = _sample_clusters(cfg, dist)
+    results, failures, schedule = _sample_clusters(cfg, dist)
     clusters = [c for _, _, c in results]
     if not clusters:
         raise AcceptanceError("no clusters accepted at all")
     bank_path = os.path.join(run_dir, "bank.txt")
     attempts = sum(c.attempts for c in clusters)
-    save_cluster_bank(bank_path, clusters, dist, attempts=attempts)
+    save_cluster_bank(bank_path, clusters, dist)
     rows = [(i, rs, c.atoms.size, c.attempts, c.max_value,
              float(c.atoms.min())) for i, rs, c in results]
     summary = {
@@ -727,25 +747,24 @@ def _run_cluster_bank(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     cols = ["index", "seed", "n_atoms", "attempts", "max_value", "min_atom"]
     return RunnerOutput(csvs={"clusters.csv": (cols, rows)},
                         summary=summary, failures=failures,
-                        tasks=cfg.min_clusters,
+                        schedule=schedule,
                         extra_outputs={"bank.txt": bank_path})
 
 
 def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     failures: list = []
-    tasks = 0
+    schedule: list = []
     if cfg.bank_path:
         clusters, _meta = load_cluster_bank(cfg.bank_path)
     else:
-        results, failures = _sample_clusters(cfg, cfg.dist())
-        tasks = cfg.min_clusters
+        results, failures, schedule = _sample_clusters(cfg, cfg.dist())
         clusters = [c for _, _, c in results]
     model = LimitModel(cox_constant=cfg.cox_c, z_weight=cfg.cox_z,
                        clusters=clusters)
     bt = cfg.betas()[0]
     a = float(cfg.a_list[0])
     draws = sample_limit_partition(model, bt, cfg.rho, a, cfg.replicas,
-                                   stream_key(cfg.seed, 0x11D))
+                                   stream_key(cfg.seed, COX_STREAM))
     moduli = np.abs(draws.values)
     counts = draws.atom_counts.astype(np.float64)
     mean_atoms = float(np.mean(counts))
@@ -772,7 +791,7 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     cols = ["draw", "value_re", "value_im", "abs", "n_atoms"]
     return RunnerOutput(csvs={"limit_draws.csv": (cols, rows)},
                         summary=summary, failures=failures,
-                        tasks=tasks + 1)
+                        schedule=schedule, streams={"cox": COX_STREAM})
 
 
 _RUNNERS = {

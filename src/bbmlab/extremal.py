@@ -10,8 +10,9 @@ the composite limit law given a cluster bank.
 
 Cluster decorations for |rho| < 1 reuse the secondary field harvested from
 the same conditioned runs that produced each cluster; that is an
-approximation to the exact decoration law and is flagged as such where it
-enters.
+approximation to the exact decoration law.  Bank files (v2) store these
+decorations next to the atoms, so a loaded bank draws the same law as the
+in-memory clusters it was written from.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class Cluster:
 
     ``z_rel`` carries the secondary-field offsets of the conditioned run
     (relative to the atom at 0), used to approximate circle decorations;
-    it is absent for clusters loaded from a plain bank file.
+    it is absent for clusters loaded from a v1 bank file.
     """
 
     atoms: np.ndarray
@@ -176,7 +177,7 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
     exponential).  Each atom picks a bank cluster uniformly; at |rho| = 1
     the draw is sum e^(beta (eta + Delta)); otherwise each atom carries an
     independent uniform circle mark and the cluster contributes its
-    harvested relative marks, an approximation when banks lack them.
+    harvested relative marks, so every cluster must carry ``z_rel``.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
@@ -186,6 +187,9 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
         raise ValueError("rho must lie in [-1, 1]")
     bt = ComplexTemperature.of(beta)
     full_phase = abs(rho) == 1.0
+    if not full_phase and any(cl.z_rel is None for cl in model.clusters):
+        raise ValueError("|rho| < 1 needs cluster decorations (z_rel); "
+                         "a v1 bank file has none")
     lam = bt.beta if full_phase else bt.lam(rho)
 
     # per-cluster weights W = sum_l e^(lam Delta_l) (marks folded in when
@@ -193,7 +197,7 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
     weights = np.empty(len(model.clusters), dtype=np.complex128)
     for i, cl in enumerate(model.clusters):
         terms = np.exp(lam * cl.atoms)
-        if not full_phase and cl.z_rel is not None:
+        if not full_phase:
             terms = terms * np.exp(
                 1j * math.sqrt(1.0 - rho * rho) * bt.tau * cl.z_rel)
         weights[i] = terms.sum()
@@ -228,13 +232,12 @@ class CoxFit:
     n_z: int
 
 
-def estimate_cox_constants(max_shifts, z_samples, grid_size: int = 50,
-                           z_profile_size: int = 2000) -> CoxFit:
+def estimate_cox_constants(max_shifts, z_samples) -> CoxFit:
     """Fit C in P(max - m(t) <= y) = E exp(-C Z e^(-sqrt2 y)).
 
-    The expectation over Z uses the empirical quantile profile of
-    ``z_samples``; C minimizes the squared CDF discrepancy over a y-grid
-    spanning the central 90 percent of the maxima.
+    The expectation over Z uses an empirical quantile profile of at most
+    2000 points of ``z_samples``; C minimizes the squared CDF discrepancy
+    over a 50-point y-grid spanning the central 90 percent of the maxima.
     """
     mx = np.asarray(max_shifts, dtype=np.float64)
     zs = np.asarray(z_samples, dtype=np.float64)
@@ -246,9 +249,9 @@ def estimate_cox_constants(max_shifts, z_samples, grid_size: int = 50,
     lo, hi = np.quantile(mx, [0.05, 0.95])
     if not hi > lo:
         raise ValueError("degenerate max sample (no spread)")
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, 50)
     emp = np.searchsorted(np.sort(mx), grid, side="right") / mx.size
-    m = min(z_profile_size, zs.size)
+    m = min(2000, zs.size)
     z_prof = np.quantile(zs, (np.arange(m) + 0.5) / m)
     z_prof = z_prof[z_prof > 0.0]
     decay = np.exp(-SQRT2 * grid)
@@ -263,28 +266,34 @@ def estimate_cox_constants(max_shifts, z_samples, grid_size: int = 50,
                   n_max=int(mx.size), n_z=int(z_prof.size))
 
 
-def save_cluster_bank(path, clusters, dist: OffspringDistribution,
-                      attempts: int | None = None) -> None:
-    """Write clusters as line-oriented text: header, one cluster per line."""
+def save_cluster_bank(path, clusters, dist: OffspringDistribution) -> None:
+    """Write clusters as line-oriented text: header, one cluster per line.
+
+    A cluster line holds its atoms and, when the cluster has them, ``|``
+    and its z_rel decorations (bank format v2).
+    """
     if not clusters:
         raise ValueError("refusing to write an empty bank")
-    total_attempts = attempts if attempts is not None \
-        else sum(c.attempts for c in clusters)
+    attempts = sum(c.attempts for c in clusters)
     law = ",".join(f"{k}:{p!r}" for k, p in dist.to_pairs())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("# cluster-bank v1\n")
+        fh.write("# cluster-bank v2\n")
         fh.write(f"# t_cond={clusters[0].t_cond!r}\n")
         fh.write(f"# offspring={law}\n")
-        fh.write(f"# accepted={len(clusters)} attempts={total_attempts} "
-                 f"acceptance_rate={len(clusters) / total_attempts!r}\n")
+        fh.write(f"# accepted={len(clusters)} attempts={attempts} "
+                 f"acceptance_rate={len(clusters) / attempts!r}\n")
         for cl in clusters:
-            fh.write(" ".join(repr(float(a)) for a in cl.atoms) + "\n")
+            line = " ".join(repr(float(a)) for a in cl.atoms)
+            if cl.z_rel is not None:
+                line += " | " + " ".join(repr(float(z)) for z in cl.z_rel)
+            fh.write(line + "\n")
 
 
 def load_cluster_bank(path) -> tuple[list, dict]:
-    """Read a bank file; returns (clusters, header metadata).
+    """Read a v1 or v2 bank file; returns (clusters, header metadata).
 
-    Loaded clusters have no stored decorations (z_rel is None).
+    Clusters from v1 lines (atoms only) have no decorations (z_rel is
+    None).
     """
     clusters = []
     meta: dict = {}
@@ -300,14 +309,22 @@ def load_cluster_bank(path) -> tuple[list, dict]:
                         key, val = token.split("=", 1)
                         meta[key] = val
                 continue
-            atoms = np.array([float(v) for v in line.split()])
+            atoms_text, bar, z_text = line.partition("|")
+            atoms = np.array([float(v) for v in atoms_text.split()])
             if atoms.size == 0 or atoms[0] != 0.0 or np.any(atoms > 0.0):
                 raise ValueError(
                     f"malformed cluster line in {path!r}: atoms must be "
                     "nonpositive with the first pinned at 0")
+            z_rel = np.array([float(v) for v in z_text.split()]) \
+                if bar else None
+            if z_rel is not None and (z_rel.size != atoms.size
+                                      or z_rel[0] != 0.0):
+                raise ValueError(
+                    f"malformed cluster line in {path!r}: z_rel must match "
+                    "the atoms in length and start at 0")
             clusters.append(Cluster(atoms=atoms, t_cond=t_cond,
                                     max_value=math.nan, attempts=0,
-                                    z_rel=None))
+                                    z_rel=z_rel))
     if "t_cond" in meta:
         t_cond = float(meta["t_cond"])
         for cl in clusters:

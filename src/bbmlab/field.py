@@ -10,7 +10,8 @@ componentwise; at rho = +-1 no z is drawn and y is exactly +-x.
 Endpoint increments and path interiors come from separate substreams, so a
 field sampled with keep_paths=True has bit-identical leaf positions to the
 same seed sampled without paths.  Interiors are Brownian bridges between
-fixed endpoints on a uniform grid, which is the exact conditional law.
+fixed endpoints on a uniform grid of step PATH_STEP, which is the exact
+conditional law.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .oracles import envelope_curve
 from .streams import (TAG_BRIDGE, TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z,
                       make_rng, stream_key)
 
-DEFAULT_PATH_STEP = 0.05
+PATH_STEP = 0.05
 
 
 class PathDataMissing(RuntimeError):
@@ -137,11 +138,9 @@ def _bridge_interiors(tree: GwTree, node_pos: np.ndarray,
     return EdgePaths(step=step, times=times, values=vals, offsets=offsets)
 
 
-def sample_field(tree: GwTree, seed: int, keep_paths: bool = False,
-                 path_step: float = DEFAULT_PATH_STEP) -> BbmField:
+def sample_field(tree: GwTree, seed: int,
+                 keep_paths: bool = False) -> BbmField:
     """Draw one field on the tree; see module docstring for the law."""
-    if keep_paths and path_step <= 0.0:
-        raise ValueError("path_step must be positive")
     rng = make_rng(seed, TAG_FIELD)
     dur = tree.edge_end() - tree.birth
     increments = rng.standard_normal(tree.n_nodes) * np.sqrt(dur)
@@ -149,7 +148,7 @@ def sample_field(tree: GwTree, seed: int, keep_paths: bool = False,
     paths = None
     if keep_paths:
         paths = _bridge_interiors(tree, node_pos, increments,
-                                  make_rng(seed, TAG_BRIDGE), path_step)
+                                  make_rng(seed, TAG_BRIDGE), PATH_STEP)
     return BbmField(tree=tree, seed=seed, node_pos=node_pos, paths=paths)
 
 
@@ -173,12 +172,10 @@ def correlate(x_field: BbmField, z_field: BbmField | None, rho: float,
 
 
 def sample_correlated_pair(tree: GwTree, rho: float, seed: int,
-                           keep_paths: bool = False,
-                           path_step: float = DEFAULT_PATH_STEP
-                           ) -> CorrelatedField:
+                           keep_paths: bool = False) -> CorrelatedField:
     """Draw (x, y) with correlation rho; paths (if kept) belong to x."""
     x_field = sample_field(tree, stream_key(seed, TAG_PAIR_X),
-                           keep_paths=keep_paths, path_step=path_step)
+                           keep_paths=keep_paths)
     z_field = None if abs(rho) == 1.0 else \
         sample_field(tree, stream_key(seed, TAG_PAIR_Z))
     return correlate(x_field, z_field, rho, seed)

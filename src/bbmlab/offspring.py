@@ -23,22 +23,20 @@ class OffspringDistribution:
     """Distribution of children counts at a split.
 
     ``probabilities[i]`` is the probability of ``i + 1`` children; the
-    support therefore starts at 1 and extends to at most ``MAX_SUPPORT``
-    unless a larger cap is passed explicitly.
+    support therefore starts at 1 and extends to at most ``MAX_SUPPORT``.
     """
 
     probabilities: np.ndarray
     require_mean_two: bool = True
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, probabilities, require_mean_two: bool = True,
-                 max_support: int = MAX_SUPPORT):
+    def __init__(self, probabilities, require_mean_two: bool = True):
         p = np.asarray(probabilities, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probabilities must be a nonempty 1-D sequence")
-        if p.size > max_support:
+        if p.size > MAX_SUPPORT:
             raise ValueError(
-                f"support size {p.size} exceeds cap {max_support}")
+                f"support size {p.size} exceeds cap {MAX_SUPPORT}")
         if np.any(p < 0.0):
             raise ValueError("offspring probabilities must be nonnegative")
         total = float(p.sum())
@@ -63,8 +61,8 @@ class OffspringDistribution:
         return cls([0.0, 1.0])
 
     @classmethod
-    def from_pairs(cls, pairs, require_mean_two: bool = True,
-                   max_support: int = MAX_SUPPORT) -> "OffspringDistribution":
+    def from_pairs(cls, pairs, require_mean_two: bool = True
+                   ) -> "OffspringDistribution":
         """Build from (k, p_k) pairs as they appear in config files."""
         pairs = [(int(k), float(pk)) for k, pk in pairs]
         if not pairs:
@@ -76,8 +74,7 @@ class OffspringDistribution:
         p = np.zeros(kmax, dtype=np.float64)
         for k, pk in pairs:
             p[k - 1] += pk
-        return cls(p, require_mean_two=require_mean_two,
-                   max_support=max_support)
+        return cls(p, require_mean_two=require_mean_two)
 
     @property
     def support(self) -> np.ndarray:

@@ -88,40 +88,35 @@ class TruncatedPartition(NamedTuple):
     discarded: complex   # leaves with x_k - m(t) < -threshold
 
 
-def truncated_partition(field, beta, threshold: float,
-                        centered_phase: bool = False) -> TruncatedPartition:
+def truncated_partition(field, beta, threshold: float) -> TruncatedPartition:
     """Split e^(-sigma m(t)) X(t) at depth ``threshold`` below the front.
 
-    Terms are e^(sigma (x_k - m) + i tau y_k); with ``centered_phase`` the
-    phase is taken as tau (y_k - rho m) instead, the convention used when
-    comparing against decorated limit functionals.  kept + discarded always
-    reconstitutes the corresponding rescaling of the full sum.
+    Terms are e^(sigma (x_k - m) + i tau y_k); kept + discarded always
+    reconstitutes the real-shift rescaling of the full sum.
     """
     if threshold < 0.0:
         raise ValueError(f"threshold must be >= 0, got {threshold!r}")
     bt = ComplexTemperature.of(beta)
     m = m_of_t(field.tree.t)
     shift = field.x - m
-    phases = bt.tau * (field.y - field.rho * m) if centered_phase \
-        else bt.tau * field.y
+    phases = bt.tau * field.y
     keep = shift >= -threshold
     kept = scaled_exp_sum(bt.sigma * shift[keep], phases[keep]).value
     disc = scaled_exp_sum(bt.sigma * shift[~keep], phases[~keep]).value
     return TruncatedPartition(kept=kept, discarded=disc)
 
 
-def additive_martingale(field, beta, rho: float | None = None) -> complex:
+def additive_martingale(field, beta) -> complex:
     """Unit-mean complex martingale e^(-t psi(beta, rho)) X(t).
 
-    psi = 1 + (sigma^2 - tau^2)/2 + i sigma rho tau, which compensates both
-    the expected population growth and the full complex moment of one
-    leaf's energy pair, so E[M] = 1 at every horizon.
+    psi = 1 + (sigma^2 - tau^2)/2 + i sigma rho tau with the field's rho,
+    which compensates both the expected population growth and the full
+    complex moment of one leaf's energy pair, so E[M] = 1 at every horizon.
     """
     bt = ComplexTemperature.of(beta)
-    r = field.rho if rho is None else rho
     t = field.tree.t
     log_norm = -t * (1.0 + 0.5 * (bt.sigma ** 2 - bt.tau ** 2))
-    angle = -t * bt.sigma * r * bt.tau
+    angle = -t * bt.sigma * field.rho * bt.tau
     return scaled_partition(field, beta).shifted(log_norm).rotated(angle).value
 
 

@@ -25,12 +25,15 @@ from enum import Enum
 
 import numpy as np
 
-from .accum import scaled_exp_sum
 from .field import sample_correlated_pair
 from .gwtree import NODE_BUDGET, ResourceLimitError, sample_tree
 from .offspring import OffspringDistribution
-from .partition import ComplexTemperature, SQRT2
+from .partition import ComplexTemperature, SQRT2, log_partition
 from .streams import replica_seed
+
+# No longer called here.  perfbench/spans.py rebinds this name in this
+# module to time it, so it stays imported until its BINDINGS move.
+from .accum import scaled_exp_sum  # noqa: F401
 
 DEFAULT_TOL = 1e-9
 
@@ -42,12 +45,6 @@ class Region(str, Enum):
     BOUNDARY = "BOUNDARY"
 
 
-@dataclass(frozen=True)
-class PhaseRegion:
-    region: Region
-    tolerance: float
-
-
 def _margins(beta) -> tuple[float, float, float]:
     bt = ComplexTemperature.of(beta)
     s, u = abs(bt.sigma), abs(bt.tau)
@@ -57,7 +54,7 @@ def _margins(beta) -> tuple[float, float, float]:
     return g1, g2, g3
 
 
-def classify(beta, tol: float = DEFAULT_TOL) -> PhaseRegion:
+def classify(beta, tol: float = DEFAULT_TOL) -> Region:
     """Region of beta; symmetric in the signs of both coordinates."""
     if tol < 0.0:
         raise ValueError("tolerance must be nonnegative")
@@ -65,14 +62,14 @@ def classify(beta, tol: float = DEFAULT_TOL) -> PhaseRegion:
     in_b2_closure = g1 >= -tol and g2 >= -tol
     in_b3_closure = g1 <= tol and g3 >= -tol
     if in_b2_closure and (abs(g1) <= tol or abs(g2) <= tol):
-        return PhaseRegion(Region.BOUNDARY, tol)
+        return Region.BOUNDARY
     if in_b3_closure and (abs(g1) <= tol or abs(g3) <= tol):
-        return PhaseRegion(Region.BOUNDARY, tol)
+        return Region.BOUNDARY
     if g1 > 0.0 and g2 > 0.0:
-        return PhaseRegion(Region.B2, tol)
+        return Region.B2
     if g1 < 0.0 and g3 > 0.0:
-        return PhaseRegion(Region.B3, tol)
-    return PhaseRegion(Region.B1, tol)
+        return Region.B3
+    return Region.B1
 
 
 def limiting_free_energy(beta, tol: float = DEFAULT_TOL) -> float:
@@ -83,7 +80,7 @@ def limiting_free_energy(beta, tol: float = DEFAULT_TOL) -> float:
     f_b1 = 1.0 + 0.5 * (s2 - t2)
     f_b2 = SQRT2 * abs(bt.sigma)
     f_b3 = 0.5 + s2
-    region = classify(beta, tol).region
+    region = classify(beta, tol)
     if region is Region.B1:
         return f_b1
     if region is Region.B2:
@@ -123,15 +120,8 @@ class GridCell:
     t: float
 
 
-def free_energies(field, bts, t: float) -> list[float]:
-    """p_t = (1/t) log |X(t)| of one field at each temperature in ``bts``."""
-    x, y = field.x, field.y
-    return [scaled_exp_sum(bt.sigma * x, bt.tau * y).abs_log / t
-            for bt in bts]
-
-
 def scan_cells(bts, samples, t: float) -> list[GridCell]:
-    """One cell per temperature from per-replica free_energies lists.
+    """One cell per temperature from per-replica lists of p_t at ``bts``.
 
     Sums run in replica order and the standard error uses the population
     variance, so a scan's cells do not depend on how replicas were run.
@@ -153,7 +143,7 @@ def scan_cells(bts, samples, t: float) -> list[GridCell]:
             mean, se = math.nan, math.nan
         cells.append(GridCell(
             sigma=bt.sigma, tau=bt.tau,
-            phase=classify(bt).region.value,
+            phase=classify(bt).value,
             p_limit=limiting_free_energy(bt),
             p_hat=mean, stderr=se, n_replicas=n_ok, t=float(t)))
     return cells
@@ -179,7 +169,7 @@ def point_scan(betas, dist: OffspringDistribution, t: float, replicas: int,
             fld = sample_correlated_pair(tree, rho, rs)
         except ResourceLimitError:
             continue
-        samples.append(free_energies(fld, bts, t))
+        samples.append([log_partition(fld, bt) for bt in bts])
     return scan_cells(bts, samples, t)
 
 

@@ -14,6 +14,9 @@ import numpy as np
 
 from .streams import TAG_SYNTH, make_rng
 
+# Equally spaced directions compared by isotropy_statistic.
+ISOTROPY_ANGLES = 16
+
 
 @dataclass(frozen=True)
 class StableFit:
@@ -83,37 +86,36 @@ def _cf_table(samples, radii, n_angles: int) -> np.ndarray:
     return phi.reshape(r.size, n_angles)
 
 
-def isotropy_statistic(samples, radii, n_angles: int = 16) -> float:
+def isotropy_statistic(samples, radii) -> float:
     """Largest CF discrepancy between directions at matched radii.
 
-    max over radii r and angle pairs of |phi_hat(r e^{i a}) - phi_hat(r
-    e^{i a'})|; identically zero in distribution terms for a rotation
-    invariant law, O(1/sqrt(n)) empirically.
+    max over radii r and pairs a, a' of the ISOTROPY_ANGLES directions of
+    |phi_hat(r e^{i a}) - phi_hat(r e^{i a'})|; identically zero in
+    distribution terms for a rotation invariant law, O(1/sqrt(n))
+    empirically.
     """
     r = np.asarray(radii, dtype=np.float64)
     if r.size == 0 or np.any(r <= 0.0):
         raise ValueError("radii must be positive and nonempty")
-    if n_angles < 4:
-        raise ValueError("need at least 4 angles")
-    phi = _cf_table(samples, r, n_angles)
+    phi = _cf_table(samples, r, ISOTROPY_ANGLES)
     diffs = np.abs(phi[:, :, None] - phi[:, None, :])
     return float(diffs.max())
 
 
-def isotropy_radii(samples, count: int = 3, band=(0.3, 0.7),
-                   n_angles: int = 8) -> np.ndarray:
+def isotropy_radii(samples) -> np.ndarray:
     """Radii where the angle-averaged |CF| falls in the informative band.
 
     CF moduli near 1 or 0 carry no directional signal, so radii are picked
-    to hit evenly spaced targets inside ``band``.
+    on an 8-direction grid to hit three evenly spaced targets inside the
+    band 0.3 <= |CF| <= 0.7.
     """
     y = np.asarray(samples, dtype=np.complex128)
     scale = float(np.median(np.abs(y)))
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError("samples have degenerate modulus scale")
     grid = (1.0 / scale) * np.logspace(-3.0, 3.0, 181)
-    level = np.abs(_cf_table(y, grid, n_angles)).mean(axis=1)
-    targets = np.linspace(band[1], band[0], count)
+    level = np.abs(_cf_table(y, grid, 8)).mean(axis=1)
+    targets = np.linspace(0.7, 0.3, 3)
     picked = sorted({int(np.argmin(np.abs(level - v))) for v in targets})
     return grid[picked]
 
@@ -130,7 +132,7 @@ def ks_distance(a, b) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def max_tail_exponent(samples, top_fraction: float = 0.1) -> TailSlopeFit:
+def max_tail_exponent(samples) -> TailSlopeFit:
     """Exponential tail rate of centered maxima (target sqrt(2)).
 
     Fits log survival ~ const + theta log y - alpha y on the positive part
@@ -143,9 +145,7 @@ def max_tail_exponent(samples, top_fraction: float = 0.1) -> TailSlopeFit:
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 2000:
         raise ValueError(f"need >= 2000 samples, got {x.size}")
-    if not 0.0 < top_fraction <= 0.5:
-        raise ValueError("top_fraction must lie in (0, 0.5]")
-    k = int(math.floor(top_fraction * x.size))
+    k = int(math.floor(0.1 * x.size))
     top = np.sort(x)[::-1][:k]
     counts = np.arange(1, k + 1, dtype=np.float64)
     positive = top > 0.0

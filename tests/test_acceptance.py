@@ -10,9 +10,12 @@ at t = 12 (criterion 6).  Runtime budgets are reported in the detail
 strings, not asserted, so the suite stays portable across machines.
 """
 
+import functools
 import math
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,12 +27,13 @@ from bbmlab import (LimitModel, OffspringDistribution, gaussian_tail_bound,
                     sample_correlated_pair, sample_limit_partition,
                     sample_tree, stats)
 from bbmlab.experiments import ExperimentConfig, run
-from bbmlab.phase import limiting_free_energy, point_scan
+from bbmlab.phase import GridCell, limiting_free_energy
 from bbmlab.streams import replica_seed, stream_key
 
 SEED = 20260825
 SQRT2 = math.sqrt(2.0)
 BINARY = OffspringDistribution.binary()
+GLASSY_BETA = complex(1.2, 0.9)
 
 
 def verdict(criteria, number, description, passed, detail):
@@ -56,6 +60,45 @@ def read_rows(path):
     return list(csv.DictReader(lines))
 
 
+def pool_map(fn, n):
+    """[fn(i) for i in range(n)] on a process pool, in index order.
+
+    One spawned worker per CPU this process may run on; each value is a
+    pure function of i, so the result is the serial loop's, bit for bit.
+    The pool already fills every CPU, so each worker gets one BLAS thread:
+    with the default of one per CPU, the criterion-3 matrix products ran
+    slower on two workers than serially.
+    """
+    workers = len(os.sched_getaffinity(0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, range(n),
+                                 chunksize=max(1, n // (workers * 16))))
+
+
+def glassy_replica(i):
+    """Rescaled partition at GLASSY_BETA and its tau = 0 control, t = 12."""
+    rs = replica_seed(SEED, i)
+    tree = sample_tree(BINARY, 12.0, rs)
+    fld = sample_correlated_pair(tree, 0.5, rs)
+    return (rescaled_partition(fld, GLASSY_BETA).real_shift,
+            rescaled_partition(fld, complex(GLASSY_BETA.real, 0.0)).real_shift)
+
+
+def pairwise_sum(lam, damp, rho, t, i):
+    """Overlap-weighted pair sum of replica i (criterion 3)."""
+    rs = replica_seed(SEED, i)
+    tree = sample_tree(BINARY, t, rs)
+    fld = sample_correlated_pair(tree, rho, rs)
+    q = overlap_matrix(tree).q
+    a = np.exp(lam * fld.x)
+    w = np.exp(-damp * (t - q))
+    return np.real(np.conj(a) @ (w @ a)) - np.sum(np.abs(a) ** 2)
+
+
 # ------------------------------------------------------------- fixtures
 
 
@@ -66,17 +109,8 @@ def glassy_run():
     Returns the complex rescaled values for beta = 1.2+0.9i (rho = 0.5)
     plus the tau = 0 control evaluated on the same fields.
     """
-    beta = complex(1.2, 0.9)
-    t, n = 12.0, 4000
-    vals = np.empty(n, dtype=np.complex128)
-    tau0 = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        rs = replica_seed(SEED, i)
-        tree = sample_tree(BINARY, t, rs)
-        fld = sample_correlated_pair(tree, 0.5, rs)
-        vals[i] = rescaled_partition(fld, beta).real_shift
-        tau0[i] = rescaled_partition(fld, complex(beta.real, 0.0)).real_shift
-    return {"beta": beta, "vals": vals, "tau0": tau0}
+    pairs = np.array(pool_map(glassy_replica, 4000), dtype=np.complex128)
+    return {"beta": GLASSY_BETA, "vals": pairs[:, 0], "tau0": pairs[:, 1]}
 
 
 @pytest.fixture(scope="session")
@@ -100,15 +134,29 @@ def max_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def free_energy_run():
-    """Shared-noise scan of the five reference betas at t = 8 and t = 12."""
+def free_energy_run(tmp_path_factory):
+    """Shared-noise scan of the five reference betas at t = 8 and t = 12.
+
+    A list-mode free_energy_scan run; its cells are read back from
+    free_energy.csv, whose floats round-trip exactly.
+    """
     betas = [complex(0.3, 0.3), complex(2.0, 0.0), complex(1.2, 0.9),
              complex(0.5, 1.5), complex(0.2, 1.2)]
+    out = str(tmp_path_factory.mktemp("acc-free-energy"))
+    cfg = ExperimentConfig(experiment="free_energy_scan", replicas=500,
+                           t_list=[8.0, 12.0], rho=1.0, beta_list=betas,
+                           seed=SEED, output_dir=out)
     t0 = time.monotonic()
-    cells = {t: point_scan(betas, BINARY, t, 500, 1.0, SEED)
-             for t in (8.0, 12.0)}
-    return {"betas": betas, "cells": cells,
-            "elapsed": time.monotonic() - t0}
+    result = run(cfg)
+    elapsed = time.monotonic() - t0
+    cells = {8.0: [], 12.0: []}
+    for r in read_rows(result.outputs["free_energy.csv"]):
+        cell = GridCell(sigma=float(r["sigma"]), tau=float(r["tau"]),
+                        phase=r["phase"], p_limit=float(r["p_limit"]),
+                        p_hat=float(r["p_hat"]), stderr=float(r["stderr"]),
+                        n_replicas=int(r["n_replicas"]), t=float(r["t"]))
+        cells[cell.t].append(cell)
+    return {"betas": betas, "cells": cells, "elapsed": elapsed}
 
 
 # ------------------------------------------------------------- criteria
@@ -164,15 +212,8 @@ def test_pairwise_sum_oracle(criteria):
     oracle = many_to_two_pair_moment(lam, rho, tau, t, 2.0)
     damp = (1.0 - rho * rho) * tau * tau
     t0 = time.monotonic()
-    sums = np.empty(n)
-    for i in range(n):
-        rs = replica_seed(SEED, i)
-        tree = sample_tree(BINARY, t, rs)
-        fld = sample_correlated_pair(tree, rho, rs)
-        q = overlap_matrix(tree).q
-        a = np.exp(lam * fld.x)
-        w = np.exp(-damp * (t - q))
-        sums[i] = np.real(np.conj(a) @ (w @ a)) - np.sum(np.abs(a) ** 2)
+    sums = np.array(pool_map(
+        functools.partial(pairwise_sum, lam, damp, rho, t), n))
     elapsed = time.monotonic() - t0
     mean = sums.mean()
     se = sums.std(ddof=1) / math.sqrt(n)

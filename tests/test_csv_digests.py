@@ -104,8 +104,9 @@ def body_digest(path):
     return hashlib.sha256(body).hexdigest()
 
 
-def csv_digests(name, output_dir):
-    cfg = ExperimentConfig(**CONFIGS[name], threads=2, output_dir=output_dir)
+def csv_digests(name, output_dir, **extra):
+    cfg = ExperimentConfig(**CONFIGS[name], **extra, threads=2,
+                           output_dir=output_dir)
     result = run(cfg)
     assert not result.failures
     return {os.path.basename(path): body_digest(path)
@@ -116,3 +117,12 @@ def csv_digests(name, output_dir):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_bodies_match_recorded_digests(name, tmp_path):
     assert csv_digests(name, str(tmp_path)) == DIGESTS[name]
+
+
+def test_limit_object_from_bank_file_matches_memory(tmp_path):
+    # the cluster_bank config samples the same clusters limit_object draws
+    # in memory; at rho = 0.5 the bank must carry their decorations
+    bank = run(ExperimentConfig(**CONFIGS["cluster_bank"], threads=2,
+                                output_dir=str(tmp_path))).outputs["bank.txt"]
+    assert csv_digests("limit_object", str(tmp_path),
+                       bank_path=bank) == DIGESTS["limit_object"]

@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 
 from bbmlab import (OffspringDistribution, additive_martingale, cli,
-                    experiments, grid_scan, m_of_t, martingale_second_moment,
+                    experiments, m_of_t, martingale_second_moment,
                     sample_correlated_pair, sample_tree)
 from bbmlab.experiments import (ConfigError, DEFAULT_SEED, ExperimentConfig,
-                                REQUIRED_KEYS, Replica,
-                                emit_phase_figure_data, load_config,
+                                REQUIRED_KEYS, Replica, load_config,
                                 parse_complex, run, validate_config)
-from bbmlab.phase import GridCell
-from bbmlab.streams import replica_seed
+from bbmlab.streams import replica_seed, stream_key
 
 BINARY = OffspringDistribution.binary()
 
@@ -47,7 +45,8 @@ class TestParseComplex:
     def test_accepted_forms(self, raw, expected):
         assert parse_complex(raw) == expected
 
-    @pytest.mark.parametrize("raw", ["zebra", {"re": 1.0}, [1.0, 2.0, 3.0]])
+    @pytest.mark.parametrize("raw", ["zebra", {"re": 1.0}, [1.0, 2.0, 3.0],
+                                     ["a", "b"], [None, 1.0]])
     def test_rejected_forms(self, raw):
         with pytest.raises(ConfigError):
             parse_complex(raw)
@@ -108,6 +107,25 @@ class TestLoadConfig:
         for name, reqs in REQUIRED_KEYS.items():
             assert reqs, name
 
+    GRID = dict(experiment="free_energy_scan", replicas=5, t=2.0,
+                sigma_range=[0.2, 2.0])
+
+    @pytest.mark.parametrize("bad", [
+        dict(experiment="martingale", replicas=200, t=2.0,
+             beta_list=["1.5+oops"]),
+        dict(experiment="glassy_tail", replicas=5, t=2.0, rho=0.5,
+             beta_list=[]),
+        dict(experiment="free_energy_scan", replicas=5, t=2.0, beta_list=[]),
+        dict(GRID, resolution=3),
+        dict(GRID, tau_range=[0.0, 1.5], resolution=0),
+        dict(experiment="bridge_check", replicas=100, t=2.0, r=1.0),
+    ])
+    def test_bad_config_rejected_before_run_dir(self, tmp_path, bad):
+        out = tmp_path / "runs"
+        with pytest.raises(ConfigError):
+            run(ExperimentConfig(**bad, output_dir=str(out)))
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def tree_result(tmp_path_factory):
@@ -125,12 +143,14 @@ class TestRunArtifacts:
             manifest = json.load(fh)
         assert set(manifest) == {
             "config", "experiment", "failures", "ok", "outputs",
-            "replica_seeds", "started_utc", "summary", "tasks", "versions",
+            "seed_schedule", "started_utc", "summary", "tasks", "versions",
             "wall_time_s"}
         assert manifest["experiment"] == "tree_moments"
         assert manifest["ok"] is True
-        assert len(manifest["replica_seeds"]) == cfg.replicas
-        assert manifest["replica_seeds"][0] == replica_seed(cfg.seed, 0)
+        assert manifest["seed_schedule"]["seed"] == cfg.seed
+        assert manifest["seed_schedule"]["tasks"] == [
+            {"kind": "replica", "t": 1.0, "range": [0, cfg.replicas]}]
+        assert manifest["tasks"] == cfg.replicas
         assert manifest["config"]["replicas"] == 200
         assert "numpy" in manifest["versions"]
 
@@ -143,6 +163,47 @@ class TestRunArtifacts:
         echo = json.loads(first[len("# config "):])
         assert echo["replicas"] == cfg.replicas
         assert echo["experiment"] == "tree_moments"
+
+    # (config, seed-schedule task entries, side streams name -> tag)
+    @pytest.mark.parametrize("config,entries,streams", [
+        (dict(experiment="bridge_check", replicas=3000, t=4.0, r=1.0),
+         [{"kind": "chunk", "t": 4.0, "range": [0, 2]}], {}),
+        (dict(experiment="cluster_bank", t_cond=3.0, min_clusters=10),
+         [{"kind": "cluster", "t_cond": 3.0, "range": [0, 10]}], {}),
+        (dict(experiment="limit_object", replicas=500, t_cond=3.0,
+              min_clusters=10, beta_list=["1.5"], a_list=[4.0]),
+         [{"kind": "cluster", "t_cond": 3.0, "range": [0, 10]}],
+         {"cox": 0x11D}),
+        (dict(experiment="isotropy", replicas=60, t=3.0, rho=0.5,
+              beta_list=["1.5+0.5i"]),
+         [{"kind": "replica", "t": 3.0, "range": [0, 60]}],
+         {"calibration": 0x150}),
+    ])
+    def test_seed_schedule_records_what_ran(self, tmp_path, config, entries,
+                                            streams):
+        result = run(ExperimentConfig(**config, output_dir=str(tmp_path)))
+        with open(os.path.join(result.run_dir, "manifest.json"),
+                  encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        schedule = manifest["seed_schedule"]
+        assert schedule["rule"] == "replica_seed(seed, i) = seed XOR i"
+        assert schedule["tasks"] == entries
+        assert schedule["streams"] == {
+            name: {"tag": hex(tag), "key": stream_key(DEFAULT_SEED, tag)}
+            for name, tag in streams.items()}
+        count = sum(e["range"][1] - e["range"][0] for e in entries)
+        assert manifest["tasks"] == result.tasks == count
+
+    def test_manifest_size_does_not_grow_with_replicas(self, tmp_path):
+        sizes = []
+        for replicas in (20, 2000):
+            cfg = ExperimentConfig(experiment="tree_moments",
+                                   replicas=replicas, t=1.0,
+                                   output_dir=str(tmp_path))
+            result = run(cfg)
+            sizes.append(os.path.getsize(
+                os.path.join(result.run_dir, "manifest.json")))
+        assert abs(sizes[1] - sizes[0]) < 100
 
     def test_population_summary(self, tree_result):
         result, _ = tree_result
@@ -297,42 +358,6 @@ def test_default_worker_count_follows_affinity(monkeypatch):
                             threads=3).effective_threads() == 3
 
 
-class TestPhaseFigureData:
-    def cell(self, sigma, tau):
-        return GridCell(sigma=sigma, tau=tau, phase="B1", p_limit=1.0,
-                        p_hat=1.01, stderr=0.01, n_replicas=2, t=1.0)
-
-    def test_single_cell(self, tmp_path):
-        path = tmp_path / "grid.csv"
-        emit_phase_figure_data([self.cell(0.1, 0.2)], str(path))
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "sigma,tau,p_limit,p_hat"
-        assert len(lines) == 2
-
-    def test_five_by_five(self, tmp_path):
-        cells = [self.cell(0.1 * i, 0.1 * j)
-                 for i in range(5) for j in range(5)]
-        path = tmp_path / "grid.csv"
-        emit_phase_figure_data(cells, str(path))
-        assert len(path.read_text(encoding="utf-8").splitlines()) == 26
-
-    def test_sign_symmetric_scan(self, tmp_path):
-        cells = grid_scan((-0.8, 0.8), (0.0, 0.5), 2, BINARY, t=1.0,
-                          replicas=2, rho=1.0, seed=DEFAULT_SEED)
-        path = tmp_path / "grid.csv"
-        emit_phase_figure_data(cells, str(path))
-        rows = list(csv.DictReader(
-            path.read_text(encoding="utf-8").splitlines()))
-        by_key = {(float(r["sigma"]), float(r["tau"])): float(r["p_limit"])
-                  for r in rows}
-        for tau in (0.0, 0.5):
-            assert by_key[(-0.8, tau)] == by_key[(0.8, tau)]
-
-    def test_empty_table_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_phase_figure_data([], str(tmp_path / "grid.csv"))
-
-
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, "run.json",
@@ -354,6 +379,14 @@ class TestCli:
 
     def test_missing_required_keys_exit_two(self):
         assert cli.main(["martingale"]) == 2
+
+    def test_bad_beta_exits_two_without_run_dir(self, tmp_path):
+        path = write_config(tmp_path, "bad.json", {
+            "replicas": 20, "t": 1.0, "beta_list": ["1.5+oops"]})
+        rc = cli.main(["martingale", "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = cli.main(["tree_moments", "--config",

@@ -105,8 +105,7 @@ class TestPhiTilde:
         sm = extremal_sample(fld, tau=beta.imag)
         threshold = 3.7
         via_points = phi_tilde_functional(sm, beta, threshold)
-        via_field = truncated_partition(fld, beta, threshold,
-                                        centered_phase=True).kept
+        via_field = truncated_partition(fld, beta, threshold).kept
         assert via_points == pytest.approx(via_field, rel=1e-10)
 
 
@@ -142,9 +141,35 @@ class TestClusterBank:
         assert len(loaded) == 5
         for orig, back in zip(clusters, loaded):
             assert np.array_equal(orig.atoms, back.atoms)
+            assert np.array_equal(orig.z_rel, back.z_rel)
         assert header["t_cond"] == "3.0"
         assert header["offspring"] == "2:1.0"
         assert float(header["acceptance_rate"]) > 0.0
+
+    def write_v1(self, path, lines):
+        path.write_text("# cluster-bank v1\n# t_cond=3.0\n"
+                        + "".join(ln + "\n" for ln in lines),
+                        encoding="ascii")
+
+    def test_v1_bank_refuses_decorated_law(self, tmp_path):
+        path = tmp_path / "v1.txt"
+        self.write_v1(path, ["0.0 -0.5 -1.25", "0.0"])
+        loaded, _ = load_cluster_bank(path)
+        assert all(cl.z_rel is None for cl in loaded)
+        model = LimitModel(cox_constant=1.0, z_weight=1.0, clusters=loaded)
+        sample_limit_partition(model, complex(1.5, 0.5), 1.0, 2.0, 10,
+                               stream_key(SEED, 0x6C))
+        with pytest.raises(ValueError, match="z_rel"):
+            sample_limit_partition(model, complex(1.5, 0.5), 0.5, 2.0, 10,
+                                   stream_key(SEED, 0x6C))
+
+    @pytest.mark.parametrize("line", ["0.0 -0.5 | 0.0",
+                                      "0.0 -0.5 | 0.1 0.2"])
+    def test_malformed_decorations_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        self.write_v1(path, [line])
+        with pytest.raises(ValueError, match="z_rel"):
+            load_cluster_bank(path)
 
 
 class TestLimitModel:

@@ -118,14 +118,6 @@ class TestTruncated:
         tp = truncated_partition(fld, complex(1.5, 0.5), 0.0)
         assert tp.kept == 0.0 + 0.0j
 
-    def test_centered_phase_is_global_rotation(self):
-        fld = sampled_field(t=4.0, rho=0.5, tag=0x53)
-        beta = complex(1.2, 0.9)
-        plain = truncated_partition(fld, beta, 2.0)
-        centered = truncated_partition(fld, beta, 2.0, centered_phase=True)
-        spin = cmath.exp(-1j * beta.imag * fld.rho * m_of_t(fld.tree.t))
-        assert centered.kept == pytest.approx(plain.kept * spin, rel=1e-12)
-
     def test_threshold_domain(self):
         fld = sampled_field()
         with pytest.raises(ValueError):

@@ -30,16 +30,16 @@ class TestClassify:
         (complex(0.2, 1.2), Region.B3),
     ])
     def test_examples(self, beta, region):
-        assert classify(beta).region is region
+        assert classify(beta) is region
 
     def test_boundary_detection(self):
-        assert classify(complex(1.0 / SQRT2, 1.0)).region is Region.BOUNDARY
+        assert classify(complex(1.0 / SQRT2, 1.0)) is Region.BOUNDARY
         # sigma^2 + tau^2 = 1 with 2 sigma^2 < 1
-        assert classify(complex(0.6, 0.8)).region is Region.BOUNDARY
+        assert classify(complex(0.6, 0.8)) is Region.BOUNDARY
         # widening the tolerance absorbs nearby interior points
-        assert classify(complex(0.6, 0.8 + 1e-6)).region is Region.B3
+        assert classify(complex(0.6, 0.8 + 1e-6)) is Region.B3
         assert classify(complex(0.6, 0.8 + 1e-6),
-                        tol=1e-3).region is Region.BOUNDARY
+                        tol=1e-3) is Region.BOUNDARY
 
     def test_small_disc_is_b1(self):
         rng = make_rng(SEED, 0x91)
@@ -47,15 +47,15 @@ class TestClassify:
             sigma = rng.uniform(-1.0 / SQRT2 + 1e-6, 1.0 / SQRT2 - 1e-6)
             cap = math.sqrt(1.0 - sigma * sigma) - 1e-6
             tau = rng.uniform(-cap, cap)
-            assert classify(complex(sigma, tau)).region is Region.B1
+            assert classify(complex(sigma, tau)) is Region.B1
 
     def test_sign_symmetry(self):
         rng = make_rng(SEED, 0x92)
         for _ in range(200):
             beta = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-            base = classify(beta).region
-            assert classify(complex(-beta.real, beta.imag)).region is base
-            assert classify(complex(beta.real, -beta.imag)).region is base
+            base = classify(beta)
+            assert classify(complex(-beta.real, beta.imag)) is base
+            assert classify(complex(beta.real, -beta.imag)) is base
 
 
 class TestFreeEnergy:
@@ -83,7 +83,7 @@ class TestFreeEnergy:
         for _ in range(300):
             s = rng.uniform(1.0 / SQRT2, SQRT2)
             b = complex(s, SQRT2 - s)
-            assert classify(b).region is Region.BOUNDARY
+            assert classify(b) is Region.BOUNDARY
             assert abs(case_b1(b.real, b.imag)
                        - SQRT2 * abs(b.real)) <= 1e-9
             assert limiting_free_energy(b) == pytest.approx(
@@ -92,7 +92,7 @@ class TestFreeEnergy:
         for _ in range(300):
             s = rng.uniform(0.0, 1.0 / SQRT2 - 1e-9)
             b = complex(s, math.sqrt(1.0 - s * s))
-            assert classify(b).region is Region.BOUNDARY
+            assert classify(b) is Region.BOUNDARY
             assert abs(case_b1(b.real, b.imag)
                        - (0.5 + b.real ** 2)) <= 1e-9
             assert limiting_free_energy(b) == pytest.approx(
@@ -100,7 +100,7 @@ class TestFreeEnergy:
         # B2/B3 share 2 sigma^2 = 1 for |tau| >= 1/sqrt2
         for _ in range(300):
             b = complex(1.0 / SQRT2, rng.uniform(1.0 / SQRT2, 3.0))
-            assert classify(b).region is Region.BOUNDARY
+            assert classify(b) is Region.BOUNDARY
             assert abs(SQRT2 * abs(b.real) - (0.5 + b.real ** 2)) <= 1e-9
             assert limiting_free_energy(b) == pytest.approx(1.0, abs=1e-9)
 
