@@ -17,20 +17,57 @@ import numpy as np
 
 _CHUNK = 1024
 _FSUM_DIRECT = 4096
+# Below this many terms math.fsum over a list beats the binned kernel,
+# whose cost is mostly the fixed overhead of a dozen numpy calls.
+_FSUM_LIST = 700
+# The binned kernel hands inputs with a term of magnitude 2^1000 or more,
+# or a non-finite one, to math.fsum, which keeps fsum's inf, nan and
+# OverflowError results and keeps every scaled bin sum finite.
+_BINNED_LIMIT = 2.0 ** 1000
+
+
+def _binned_fsum(v: np.ndarray) -> float:
+    """math.fsum(v) for 1 <= v.size <= 2^26, in a dozen numpy calls.
+
+    Each term is m 2^e with 0.5 <= |m| < 1, and m 2^27 splits exactly into
+    an integer part of at most 27 bits and a fraction of at most 26.  Both
+    parts are summed per exponent e with bincount; each bin sum needs at
+    most 53 bits, so it is exact, and so is its scaling by 2^(e - 27) (in
+    the subnormal range every term, so every scaled bin sum, is a multiple
+    of 2^-1074).  The scaled bin sums add up to the exact total of v, and
+    math.fsum over them rounds that total correctly, as math.fsum(v) does;
+    a zero total gives 0.0 either way, never -0.0.
+    """
+    if not np.abs(v).max() < _BINNED_LIMIT:
+        return math.fsum(v.tolist())
+    mant, expo = np.frexp(v)
+    low = int(expo.min())
+    scaled = mant * 134217728.0  # 2^27
+    whole = np.trunc(scaled)
+    idx = expo - low
+    bins = np.array((np.bincount(idx, whole),
+                     np.bincount(idx, scaled - whole)))
+    parts = np.ldexp(bins, np.arange(low - 27, low - 27 + bins.shape[1]))
+    return math.fsum(parts[parts != 0.0].tolist())
 
 
 def compensated_sum(values) -> float:
-    """Sum floats in array order with exactly-rounded combining.
+    """Sum floats with exactly-rounded combining, reproducible bit for bit.
 
-    Small arrays go straight through math.fsum; large ones are reduced in
-    fixed 1024-term chunks whose partial sums are then fsum-combined, which
-    keeps the cost near numpy speed without giving up determinism.
+    Up to 4096 terms the result is the exact sum correctly rounded, the
+    float math.fsum gives: math.fsum over a list below 700 terms, the
+    binned kernel _binned_fsum above.  Larger arrays are reduced in fixed
+    1024-term chunks in array order whose partial sums are then
+    fsum-combined, which keeps the cost near numpy speed; the result is
+    deterministic but no longer exactly rounded.
     """
     v = np.ascontiguousarray(values, dtype=np.float64)
     if v.size == 0:
         return 0.0
+    if v.size < _FSUM_LIST:
+        return math.fsum(v.tolist())
     if v.size <= _FSUM_DIRECT:
-        return math.fsum(v)
+        return _binned_fsum(v)
     partials = np.add.reduceat(v, np.arange(0, v.size, _CHUNK))
     return math.fsum(partials)
 
@@ -77,6 +114,26 @@ def scaled_exp_sum(log_weights, phases=None) -> ScaledComplex:
     is finite whenever the individual log-weights are; entries of -inf
     contribute zero.
     """
+    if phases is None:
+        return scaled_trig_sum(log_weights)
+    ph = np.ascontiguousarray(phases, dtype=np.float64)
+    if ph.shape != np.shape(log_weights):
+        raise ValueError("phases must align with log_weights")
+    return scaled_trig_sum(log_weights, np.cos(ph), np.sin(ph))
+
+
+def scaled_trig_sum(log_weights, cos=None, sin=None,
+                    where=...) -> ScaledComplex:
+    """scaled_exp_sum with the phases given as cos and sin tables.
+
+    Callers that reduce one field at many weights compute the tables once.
+    Term k pairs log_weights[k] with the k-th entry of cos[where] and
+    sin[where].  A boolean mask ``where`` lets the tables cover a whole
+    field while log_weights holds only the masked terms; the masked table
+    entries are then gathered only as operands of their product with the
+    weights, so no caller holds a copy of a table subset.  Without tables
+    the sum is real.
+    """
     lw = np.ascontiguousarray(log_weights, dtype=np.float64)
     if lw.size == 0:
         return ScaledComplex(-math.inf, complex(1.0, 0.0))
@@ -84,11 +141,8 @@ def scaled_exp_sum(log_weights, phases=None) -> ScaledComplex:
     if peak == -math.inf:
         return ScaledComplex(-math.inf, complex(1.0, 0.0))
     w = np.exp(lw - peak)
-    if phases is None:
+    if cos is None:
         return ScaledComplex(peak, complex(compensated_sum(w), 0.0))
-    ph = np.ascontiguousarray(phases, dtype=np.float64)
-    if ph.shape != lw.shape:
-        raise ValueError("phases must align with log_weights")
-    re = compensated_sum(w * np.cos(ph))
-    im = compensated_sum(w * np.sin(ph))
+    re = compensated_sum(w * cos[where])
+    im = compensated_sum(w * sin[where])
     return ScaledComplex(peak, complex(re, im))

@@ -34,8 +34,8 @@ from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
                       martingale_second_moment)
 from .partition import (ComplexTemperature, SQRT2, additive_martingale,
-                        derivative_martingale, log_partition, m_of_t,
-                        rescaled_partition, truncated_partition)
+                        derivative_martingale, log_partitions, m_of_t,
+                        rescaled_partition, truncation_sweep)
 from .phase import grid_betas, scan_cells
 from .streams import TAG_PAIR_X, TAG_PAIR_Z, make_rng, replica_seed, stream_key
 
@@ -43,6 +43,7 @@ from .streams import TAG_PAIR_X, TAG_PAIR_Z, make_rng, replica_seed, stream_key
 # module to time them, so they stay imported until its BINDINGS move.
 from .field import sample_correlated_pair  # noqa: F401
 from .phase import classify, grid_scan, limiting_free_energy  # noqa: F401
+from .partition import truncated_partition  # noqa: F401
 
 FAILURE_BUDGET = 0.10
 DEFAULT_SEED = 20260825
@@ -170,6 +171,14 @@ def load_config(path: str | None, overrides: dict) -> tuple[ExperimentConfig, se
     return cfg, provided
 
 
+def _check_range(key: str, value) -> None:
+    """A grid range is a list of two finite numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(v, (int, float)) and math.isfinite(v)
+                    for v in value)):
+        raise ConfigError(f"{key} must be two finite numbers, got {value!r}")
+
+
 def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
     """Reject a config before anything runs; every check raises ConfigError."""
     if cfg.experiment not in REQUIRED_KEYS:
@@ -181,10 +190,17 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
     if not cfg.beta_list:
         raise ConfigError("beta_list must not be empty")
     cfg.betas()  # parses every entry
-    if (cfg.experiment == "free_energy_scan" and cfg.sigma_range is not None
-            and (cfg.tau_range is None or cfg.resolution < 1)):
-        raise ConfigError(
-            "grid scan needs sigma_range, tau_range and resolution")
+    if cfg.experiment == "free_energy_scan" and cfg.sigma_range is not None:
+        if cfg.tau_range is None or cfg.resolution < 1:
+            raise ConfigError(
+                "grid scan needs sigma_range, tau_range and resolution")
+        for key in ("sigma_range", "tau_range"):
+            _check_range(key, getattr(cfg, key))
+    for experiment, key in (("isotropy", "input_csv"),
+                            ("limit_object", "bank_path")):
+        path = getattr(cfg, key)
+        if cfg.experiment == experiment and path and not os.path.isfile(path):
+            raise ConfigError(f"{key} {path!r} is not a file")
     if cfg.experiment == "bridge_check" and not 0.0 < 2.0 * cfg.r < cfg.t:
         raise ConfigError("bridge_check needs 0 < 2r < t")
     if provided is None:
@@ -445,9 +461,8 @@ def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         summary=summary, failures=failures, schedule=schedule)
 
 
-def _martingale_rows(cfg: ExperimentConfig, rep: Replica) -> list:
+def _martingale_rows(bts: list, cfg: ExperimentConfig, rep: Replica) -> list:
     rows = []
-    bts = cfg.betas()
     for rho in cfg.rhos():
         fld = rep.pair(rho)
         for bt in bts:
@@ -458,10 +473,12 @@ def _martingale_rows(cfg: ExperimentConfig, rep: Replica) -> list:
 
 
 def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, schedule = _run_replicas(_martingale_rows, cfg, [cfg.t])
+    bts = cfg.betas()
+    rows, failures, schedule = _run_replicas(
+        functools.partial(_martingale_rows, bts), cfg, [cfg.t])
     k_fac = cfg.dist().second_factorial_moment
     summary = {}
-    for bt in cfg.betas():
+    for bt in bts:
         oracle = martingale_second_moment(bt.beta, cfg.t, k_fac,
                                           allow_unbounded=True)
         for rho in cfg.rhos():
@@ -489,7 +506,7 @@ def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
 def _free_energy_rows(bts: list, cfg: ExperimentConfig,
                       rep: Replica) -> list:
     fld = rep.pair(cfg.rho)
-    return [(rep.t, [log_partition(fld, bt) for bt in bts])]
+    return [(rep.t, log_partitions(fld, bts))]
 
 
 def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
@@ -516,16 +533,18 @@ def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         summary=summary, failures=failures, schedule=schedule)
 
 
-def _glassy_rows(cfg: ExperimentConfig, rep: Replica) -> list:
-    val = rescaled_partition(rep.pair(cfg.rho), cfg.betas()[0]).real_shift
+def _glassy_rows(bt: ComplexTemperature, cfg: ExperimentConfig,
+                 rep: Replica) -> list:
+    val = rescaled_partition(rep.pair(cfg.rho), bt).real_shift
     return [(rep.index, rep.seed, rep.tree.n_leaves, val.real, val.imag,
              abs(val))]
 
 
 def _run_glassy_tail(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, schedule = _run_replicas(_glassy_rows, cfg, [cfg.t])
-    moduli = np.array([r[5] for r in rows])
     bt = cfg.betas()[0]
+    rows, failures, schedule = _run_replicas(
+        functools.partial(_glassy_rows, bt), cfg, [cfg.t])
+    moduli = np.array([r[5] for r in rows])
     target = SQRT2 / abs(bt.sigma) if bt.sigma else math.nan
     summary = {"alpha_target": target, "n": int(moduli.size)}
     for kf in cfg.k_fractions:
@@ -559,7 +578,8 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     if cfg.input_csv:
         samples = _read_complex_samples(cfg.input_csv)
     else:
-        rows, failures, schedule = _run_replicas(_glassy_rows, cfg, [cfg.t])
+        rows, failures, schedule = _run_replicas(
+            functools.partial(_glassy_rows, cfg.betas()[0]), cfg, [cfg.t])
         samples = np.array([complex(r[3], r[4]) for r in rows])
     radii = stats.isotropy_radii(samples)
     statistic = stats.isotropy_statistic(samples, radii)
@@ -588,19 +608,17 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
                         streams={"calibration": CALIBRATION_STREAM})
 
 
-def _truncation_rows(cfg: ExperimentConfig, rep: Replica) -> list:
-    fld = rep.pair(cfg.rho)
-    bt = cfg.betas()[0]
-    rows = []
-    for a in cfg.a_list:
-        part = truncated_partition(fld, bt, float(a))
-        rows.append((rep.index, rep.seed, rep.tree.n_leaves, float(a),
-                     part.kept.real, part.kept.imag, abs(part.discarded)))
-    return rows
+def _truncation_rows(bt: ComplexTemperature, cfg: ExperimentConfig,
+                     rep: Replica) -> list:
+    parts = truncation_sweep(rep.pair(cfg.rho), bt, cfg.a_list)
+    return [(rep.index, rep.seed, rep.tree.n_leaves, float(a),
+             part.kept.real, part.kept.imag, abs(part.discarded))
+            for a, part in zip(cfg.a_list, parts)]
 
 
 def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, schedule = _run_replicas(_truncation_rows, cfg, [cfg.t])
+    rows, failures, schedule = _run_replicas(
+        functools.partial(_truncation_rows, cfg.betas()[0]), cfg, [cfg.t])
     summary = {"delta": cfg.delta}
     p_by_a = []
     for a in cfg.a_list:

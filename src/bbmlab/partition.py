@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accum import ScaledComplex, compensated_sum, scaled_exp_sum
+from .accum import (ScaledComplex, compensated_sum, scaled_exp_sum,
+                    scaled_trig_sum)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -94,16 +95,37 @@ def truncated_partition(field, beta, threshold: float) -> TruncatedPartition:
     Terms are e^(sigma (x_k - m) + i tau y_k); kept + discarded always
     reconstitutes the real-shift rescaling of the full sum.
     """
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
+    return truncation_sweep(field, beta, [threshold])[0]
+
+
+def truncation_sweep(field, beta, thresholds) -> list[TruncatedPartition]:
+    """truncated_partition at each threshold, reducing the field once.
+
+    x_k - m, cos(tau y_k) and sin(tau y_k) are computed once; each
+    threshold then sums its kept and discarded subsets, each with its own
+    peak, so every entry has the bits of a one-threshold call.
+    """
+    thresholds = [float(a) for a in thresholds]
+    for a in thresholds:
+        if a < 0.0:
+            raise ValueError(f"threshold must be >= 0, got {a!r}")
     bt = ComplexTemperature.of(beta)
-    m = m_of_t(field.tree.t)
-    shift = field.x - m
-    phases = bt.tau * field.y
-    keep = shift >= -threshold
-    kept = scaled_exp_sum(bt.sigma * shift[keep], phases[keep]).value
-    disc = scaled_exp_sum(bt.sigma * shift[~keep], phases[~keep]).value
-    return TruncatedPartition(kept=kept, discarded=disc)
+    shift = field.x - m_of_t(field.tree.t)
+    cos, sin = _phase_tables(bt.tau, field.y)
+    parts = []
+    for a in thresholds:
+        keep = shift >= -a
+        drop = ~keep
+        kept = scaled_trig_sum(bt.sigma * shift[keep], cos, sin, keep)
+        disc = scaled_trig_sum(bt.sigma * shift[drop], cos, sin, drop)
+        parts.append(TruncatedPartition(kept=kept.value, discarded=disc.value))
+    return parts
+
+
+def _phase_tables(tau: float, y) -> tuple[np.ndarray, np.ndarray]:
+    """cos(tau y_k) and sin(tau y_k), the tables scaled_trig_sum takes."""
+    phases = tau * y
+    return np.cos(phases), np.sin(phases)
 
 
 def additive_martingale(field, beta) -> complex:
@@ -128,7 +150,28 @@ def derivative_martingale(field) -> float:
 
 def log_partition(field, beta) -> float:
     """Finite-horizon free energy p_t = (1/t) log |X(t)|."""
+    return log_partitions(field, [beta])[0]
+
+
+def log_partitions(field, betas) -> list[float]:
+    """log_partition at each beta, computing cos and sin once per tau.
+
+    Betas are grouped by tau and one tau's tables are held at a time, so
+    memory does not grow with the number of betas; every entry has the
+    bits of a one-beta call.
+    """
     t = field.tree.t
     if t <= 0.0:
         raise ValueError("log_partition needs a horizon t > 0")
-    return scaled_partition(field, beta).abs_log / t
+    bts = [ComplexTemperature.of(b) for b in betas]
+    by_tau: dict = {}
+    for j, bt in enumerate(bts):
+        by_tau.setdefault(bt.tau, []).append(j)
+    p = [0.0] * len(bts)
+    for tau, js in by_tau.items():
+        cos, sin = _phase_tables(tau, field.y)
+        for j in js:
+            p[j] = scaled_trig_sum(bts[j].sigma * field.x, cos,
+                                   sin).abs_log / t
+        del cos, sin  # free before the next tau's tables are built
+    return p

@@ -28,7 +28,7 @@ import numpy as np
 from .field import sample_correlated_pair
 from .gwtree import NODE_BUDGET, ResourceLimitError, sample_tree
 from .offspring import OffspringDistribution
-from .partition import ComplexTemperature, SQRT2, log_partition
+from .partition import ComplexTemperature, SQRT2, log_partitions
 from .streams import replica_seed
 
 # No longer called here.  perfbench/spans.py rebinds this name in this
@@ -169,7 +169,7 @@ def point_scan(betas, dist: OffspringDistribution, t: float, replicas: int,
             fld = sample_correlated_pair(tree, rho, rs)
         except ResourceLimitError:
             continue
-        samples.append([log_partition(fld, bt) for bt in bts])
+        samples.append(log_partitions(fld, bts))
     return scan_cells(bts, samples, t)
 
 

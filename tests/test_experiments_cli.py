@@ -119,6 +119,13 @@ class TestLoadConfig:
         dict(GRID, resolution=3),
         dict(GRID, tau_range=[0.0, 1.5], resolution=0),
         dict(experiment="bridge_check", replicas=100, t=2.0, r=1.0),
+        dict(GRID, sigma_range=[0.2], tau_range=[0.0, 1.5], resolution=3),
+        dict(GRID, tau_range=[0.0], resolution=3),
+        dict(GRID, tau_range=[0.0, math.inf], resolution=3),
+        dict(GRID, tau_range=["0.0", "1.5"], resolution=3),
+        dict(experiment="isotropy", input_csv="no-such-dir/samples.csv"),
+        dict(experiment="limit_object", replicas=10, beta_list=["1.5"],
+             bank_path="no-such-dir/bank.txt"),
     ])
     def test_bad_config_rejected_before_run_dir(self, tmp_path, bad):
         out = tmp_path / "runs"

@@ -1,5 +1,6 @@
 """Property tests: invariants of the accumulator, truncation, overlaps and
-sampled trees over generated inputs.
+sampled trees over generated inputs, and bit-exactness of the exact small
+sum and of the shared-table sweeps.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bbmlab import (OffspringDistribution, overlap_matrix, rescaled_partition,
-                    sample_correlated_pair, sample_tree, scaled_exp_sum,
-                    truncated_partition)
-from bbmlab.partition import m_of_t
+from bbmlab import (OffspringDistribution, compensated_sum, log_partition,
+                    overlap_matrix, rescaled_partition, sample_correlated_pair,
+                    sample_tree, scaled_exp_sum, truncated_partition)
+from bbmlab.partition import log_partitions, m_of_t, truncation_sweep
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
                     deadline=None)
@@ -78,3 +79,87 @@ def test_sampled_trees_keep_wave_order(seed, t, law):
         # wave g is born from wave g - 1, grouped by ascending parent id
         assert np.all((parents >= go[g - 1]) & (parents < go[g]))
         assert np.all(np.diff(parents) >= 0)
+
+
+def _fsum_outcome(fn, v):
+    """fn(v), or the name of the error it raises."""
+    try:
+        return fn(v)
+    except OverflowError as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def finite_arrays(draw):
+    """Finite float64 arrays of 1..4096 terms with adversarial structure.
+
+    Exponents are uniform over a window of up to 60 or of 600 to 1400
+    binades, starting among the subnormals or anywhere below 2^1020 and
+    capped there; optionally half the terms are the negations of the
+    other half (exact cancellation), and optionally some or all terms are
+    replaced by 0.0 or -0.0.
+    """
+    n = draw(st.integers(1, 4096))
+    low = draw(st.integers(-1080, -1030) | st.integers(-1080, 1020))
+    spread = draw(st.integers(0, 60) | st.integers(600, 1400))
+    cancel = draw(st.booleans())
+    zeros = draw(st.sampled_from(["none", "none", "some", "all"]))
+    rng = np.random.default_rng(draw(seeds))
+    m = rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    e = rng.integers(low, min(low + spread, 1020), endpoint=True, size=n)
+    v = np.ldexp(m, e)
+    if cancel:
+        v[n // 2:2 * (n // 2)] = -v[:n // 2]
+        rng.shuffle(v)
+    if zeros != "none":
+        mask = rng.random(n) < (0.5 if zeros == "some" else 2.0)
+        v[mask] = rng.choice([0.0, -0.0], int(mask.sum()))
+    return v
+
+
+@settings(PROPERTY, max_examples=200)
+@given(finite_arrays())
+def test_compensated_sum_is_fsum_up_to_4096_terms(v):
+    expected = _fsum_outcome(lambda a: math.fsum(a.tolist()), v)
+    got = _fsum_outcome(compensated_sum, v)
+    assert got == expected
+    if isinstance(expected, float):
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+def _truncation_one_at_a_time(fld, beta, threshold):
+    """The per-threshold reduction, written out with scaled_exp_sum."""
+    shift = fld.x - m_of_t(fld.tree.t)
+    phases = beta.imag * fld.y
+    keep = shift >= -threshold
+    return (scaled_exp_sum(beta.real * shift[keep], phases[keep]).value,
+            scaled_exp_sum(beta.real * shift[~keep], phases[~keep]).value)
+
+
+@PROPERTY
+@given(seed=seeds, t=st.floats(0.5, 8.5), rho=st.sampled_from([1.0, 0.5]),
+       sigma=st.floats(0.0, 2.5), tau=st.floats(-2.0, 2.0),
+       thresholds=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=5))
+def test_truncation_sweep_is_exact(seed, t, rho, sigma, tau, thresholds):
+    fld = sample_correlated_pair(sample_tree(BINARY, t, seed), rho, seed)
+    beta = complex(sigma, tau)
+    parts = truncation_sweep(fld, beta, thresholds)
+    for a, part in zip(thresholds, parts):
+        kept, disc = _truncation_one_at_a_time(fld, beta, a)
+        assert part.kept == kept and part.discarded == disc
+        assert truncated_partition(fld, beta, a) == part
+
+
+@PROPERTY
+@given(seed=seeds, t=st.floats(0.5, 8.5), rho=st.sampled_from([1.0, 0.5]),
+       betas=st.lists(st.tuples(st.floats(0.0, 2.5),
+                                st.sampled_from([0.0, 0.3, -0.9, 1.5])),
+                      min_size=1, max_size=6))
+def test_log_partitions_is_exact(seed, t, rho, betas):
+    fld = sample_correlated_pair(sample_tree(BINARY, t, seed), rho, seed)
+    betas = [complex(s, u) for s, u in betas]
+    ps = log_partitions(fld, betas)
+    for beta, p in zip(betas, ps):
+        one = scaled_exp_sum(beta.real * fld.x, beta.imag * fld.y)
+        assert p == one.abs_log / fld.tree.t
+        assert p == log_partition(fld, beta)
