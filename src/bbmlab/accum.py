@@ -107,19 +107,36 @@ class ScaledComplex:
                                                      math.sin(angle)))
 
 
+def _peeled(log_weights) -> tuple[float, np.ndarray | None]:
+    """(peak, e^(log_weights - peak)); None for the weights of a zero sum."""
+    lw = np.ascontiguousarray(log_weights, dtype=np.float64)
+    if lw.size == 0:
+        return -math.inf, None
+    peak = float(np.max(lw))
+    if peak == -math.inf:
+        return peak, None
+    return peak, np.exp(lw - peak)
+
+
 def scaled_exp_sum(log_weights, phases=None) -> ScaledComplex:
     """sum_k e^(log_weights[k] + i phases[k]) in log-scale representation.
 
     The largest weight is peeled off before exponentiation, so the result
     is finite whenever the individual log-weights are; entries of -inf
-    contribute zero.
+    contribute zero.  The cos product is reduced before sin is computed,
+    so at most two arrays of the term count are alive besides the inputs.
     """
     if phases is None:
         return scaled_trig_sum(log_weights)
     ph = np.ascontiguousarray(phases, dtype=np.float64)
     if ph.shape != np.shape(log_weights):
         raise ValueError("phases must align with log_weights")
-    return scaled_trig_sum(log_weights, np.cos(ph), np.sin(ph))
+    peak, w = _peeled(log_weights)
+    if w is None:
+        return ScaledComplex(-math.inf, complex(1.0, 0.0))
+    re = compensated_sum(w * np.cos(ph))
+    im = compensated_sum(w * np.sin(ph))
+    return ScaledComplex(peak, complex(re, im))
 
 
 def scaled_trig_sum(log_weights, cos=None, sin=None,
@@ -134,13 +151,9 @@ def scaled_trig_sum(log_weights, cos=None, sin=None,
     weights, so no caller holds a copy of a table subset.  Without tables
     the sum is real.
     """
-    lw = np.ascontiguousarray(log_weights, dtype=np.float64)
-    if lw.size == 0:
+    peak, w = _peeled(log_weights)
+    if w is None:
         return ScaledComplex(-math.inf, complex(1.0, 0.0))
-    peak = float(np.max(lw))
-    if peak == -math.inf:
-        return ScaledComplex(-math.inf, complex(1.0, 0.0))
-    w = np.exp(lw - peak)
     if cos is None:
         return ScaledComplex(peak, complex(compensated_sum(w), 0.0))
     re = compensated_sum(w * cos[where])

@@ -23,13 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .field import sample_correlated_pair
+# perfbench/spans.py rebinds extremal.sample_correlated_pair
+from .field import sample_correlated_pair, sample_field  # noqa: F401
 from .gwtree import sample_tree
 from .offspring import OffspringDistribution
 from .partition import ComplexTemperature, SQRT2, m_of_t
-from .streams import TAG_CLUSTER, TAG_COX, make_rng, stream_key
+from .streams import (TAG_CLUSTER, TAG_COX, TAG_PAIR_X, TAG_PAIR_Z, make_rng,
+                      stream_key)
 
 DEFAULT_MAX_ATTEMPTS = 100000
+# Limit draws are made in blocks of whole draws holding at most this many
+# Cox atoms (a larger single draw is a block of its own).  The blocks fix
+# the order of the random stream, so changing this changes every draw.
+COX_BLOCK = 1 << 14
 
 
 class AcceptanceError(RuntimeError):
@@ -124,7 +130,9 @@ def sample_cluster(t_cond: float, dist: OffspringDistribution, seed: int,
 
     Attempts use substreams indexed by attempt number, so the accepted
     cluster is a deterministic function of (t_cond, dist, seed) no matter
-    how attempts might be scheduled.
+    how attempts might be scheduled.  An attempt draws its tree and x
+    field; the z field, on its own stream, is drawn only for the accepted
+    attempt, so a rejection never pays for it.
     """
     if t_cond <= 0.0:
         raise ValueError("t_cond must be positive")
@@ -132,12 +140,13 @@ def sample_cluster(t_cond: float, dist: OffspringDistribution, seed: int,
     for attempt in range(max_attempts):
         sub = stream_key(seed, TAG_CLUSTER, attempt)
         tree = sample_tree(dist, t_cond, sub)
-        fld = sample_correlated_pair(tree, 0.0, sub)
-        top = float(np.max(fld.x))
+        x = sample_field(tree, stream_key(sub, TAG_PAIR_X)).x
+        top = float(np.max(x))
         if top >= threshold:
-            order = np.argsort(-fld.x, kind="stable")
-            atoms = fld.x[order] - top
-            z_rel = fld.z[order] - fld.z[order[0]]
+            z = sample_field(tree, stream_key(sub, TAG_PAIR_Z)).x
+            order = np.argsort(-x, kind="stable")
+            atoms = x[order] - top
+            z_rel = z[order] - z[order[0]]
             return Cluster(atoms=atoms, t_cond=float(t_cond), max_value=top,
                            attempts=attempt + 1, z_rel=z_rel)
     raise AcceptanceError(
@@ -173,11 +182,19 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
     """Draw the truncated limit partition function.
 
     Cox atoms: N ~ Poisson(C Z e^(sqrt2 A)/sqrt2), positions on [-A, inf)
-    with density proportional to e^(-sqrt2 y) (inverse-transform from the
-    exponential).  Each atom picks a bank cluster uniformly; at |rho| = 1
-    the draw is sum e^(beta (eta + Delta)); otherwise each atom carries an
-    independent uniform circle mark and the cluster contributes its
-    harvested relative marks, so every cluster must carry ``z_rel``.
+    with density proportional to e^(-sqrt2 y) (-A plus a standard
+    exponential over sqrt2).  Each atom picks a bank cluster uniformly; at
+    |rho| = 1 the draw is sum e^(beta (eta + Delta)); otherwise each atom
+    carries an independent uniform circle mark and the cluster contributes
+    its harvested relative marks, so every cluster must carry ``z_rel``.
+
+    All atom counts come from one Poisson call.  The atoms are then drawn
+    in blocks of whole draws of at most COX_BLOCK atoms (a larger draw is
+    its own block): per block the exponentials, the cluster picks and, at
+    |rho| < 1, the mark uniforms, each as one array, with one unit-phase
+    factor per atom only when there is a phase, summed per draw with
+    np.add.reduceat.  Memory is bounded by the block, not by n_draws times
+    the mean atom count, and a draw without atoms is exactly 0j.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
@@ -205,20 +222,28 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
     mean_atoms = (model.cox_constant * model.z_weight
                   * math.exp(SQRT2 * threshold) / SQRT2)
     rng = make_rng(seed, TAG_COX)
-    values = np.empty(n_draws, dtype=np.complex128)
-    counts = np.empty(n_draws, dtype=np.int64)
-    for i in range(n_draws):
-        n = int(rng.poisson(mean_atoms))
-        counts[i] = n
-        if n == 0:
-            values[i] = 0j
-            continue
-        eta = -threshold + rng.standard_exponential(n, method="inv") / SQRT2
-        pick = rng.integers(0, len(model.clusters), size=n)
-        terms = np.exp(lam * eta) * weights[pick]
-        if not full_phase:
-            terms = terms * np.exp(2j * math.pi * rng.random(n))
-        values[i] = terms.sum()
+    counts = rng.poisson(mean_atoms, n_draws)
+    values = np.zeros(n_draws, dtype=np.complex128)
+    first = np.concatenate(([0], np.cumsum(counts)))  # first atom of draw i
+    lo = 0
+    while lo < n_draws:
+        hi = int(np.searchsorted(first, first[lo] + COX_BLOCK,
+                                 side="right")) - 1
+        hi = max(hi, lo + 1)
+        n = int(first[hi] - first[lo])
+        if n:
+            eta = -threshold + rng.standard_exponential(n) / SQRT2
+            terms = weights[rng.integers(0, len(model.clusters), n)]
+            terms *= np.exp(lam.real * eta)
+            phase = lam.imag * eta if lam.imag else None
+            if not full_phase:
+                marks = 2.0 * math.pi * rng.random(n)
+                phase = marks if phase is None else phase + marks
+            if phase is not None:
+                terms *= np.exp(1j * phase)
+            drawn = lo + np.flatnonzero(counts[lo:hi])
+            values[drawn] = np.add.reduceat(terms, first[drawn] - first[lo])
+        lo = hi
     return LimitDraws(values=values, atom_counts=counts)
 
 

@@ -124,45 +124,41 @@ def sample_tree(dist: OffspringDistribution, t: float, seed: int,
     parent_chunks = [np.full(1, -1, dtype=np.int64)]
     birth_chunks = [np.zeros(1, dtype=np.float64)]
     split_chunks = []
-    leaf_chunks = []
     gen_offsets = [0, 1]
 
-    frontier_ids = np.zeros(1, dtype=np.int64)
-    frontier_birth = np.zeros(1, dtype=np.float64)
+    # the frontier is always the contiguous id block [lo, n_total)
+    lo = 0
     n_total = 1
+    frontier_birth = birth_chunks[0]
 
-    while frontier_ids.size:
-        lifetimes = rng.standard_exponential(frontier_ids.size)
-        split_at = frontier_birth + lifetimes
-        alive = split_at >= t
-        split_chunks.append(np.where(alive, np.nan, split_at))
-        leaf_chunks.append(frontier_ids[alive])
-        splitting = ~alive
-        n_split = int(np.count_nonzero(splitting))
-        if n_split == 0:
+    while True:
+        split_at = frontier_birth + rng.standard_exponential(n_total - lo)
+        split_at[split_at >= t] = np.nan
+        split_chunks.append(split_at)
+        splitters = np.flatnonzero(split_at < t)
+        if splitters.size == 0:
             break
-        counts = dist.sample_counts(rng.random(n_split))
-        child_parent = np.repeat(frontier_ids[splitting], counts)
-        child_birth = np.repeat(split_at[splitting], counts)
+        counts = dist.sample_counts(rng.random(splitters.size))
+        child_parent = np.repeat(lo + splitters, counts)
+        frontier_birth = np.repeat(split_at[splitters], counts)
+        lo = n_total
         n_total += child_parent.size
         if n_total > max_nodes:
             raise ResourceLimitError(
                 f"tree grew past the node budget {max_nodes} "
                 f"(t={t}, seed={seed})")
         parent_chunks.append(child_parent)
-        birth_chunks.append(child_birth)
+        birth_chunks.append(frontier_birth)
         gen_offsets.append(n_total)
-        frontier_ids = np.arange(n_total - child_parent.size, n_total,
-                                 dtype=np.int64)
-        frontier_birth = child_birth
 
+    split = np.concatenate(split_chunks)
     return GwTree(
         t=float(t),
         seed=seed,
         parent=np.concatenate(parent_chunks),
         birth=np.concatenate(birth_chunks),
-        split=np.concatenate(split_chunks),
-        leaves=np.concatenate(leaf_chunks).astype(np.int64),
+        split=split,
+        leaves=np.flatnonzero(np.isnan(split)),
         gen_offsets=np.asarray(gen_offsets, dtype=np.int64),
     )
 

@@ -29,6 +29,7 @@ class OffspringDistribution:
     probabilities: np.ndarray
     require_mean_two: bool = True
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _only_k: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, probabilities, require_mean_two: bool = True):
         p = np.asarray(probabilities, dtype=np.float64)
@@ -54,6 +55,9 @@ class OffspringDistribution:
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "require_mean_two", require_mean_two)
         object.__setattr__(self, "_cdf", np.cumsum(p))
+        support = np.flatnonzero(p)
+        object.__setattr__(self, "_only_k",
+                           int(support[0]) + 1 if support.size == 1 else 0)
 
     @classmethod
     def binary(cls) -> "OffspringDistribution":
@@ -91,8 +95,14 @@ class OffspringDistribution:
         ks = np.arange(1, self.probabilities.size + 1, dtype=np.float64)
         return float((ks * (ks - 1.0)) @ self.probabilities)
 
-    def sample_counts(self, uniforms: np.ndarray) -> np.ndarray:
-        """Map U(0,1) draws to children counts by inverse CDF."""
+    def sample_counts(self, uniforms: np.ndarray) -> np.ndarray | int:
+        """Map U(0,1) draws to children counts by inverse CDF.
+
+        A law with all its mass on one k (the binary default) returns k
+        itself, the count of every draw, which np.repeat takes as is.
+        """
+        if self._only_k:
+            return self._only_k
         idx = np.searchsorted(self._cdf, uniforms, side="right")
         idx = np.minimum(idx, self.probabilities.size - 1)
         return (idx + 1).astype(np.int64)

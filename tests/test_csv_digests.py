@@ -81,7 +81,7 @@ DIGESTS = {
     },
     "limit_object": {
         "limit_draws.csv":
-            "a87b50a899340af416b48f0a8d0f1f303644342d0f2175d6d46b8125453b01ca",
+            "40e169cac51d776f09326bcb916ece99b6e2b5ef399a4b3d3478b042fbfe7a18",
     },
     "martingale": {
         "martingale.csv":

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from bbmlab import (AcceptanceError, LimitModel, OffspringDistribution,
                     phi_tilde_functional, sample_cluster,
                     sample_correlated_pair, sample_limit_partition,
                     sample_tree, save_cluster_bank, truncated_partition)
-from bbmlab.extremal import ExtremalSample
-from bbmlab.streams import make_rng, stream_key
+import bbmlab.field
+from bbmlab.extremal import COX_BLOCK, DEFAULT_MAX_ATTEMPTS, ExtremalSample
+from bbmlab.streams import (TAG_CLUSTER, TAG_COX, TAG_FIELD, make_rng,
+                            stream_key)
 
 SEED = 20260825
 SQRT2 = math.sqrt(2.0)
@@ -125,6 +128,38 @@ class TestSampleCluster:
         assert np.array_equal(a.atoms, b.atoms)
         assert a.attempts == b.attempts
 
+    @pytest.mark.parametrize("index", range(6))
+    def test_matches_pair_rejection_body(self, index):
+        # reference: every attempt draws the rho = 0 pair, x and z
+        seed = stream_key(SEED, 0x6D, index)
+        for attempt in range(DEFAULT_MAX_ATTEMPTS):
+            sub = stream_key(seed, TAG_CLUSTER, attempt)
+            fld = sample_correlated_pair(sample_tree(BINARY, 4.0, sub), 0.0,
+                                         sub)
+            top = float(np.max(fld.x))
+            if top >= SQRT2 * 4.0:
+                break
+        order = np.argsort(-fld.x, kind="stable")
+        cl = sample_cluster(4.0, BINARY, seed)
+        assert np.array_equal(cl.atoms, fld.x[order] - top)
+        assert np.array_equal(cl.z_rel, fld.z[order] - fld.z[order[0]])
+        assert cl.max_value == top
+        assert cl.attempts == attempt + 1
+
+    def test_z_field_drawn_only_when_accepted(self, monkeypatch):
+        field_rngs = []
+        real_make_rng = bbmlab.field.make_rng
+
+        def counting_make_rng(seed, *tags):
+            if tags == (TAG_FIELD,):
+                field_rngs.append(seed)
+            return real_make_rng(seed, *tags)
+
+        monkeypatch.setattr(bbmlab.field, "make_rng", counting_make_rng)
+        cl = sample_cluster(4.0, BINARY, stream_key(SEED, 0x6D, 0))
+        assert cl.attempts > 1
+        assert len(field_rngs) == cl.attempts + 1
+
     def test_rejection_exhausted(self):
         with pytest.raises(AcceptanceError, match="1 attempts"):
             sample_cluster(6.0, BINARY, stream_key(SEED, 0xE0, 0),
@@ -220,6 +255,63 @@ class TestSampleLimitPartition:
                                    50, stream_key(SEED, 0x6B))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.atom_counts, b.atom_counts)
+
+
+class TestVectorizedCoxDraws:
+    def test_mean_at_real_lambda(self, small_model):
+        lam, threshold, n = 0.5, 2.0, 40000
+        draws = sample_limit_partition(small_model, lam, 1.0, threshold, n,
+                                       stream_key(SEED, 0x120))
+        mean_atoms = math.exp(SQRT2 * threshold) / SQRT2
+        mean_w = np.mean([np.exp(lam * cl.atoms).sum()
+                          for cl in small_model.clusters])
+        expected = (mean_atoms * math.exp(-lam * threshold)
+                    * SQRT2 / (SQRT2 - lam) * mean_w)
+        values = draws.values.real
+        se = values.std(ddof=1) / math.sqrt(n)
+        assert np.all(draws.values.imag == 0.0)
+        assert abs(values.mean() - expected) <= 4.0 * se
+
+    def test_draws_larger_than_a_block(self, small_model):
+        # about 2.5 blocks of atoms per draw: every draw is its own block
+        mean_atoms = 2.5 * COX_BLOCK
+        model = LimitModel(cox_constant=mean_atoms * SQRT2 / math.exp(SQRT2),
+                           z_weight=1.0, clusters=small_model.clusters)
+        seed = stream_key(SEED, 0x121)
+        draws = sample_limit_partition(model, complex(1.5, 0.5), 0.5, 1.0, 4,
+                                       seed)
+        assert np.all(draws.atom_counts > COX_BLOCK)
+        total = int(draws.atom_counts.sum())
+        assert abs(total - 4 * mean_atoms) <= 4.0 * math.sqrt(4 * mean_atoms)
+        # each draw, summed on its own from the same stream
+        rng = make_rng(seed, TAG_COX)
+        assert np.array_equal(rng.poisson(model.cox_constant * math.exp(SQRT2)
+                                          / SQRT2, 4), draws.atom_counts)
+        lam = complex(1.5, 0.25)
+        weights = np.array([np.sum(np.exp(lam * cl.atoms + 1j * math.sqrt(0.75)
+                                          * 0.5 * cl.z_rel))
+                            for cl in model.clusters])
+        for n, value in zip(draws.atom_counts, draws.values):
+            eta = -1.0 + rng.standard_exponential(n) / SQRT2
+            pick = rng.integers(0, len(model.clusters), n)
+            marks = np.exp(2j * math.pi * rng.random(n))
+            direct = np.sum(np.exp(lam * eta) * weights[pick] * marks)
+            assert value == pytest.approx(direct, rel=1e-9)
+
+    def test_peak_memory_bounded_by_block(self, small_model):
+        # about 200 atoms per draw: 20000 draws hold 4e6 atoms, 64 MB as
+        # complex terms, while the blocks hold 2^14
+        def peak(n_draws):
+            tracemalloc.start()
+            sample_limit_partition(small_model, complex(1.5, 0.5), 0.5, 4.0,
+                                   n_draws, stream_key(SEED, 0x122))
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return top
+
+        small, large = peak(2000), peak(20000)
+        # the per-draw outputs (values, counts, first atoms) are 32 B a draw
+        assert large - small <= 18000 * 32 + 256 * 1024
 
 
 class TestEstimateCoxConstants:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,20 @@ class TestLogPartition:
         fld = pinned_field(5.0, [1.7], [1.7])
         assert log_partition(fld, complex(0.9, 0.0)) == pytest.approx(
             0.9 * 1.7 / 5.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("reduce", [partition_function, rescaled_partition,
+                                    additive_martingale])
+def test_phased_sum_peak_memory(reduce):
+    # 35973 leaves; the weights, the phases, their exponentials and one
+    # trig product are alive at the peak, four leaf arrays, where building
+    # the cos and sin tables together made six
+    fld = sample_correlated_pair(sample_tree(BINARY, 11.0, 3), 0.5, 3)
+    tracemalloc.start()
+    reduce(fld, complex(1.2, 0.9))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 4.5 * 8 * fld.tree.n_leaves
 
 
 class TestComputeStatistics:

@@ -1,6 +1,6 @@
 """Property tests: invariants of the accumulator, truncation, overlaps and
 sampled trees over generated inputs, and bit-exactness of the exact small
-sum and of the shared-table sweeps.
+sum, of the shared-table sweeps and of the tree sampler's wave loop.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -17,6 +17,7 @@ from bbmlab import (OffspringDistribution, compensated_sum, log_partition,
                     overlap_matrix, rescaled_partition, sample_correlated_pair,
                     sample_tree, scaled_exp_sum, truncated_partition)
 from bbmlab.partition import log_partitions, m_of_t, truncation_sweep
+from bbmlab.streams import TAG_TREE, make_rng
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
                     deadline=None)
@@ -79,6 +80,56 @@ def test_sampled_trees_keep_wave_order(seed, t, law):
         # wave g is born from wave g - 1, grouped by ascending parent id
         assert np.all((parents >= go[g - 1]) & (parents < go[g]))
         assert np.all(np.diff(parents) >= 0)
+
+
+def _reference_tree_arrays(dist, t, seed):
+    """The wave loop as first written: fancy-indexed frontier ids, np.where
+    for the split slots and an array of counts for every law."""
+    rng = make_rng(seed, TAG_TREE)
+    parent_chunks = [np.full(1, -1, dtype=np.int64)]
+    birth_chunks = [np.zeros(1, dtype=np.float64)]
+    split_chunks = []
+    leaf_chunks = []
+    gen_offsets = [0, 1]
+    frontier_ids = np.zeros(1, dtype=np.int64)
+    frontier_birth = np.zeros(1, dtype=np.float64)
+    n_total = 1
+    while frontier_ids.size:
+        split_at = frontier_birth + rng.standard_exponential(frontier_ids.size)
+        alive = split_at >= t
+        split_chunks.append(np.where(alive, np.nan, split_at))
+        leaf_chunks.append(frontier_ids[alive])
+        splitting = ~alive
+        n_split = int(np.count_nonzero(splitting))
+        if n_split == 0:
+            break
+        idx = np.searchsorted(np.cumsum(dist.probabilities),
+                              rng.random(n_split), side="right")
+        counts = np.minimum(idx, dist.probabilities.size - 1) + 1
+        child_parent = np.repeat(frontier_ids[splitting], counts)
+        child_birth = np.repeat(split_at[splitting], counts)
+        n_total += child_parent.size
+        parent_chunks.append(child_parent)
+        birth_chunks.append(child_birth)
+        gen_offsets.append(n_total)
+        frontier_ids = np.arange(n_total - child_parent.size, n_total,
+                                 dtype=np.int64)
+        frontier_birth = child_birth
+    return {"parent": np.concatenate(parent_chunks),
+            "birth": np.concatenate(birth_chunks),
+            "split": np.concatenate(split_chunks),
+            "leaves": np.concatenate(leaf_chunks).astype(np.int64),
+            "gen_offsets": np.asarray(gen_offsets, dtype=np.int64)}
+
+
+@PROPERTY
+@given(seed=seeds, t=st.floats(0.0, 8.0), law=st.sampled_from(LAWS))
+def test_sample_tree_matches_reference_wave_loop(seed, t, law):
+    tree = sample_tree(law, t, seed)
+    for name, expected in _reference_tree_arrays(law, t, seed).items():
+        got = getattr(tree, name)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected, equal_nan=True), name
 
 
 def _fsum_outcome(fn, v):
