@@ -19,6 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -28,8 +29,8 @@ from . import stats
 from .extremal import (AcceptanceError, LimitModel, estimate_cox_constants,
                        load_cluster_bank, sample_cluster, sample_limit_partition,
                        save_cluster_bank)
-from .field import BbmField, CorrelatedField, correlate, sample_field
-from .gwtree import NODE_BUDGET, sample_tree
+from .field import CorrelatedField, correlate
+from .gwtree import NODE_BUDGET, grow_leaves
 from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
                       martingale_second_moment)
@@ -41,7 +42,8 @@ from .streams import TAG_PAIR_X, TAG_PAIR_Z, make_rng, replica_seed, stream_key
 
 # No longer called here.  perfbench/spans.py rebinds these names in this
 # module to time them, so they stay imported until its BINDINGS move.
-from .field import sample_correlated_pair  # noqa: F401
+from .field import sample_correlated_pair, sample_field  # noqa: F401
+from .gwtree import sample_tree  # noqa: F401
 from .phase import classify, grid_scan, limiting_free_energy  # noqa: F401
 from .partition import truncated_partition  # noqa: F401
 
@@ -260,22 +262,37 @@ def _replica_record(cfg: ExperimentConfig, task: tuple) -> dict:
     return {"t": t, "replica": index, "seed": replica_seed(cfg.seed, index)}
 
 
+def _guarded_chunk(call, chunk: list) -> list:
+    return [call(task) for task in chunk]
+
+
 def _collect(worker, cfg: ExperimentConfig, tasks: list,
              record=_task_record) -> tuple[list, list]:
     """Run worker(cfg, task) per task; results come back in task order.
 
     A failed task leaves None in its slot and adds a failure record:
     record(cfg, task), which names the task and its seed, plus the
-    exception's type and message.
+    exception's type and message.  When a pool worker dies, every task
+    whose chunk has no result fails with BrokenProcessPool.
     """
     call = functools.partial(_guarded, worker, cfg)
     threads = cfg.effective_threads()
     if threads <= 1 or len(tasks) <= 1:
         outcomes = [call(task) for task in tasks]
     else:
-        chunk = max(1, len(tasks) // (threads * 8))
+        size = max(1, len(tasks) // (threads * 8))
+        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        outcomes = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(call, tasks, chunksize=chunk))
+            futures = [pool.submit(_guarded_chunk, call, chunk)
+                       for chunk in chunks]
+            for chunk, future in zip(chunks, futures):
+                try:
+                    outcomes += future.result()
+                except BrokenProcessPool as exc:
+                    lost = {"error_type": "BrokenProcessPool",
+                            "error": f"BrokenProcessPool: {exc}"}
+                    outcomes += [(False, lost)] * len(chunk)
     payloads, failures = [], []
     for task, (ok, val) in zip(tasks, outcomes):
         payloads.append(val if ok else None)
@@ -390,38 +407,52 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------- replicas
 
 
-class Replica:
-    """One replica of the pipeline: the tree and fields of task (t, index).
+def _field_tags(cfg: ExperimentConfig) -> tuple:
+    """The field streams a replica of cfg draws: none for tree_moments,
+    else x, and z as well when a rho the experiment reads has |rho| < 1."""
+    rhos = {"tree_moments": [], "martingale": cfg.rhos(),
+            "extremal_max": [1.0]}.get(cfg.experiment, [cfg.rho])
+    if not rhos:
+        return ()
+    if all(abs(rho) == 1.0 for rho in rhos):
+        return (TAG_PAIR_X,)
+    return (TAG_PAIR_X, TAG_PAIR_Z)
 
-    The seed is replica_seed(cfg.seed, index) and the tree on [0, t] is
-    drawn on construction.  The x and z fields come from the seed's
-    TAG_PAIR_X and TAG_PAIR_Z streams, each drawn on first use and then
-    kept, so every pair(rho) view of one replica shares one x and one z.
+
+class Replica:
+    """One replica of the pipeline: the leaves of task (t, index).
+
+    The seed is replica_seed(cfg.seed, index).  Construction grows the
+    tree on [0, t] and draws the fields named by ``tags`` on it in one
+    pass (grow_leaves), x from the seed's TAG_PAIR_X stream and z from
+    its TAG_PAIR_Z stream, the streams of sample_correlated_pair, and
+    keeps only the counts and the leaves.  Every pair(rho) view of one
+    replica shares its one x and one z.
     """
 
     def __init__(self, cfg: ExperimentConfig, dist: OffspringDistribution,
-                 task: tuple):
+                 task: tuple, tags: tuple):
         self.t, self.index = task
         self.seed = replica_seed(cfg.seed, self.index)
-        self.tree = sample_tree(dist, self.t, self.seed,
-                                max_nodes=cfg.max_nodes)
+        self.leaves = grow_leaves(
+            dist, self.t, self.seed,
+            [stream_key(self.seed, tag) for tag in tags],
+            max_nodes=cfg.max_nodes)
 
-    @functools.cached_property
-    def x_field(self) -> BbmField:
-        return sample_field(self.tree, stream_key(self.seed, TAG_PAIR_X))
-
-    @functools.cached_property
-    def z_field(self) -> BbmField:
-        return sample_field(self.tree, stream_key(self.seed, TAG_PAIR_Z))
+    @property
+    def n_leaves(self) -> int:
+        return self.leaves.n_leaves
 
     def pair(self, rho: float) -> CorrelatedField:
-        """(x, y) with correlation rho; z is drawn only for |rho| < 1."""
-        z_field = None if abs(rho) == 1.0 else self.z_field
-        return correlate(self.x_field, z_field, rho, self.seed)
+        """(x, y) with correlation rho; |rho| < 1 needs z among the tags."""
+        x = self.leaves.positions[0]
+        z = None if abs(rho) == 1.0 else self.leaves.positions[1]
+        return correlate(self.leaves, x, z, rho, self.seed)
 
 
-def _observe(observable, dist, cfg: ExperimentConfig, task: tuple) -> list:
-    return observable(cfg, Replica(cfg, dist, task))
+def _observe(observable, dist, tags, cfg: ExperimentConfig,
+             task: tuple) -> list:
+    return observable(cfg, Replica(cfg, dist, task, tags))
 
 
 def _run_replicas(observable, cfg: ExperimentConfig,
@@ -432,7 +463,8 @@ def _run_replicas(observable, cfg: ExperimentConfig,
     order, t-major; failure records; seed-schedule entries).
     """
     tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
-    worker = functools.partial(_observe, observable, cfg.dist())
+    worker = functools.partial(_observe, observable, cfg.dist(),
+                               _field_tags(cfg))
     payloads, failures = _collect(worker, cfg, tasks, _replica_record)
     rows = [row for p in payloads if p is not None for row in p]
     return rows, failures, [_task_range("replica", "t", t, cfg.replicas)
@@ -440,7 +472,7 @@ def _run_replicas(observable, cfg: ExperimentConfig,
 
 
 def _tree_rows(cfg: ExperimentConfig, rep: Replica) -> list:
-    return [(rep.t, rep.index, rep.seed, rep.tree.n_leaves)]
+    return [(rep.t, rep.index, rep.seed, rep.n_leaves)]
 
 
 def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
@@ -468,7 +500,7 @@ def _martingale_rows(bts: list, cfg: ExperimentConfig, rep: Replica) -> list:
         for bt in bts:
             m = additive_martingale(fld, bt)
             rows.append((rep.t, bt.sigma, bt.tau, rho, rep.index, rep.seed,
-                         rep.tree.n_leaves, m.real, m.imag, abs(m) ** 2))
+                         rep.n_leaves, m.real, m.imag, abs(m) ** 2))
     return rows
 
 
@@ -536,7 +568,7 @@ def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
 def _glassy_rows(bt: ComplexTemperature, cfg: ExperimentConfig,
                  rep: Replica) -> list:
     val = rescaled_partition(rep.pair(cfg.rho), bt).real_shift
-    return [(rep.index, rep.seed, rep.tree.n_leaves, val.real, val.imag,
+    return [(rep.index, rep.seed, rep.n_leaves, val.real, val.imag,
              abs(val))]
 
 
@@ -611,7 +643,7 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
 def _truncation_rows(bt: ComplexTemperature, cfg: ExperimentConfig,
                      rep: Replica) -> list:
     parts = truncation_sweep(rep.pair(cfg.rho), bt, cfg.a_list)
-    return [(rep.index, rep.seed, rep.tree.n_leaves, float(a),
+    return [(rep.index, rep.seed, rep.n_leaves, float(a),
              part.kept.real, part.kept.imag, abs(part.discarded))
             for a, part in zip(cfg.a_list, parts)]
 
@@ -642,7 +674,7 @@ def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
 def _extremal_rows(cfg: ExperimentConfig, rep: Replica) -> list:
     fld = rep.pair(1.0)
     shift = float(np.max(fld.x)) - m_of_t(rep.t)
-    return [(rep.t, rep.index, rep.seed, rep.tree.n_leaves, shift,
+    return [(rep.t, rep.index, rep.seed, rep.n_leaves, shift,
              derivative_martingale(fld))]
 
 

@@ -60,7 +60,7 @@ def extremal_sample(field, tau: float) -> ExtremalSample:
     the z component vanishes and every mark is the same deterministic
     rotation.
     """
-    t = field.tree.t
+    t = field.t
     m = m_of_t(t)
     order = np.argsort(-field.x, kind="stable")
     points = field.x[order] - m

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gwtree import GwTree
+from .gwtree import GrownLeaves, GwTree
 from .oracles import envelope_curve
 from .streams import (TAG_BRIDGE, TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z,
                       make_rng, stream_key)
@@ -70,23 +70,36 @@ class BbmField:
     def x(self) -> np.ndarray:
         return self.node_pos[self.tree.leaves]
 
+    @property
+    def t(self) -> float:
+        return self.tree.t
+
 
 @dataclass(eq=False)
 class CorrelatedField:
-    """Leaf energies (x, y) with y = rho x + sqrt(1-rho^2) z on one tree."""
+    """Leaf energies (x, y) with y = rho x + sqrt(1-rho^2) z on one tree.
 
-    tree: GwTree
+    ``tree`` is the GwTree that x_field and z_field were drawn on, or, for
+    leaves streamed by grow_leaves, its GrownLeaves record; such a pair
+    has no node positions, so x_field and z_field are None.
+    """
+
+    tree: GwTree | GrownLeaves
     rho: float
     seed: int
-    x_field: BbmField
-    z_field: BbmField | None
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray | None
+    x_field: BbmField | None = None
+    z_field: BbmField | None = None
+
+    @property
+    def t(self) -> float:
+        return self.tree.t
 
     @property
     def paths(self) -> EdgePaths | None:
-        return self.x_field.paths
+        return None if self.x_field is None else self.x_field.paths
 
 
 def _accumulate_down(tree: GwTree, values: np.ndarray) -> np.ndarray:
@@ -152,23 +165,24 @@ def sample_field(tree: GwTree, seed: int,
     return BbmField(tree=tree, seed=seed, node_pos=node_pos, paths=paths)
 
 
-def correlate(x_field: BbmField, z_field: BbmField | None, rho: float,
-              seed: int) -> CorrelatedField:
-    """The pair view y = rho x + sqrt(1-rho^2) z of two fields on one tree.
+def correlate(tree: GwTree | GrownLeaves, x: np.ndarray,
+              z: np.ndarray | None, rho: float, seed: int,
+              x_field: BbmField | None = None,
+              z_field: BbmField | None = None) -> CorrelatedField:
+    """The pair view y = rho x + sqrt(1-rho^2) z of two leaf arrays.
 
-    At |rho| = 1 z_field is not read (pass None) and y is exactly +-x.
+    At |rho| = 1 z and z_field are not read (pass None) and y is exactly
+    +-x.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho!r}")
-    x = x_field.x
     if abs(rho) == 1.0:
-        return CorrelatedField(tree=x_field.tree, rho=rho, seed=seed,
-                               x_field=x_field, z_field=None,
-                               x=x, y=math.copysign(1.0, rho) * x, z=None)
-    z = z_field.x
+        return CorrelatedField(tree=tree, rho=rho, seed=seed, x=x,
+                               y=math.copysign(1.0, rho) * x, z=None,
+                               x_field=x_field)
     y = rho * x + math.sqrt(1.0 - rho * rho) * z
-    return CorrelatedField(tree=x_field.tree, rho=rho, seed=seed,
-                           x_field=x_field, z_field=z_field, x=x, y=y, z=z)
+    return CorrelatedField(tree=tree, rho=rho, seed=seed, x=x, y=y, z=z,
+                           x_field=x_field, z_field=z_field)
 
 
 def sample_correlated_pair(tree: GwTree, rho: float, seed: int,
@@ -176,9 +190,11 @@ def sample_correlated_pair(tree: GwTree, rho: float, seed: int,
     """Draw (x, y) with correlation rho; paths (if kept) belong to x."""
     x_field = sample_field(tree, stream_key(seed, TAG_PAIR_X),
                            keep_paths=keep_paths)
-    z_field = None if abs(rho) == 1.0 else \
-        sample_field(tree, stream_key(seed, TAG_PAIR_Z))
-    return correlate(x_field, z_field, rho, seed)
+    if abs(rho) == 1.0:
+        return correlate(tree, x_field.x, None, rho, seed, x_field)
+    z_field = sample_field(tree, stream_key(seed, TAG_PAIR_Z))
+    return correlate(tree, x_field.x, z_field.x, rho, seed, x_field,
+                     z_field)
 
 
 def max_position(field) -> tuple[float, int]:
@@ -195,14 +211,14 @@ def envelope_violations(field, spec: EnvelopeSpec) -> int:
     plus edge endpoints) with time in [r, t - r].  Requires a field sampled
     with keep_paths=True.
     """
-    x_field = field.x_field if isinstance(field, CorrelatedField) else field
-    tree = x_field.tree
-    t = tree.t
+    t = field.t
     if t <= 2.0 * spec.r:
         raise ValueError(f"need t > 2r, got t={t!r}, r={spec.r!r}")
-    if x_field.paths is None:
+    if field.paths is None:
         raise PathDataMissing(
             "envelope check needs a field sampled with keep_paths=True")
+    x_field = field.x_field if isinstance(field, CorrelatedField) else field
+    tree = x_field.tree
 
     lo, hi = spec.r, t - spec.r
     viol = np.zeros(tree.n_nodes, dtype=bool)

@@ -7,11 +7,13 @@ parent in ascending parent order.  Lifetimes are unit-rate exponentials;
 a particle alive at the horizon ``t`` becomes a leaf and its split slot
 holds NaN.
 
-Construction advances one wave of the population at a time with vectorized
-draws, so memory stays O(total nodes) and the node budget can be enforced
-as the wave grows.  The draw order (one exponential block per wave, one
-uniform block for the splitting subset) is frozen: a given (law, t, seed)
-triple reproduces the identical tree on any machine.
+One growth loop advances one wave of the population at a time with
+vectorized draws, so the node budget can be enforced as the wave grows.
+The draw order (one exponential block per wave, one uniform block for the
+splitting subset) is frozen: a given (law, t, seed) triple reproduces the
+identical tree on any machine.  The loop has two consumers: sample_tree
+keeps every node, and grow_leaves lays fields on the waves as they come
+and keeps only the frontier and the finished leaves.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .offspring import OffspringDistribution
-from .streams import TAG_TREE, make_rng
+from .streams import TAG_FIELD, TAG_TREE, make_rng
 
 NODE_BUDGET = 1 << 27
 OVERLAP_LEAF_CAP = 4096
@@ -104,12 +106,18 @@ class GwTree:
         assert self.n_leaves >= 1
 
 
-def sample_tree(dist: OffspringDistribution, t: float, seed: int,
-                max_nodes: int = NODE_BUDGET) -> GwTree:
-    """Grow a tree on [0, t] under the given offspring law.
+def _waves(dist: OffspringDistribution, t: float, seed: int,
+           max_nodes: int):
+    """The growth loop: yield (birth, split_at, child_of) for each wave.
 
-    Raises ResourceLimitError if the projected population (e^((m-1)t) for
-    offspring mean m) or the realized node count would exceed ``max_nodes``.
+    ``birth`` holds the birth times of the wave's nodes, which take the
+    next contiguous block of ids; ``split_at`` is birth plus a unit-rate
+    lifetime, and the nodes with split_at < t split.  ``child_of`` gives,
+    for each node of the next wave in id order, the wave-local index of
+    its parent; it is empty at the last wave.  Per wave the loop draws one
+    exponential block and, when some node splits, one uniform per splitter.
+    It reads nothing of a wave after yielding it, so a consumer may write
+    into the yielded arrays.
     """
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"horizon t must be finite and >= 0, got {t!r}")
@@ -120,35 +128,44 @@ def sample_tree(dist: OffspringDistribution, t: float, seed: int,
             f"node budget {max_nodes}")
 
     rng = make_rng(seed, TAG_TREE)
-
-    parent_chunks = [np.full(1, -1, dtype=np.int64)]
-    birth_chunks = [np.zeros(1, dtype=np.float64)]
-    split_chunks = []
-    gen_offsets = [0, 1]
-
-    # the frontier is always the contiguous id block [lo, n_total)
-    lo = 0
+    birth = np.zeros(1, dtype=np.float64)
     n_total = 1
-    frontier_birth = birth_chunks[0]
-
     while True:
-        split_at = frontier_birth + rng.standard_exponential(n_total - lo)
-        split_at[split_at >= t] = np.nan
-        split_chunks.append(split_at)
+        split_at = birth + rng.standard_exponential(birth.size)
         splitters = np.flatnonzero(split_at < t)
         if splitters.size == 0:
-            break
-        counts = dist.sample_counts(rng.random(splitters.size))
-        child_parent = np.repeat(lo + splitters, counts)
-        frontier_birth = np.repeat(split_at[splitters], counts)
-        lo = n_total
-        n_total += child_parent.size
+            yield birth, split_at, splitters
+            return
+        child_of = np.repeat(
+            splitters, dist.sample_counts(rng.random(splitters.size)))
+        n_total += child_of.size
         if n_total > max_nodes:
             raise ResourceLimitError(
                 f"tree grew past the node budget {max_nodes} "
                 f"(t={t}, seed={seed})")
-        parent_chunks.append(child_parent)
-        birth_chunks.append(frontier_birth)
+        next_birth = split_at.take(child_of)
+        yield birth, split_at, child_of
+        birth = next_birth
+
+
+def sample_tree(dist: OffspringDistribution, t: float, seed: int,
+                max_nodes: int = NODE_BUDGET) -> GwTree:
+    """Grow a tree on [0, t] under the given offspring law.
+
+    Raises ResourceLimitError if the projected population (e^((m-1)t) for
+    offspring mean m) or the realized node count would exceed ``max_nodes``.
+    """
+    parent_chunks = [np.full(1, -1, dtype=np.int64)]
+    birth_chunks = []
+    split_chunks = []
+    gen_offsets = [0]
+    n_total = 0
+    for birth, split_at, child_of in _waves(dist, t, seed, max_nodes):
+        split_at[split_at >= t] = np.nan
+        birth_chunks.append(birth)
+        split_chunks.append(split_at)
+        parent_chunks.append(n_total + child_of)
+        n_total += birth.size
         gen_offsets.append(n_total)
 
     split = np.concatenate(split_chunks)
@@ -161,6 +178,58 @@ def sample_tree(dist: OffspringDistribution, t: float, seed: int,
         leaves=np.flatnonzero(np.isnan(split)),
         gen_offsets=np.asarray(gen_offsets, dtype=np.int64),
     )
+
+
+@dataclass(eq=False)
+class GrownLeaves:
+    """A tree reduced to its size and the leaf positions of its fields.
+
+    ``positions`` holds one array per field key handed to grow_leaves, in
+    ascending leaf-id order: the ``x`` that sample_field(tree, key) gives
+    on the tree that sample_tree grows from the same (law, t, seed).
+    """
+
+    t: float
+    seed: int
+    n_nodes: int
+    n_leaves: int
+    positions: tuple
+
+
+def grow_leaves(dist: OffspringDistribution, t: float, seed: int,
+                field_keys=(), max_nodes: int = NODE_BUDGET) -> GrownLeaves:
+    """Grow the tree of sample_tree(dist, t, seed) and the leaves of its
+    fields in one pass, keeping only the frontier and the finished leaves.
+
+    Each wave draws its increments from every field's make_rng(key,
+    TAG_FIELD) stream in node-id order, as sample_field draws them all at
+    once, and a node's position is its increment plus its parent's (the
+    root's is its increment alone), so the leaves have sample_field's bits.
+    Raises ResourceLimitError where sample_tree does.
+    """
+    rngs = [make_rng(key, TAG_FIELD) for key in field_keys]
+    chunks = [[] for _ in rngs]
+    starts = [None] * len(rngs)  # parents' positions, one per frontier node
+    n_nodes = n_leaves = 0
+    for birth, split_at, child_of in _waves(dist, t, seed, max_nodes):
+        n_nodes += birth.size
+        leaves = np.flatnonzero(split_at >= t)
+        n_leaves += leaves.size
+        if not rngs:
+            continue
+        scale = np.minimum(split_at, t)
+        scale -= birth
+        np.sqrt(scale, out=scale)
+        for j, rng in enumerate(rngs):
+            pos = rng.standard_normal(birth.size)
+            pos *= scale
+            if starts[j] is not None:
+                pos += starts[j]
+            chunks[j].append(pos.take(leaves))
+            starts[j] = pos.take(child_of)
+    return GrownLeaves(
+        t=float(t), seed=seed, n_nodes=n_nodes, n_leaves=n_leaves,
+        positions=tuple(np.concatenate(c) for c in chunks))
 
 
 def _require_leaf(tree: GwTree, node: int) -> None:

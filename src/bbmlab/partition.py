@@ -77,7 +77,7 @@ class RescaledPartition(NamedTuple):
 def rescaled_partition(field, beta) -> RescaledPartition:
     """Both centerings of the raw sum for the field's horizon."""
     bt = ComplexTemperature.of(beta)
-    m = m_of_t(field.tree.t)
+    m = m_of_t(field.t)
     scaled = scaled_partition(field, beta)
     real_shift = scaled.shifted(-bt.sigma * m)
     full = real_shift.rotated(-bt.tau * m)
@@ -110,7 +110,7 @@ def truncation_sweep(field, beta, thresholds) -> list[TruncatedPartition]:
         if a < 0.0:
             raise ValueError(f"threshold must be >= 0, got {a!r}")
     bt = ComplexTemperature.of(beta)
-    shift = field.x - m_of_t(field.tree.t)
+    shift = field.x - m_of_t(field.t)
     cos, sin = _phase_tables(bt.tau, field.y)
     parts = []
     for a in thresholds:
@@ -136,7 +136,7 @@ def additive_martingale(field, beta) -> complex:
     complex moment of one leaf's energy pair, so E[M] = 1 at every horizon.
     """
     bt = ComplexTemperature.of(beta)
-    t = field.tree.t
+    t = field.t
     log_norm = -t * (1.0 + 0.5 * (bt.sigma ** 2 - bt.tau ** 2))
     angle = -t * bt.sigma * field.rho * bt.tau
     return scaled_partition(field, beta).shifted(log_norm).rotated(angle).value
@@ -144,7 +144,7 @@ def additive_martingale(field, beta) -> complex:
 
 def derivative_martingale(field) -> float:
     """Z(t) = sum_k (sqrt(2) t - x_k) e^(-sqrt(2)(sqrt(2) t - x_k))."""
-    depth = SQRT2 * field.tree.t - field.x
+    depth = SQRT2 * field.t - field.x
     return compensated_sum(depth * np.exp(-SQRT2 * depth))
 
 
@@ -160,7 +160,7 @@ def log_partitions(field, betas) -> list[float]:
     memory does not grow with the number of betas; every entry has the
     bits of a one-beta call.
     """
-    t = field.tree.t
+    t = field.t
     if t <= 0.0:
         raise ValueError("log_partition needs a horizon t > 0")
     bts = [ComplexTemperature.of(b) for b in betas]

@@ -4,17 +4,19 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bbmlab import (OffspringDistribution, additive_martingale, cli,
-                    experiments, m_of_t, martingale_second_moment,
+                    experiments, gwtree, m_of_t, martingale_second_moment,
                     sample_correlated_pair, sample_tree)
 from bbmlab.experiments import (ConfigError, DEFAULT_SEED, ExperimentConfig,
                                 REQUIRED_KEYS, Replica, load_config,
                                 parse_complex, run, validate_config)
-from bbmlab.streams import replica_seed, stream_key
+from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, replica_seed,
+                            stream_key)
 
 BINARY = OffspringDistribution.binary()
 
@@ -329,31 +331,80 @@ class TestFreeEnergyScan:
 class TestReplica:
     def test_pair_matches_sample_correlated_pair(self):
         cfg = ExperimentConfig(experiment="martingale", t=3.0)
-        rep = Replica(cfg, BINARY, (3.0, 4))
+        rep = Replica(cfg, BINARY, (3.0, 4), (TAG_PAIR_X, TAG_PAIR_Z))
         rs = replica_seed(cfg.seed, 4)
         tree = sample_tree(BINARY, 3.0, rs)
-        assert rep.seed == rs and rep.tree.n_nodes == tree.n_nodes
+        assert rep.seed == rs and rep.n_leaves == tree.n_leaves
         for rho in (-1.0, 0.0, 0.6, 1.0):
             want = sample_correlated_pair(tree, rho, rs)
             got = rep.pair(rho)
             assert np.array_equal(got.x, want.x)
             assert np.array_equal(got.y, want.y)
 
+    def test_peak_memory_per_node(self):
+        # the whole tree and its x and z node arrays peaked near 57 B per
+        # node; the grower keeps the frontier and the leaves only
+        cfg = ExperimentConfig(experiment="truncation", t=11.0, rho=0.5)
+        tracemalloc.start()
+        rep = Replica(cfg, BINARY, (11.0, 1), (TAG_PAIR_X, TAG_PAIR_Z))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rep.leaves.n_nodes > 100000
+        assert peak <= 24 * rep.leaves.n_nodes
+
     def test_fields_drawn_once_per_replica(self, tmp_path, monkeypatch):
-        calls = []
-        original = experiments.sample_field
+        streams = []
+        original = gwtree.make_rng
 
-        def counting(tree, seed, *args, **kwargs):
-            calls.append((tree.seed, seed))
-            return original(tree, seed, *args, **kwargs)
+        def counting(seed, *tags):
+            if tags == (TAG_FIELD,):
+                streams.append(seed)
+            return original(seed, *tags)
 
-        monkeypatch.setattr(experiments, "sample_field", counting)
-        cfg = ExperimentConfig(experiment="martingale", replicas=3, t=2.0,
-                               threads=1, rho_list=[0.0, 0.5, 0.8, 1.0],
-                               output_dir=str(tmp_path))
-        run(cfg)
-        assert len(calls) == 2 * cfg.replicas
-        assert len(set(calls)) == len(calls)
+        monkeypatch.setattr(gwtree, "make_rng", counting)
+        # x and z when some |rho| < 1, x alone at rho = 1, no field for
+        # tree_moments
+        for experiment, rhos, tags in [
+                ("martingale", [0.0, 0.5, 0.8, 1.0], (TAG_PAIR_X, TAG_PAIR_Z)),
+                ("martingale", [1.0], (TAG_PAIR_X,)),
+                ("tree_moments", [0.0], ())]:
+            streams.clear()
+            cfg = ExperimentConfig(experiment=experiment, replicas=3, t=2.0,
+                                   threads=1, rho_list=rhos,
+                                   output_dir=str(tmp_path))
+            assert run(cfg).ok
+            assert streams == [stream_key(replica_seed(cfg.seed, i), tag)
+                               for i in range(cfg.replicas) for tag in tags]
+
+
+def _exit_on_replica_7(cfg, rep):
+    """A tree_moments observable whose worker dies on replica 7."""
+    if rep.index == 7:
+        os._exit(3)
+    return [(rep.t, rep.index, rep.seed, rep.n_leaves)]
+
+
+def test_dead_worker_fails_its_tasks_only(tmp_path, monkeypatch):
+    # the pool forks, so its workers see the patched observable
+    monkeypatch.setattr(experiments, "_tree_rows", _exit_on_replica_7)
+    cfg = ExperimentConfig(experiment="tree_moments", replicas=40, t=1.0,
+                           threads=2, output_dir=str(tmp_path))
+    result = run(cfg)
+    failed = {f["replica"] for f in result.failures}
+    assert 7 in failed
+    for f in result.failures:
+        assert f["error_type"] == "BrokenProcessPool"
+        assert f["t"] == 1.0
+        assert f["seed"] == replica_seed(cfg.seed, f["replica"])
+    rows = read_rows(result.outputs["tree_moments.csv"])
+    assert failed.isdisjoint(int(r["replica"]) for r in rows)
+    assert len(failed) + len(rows) == cfg.replicas
+    assert result.ok == (len(failed) <= 0.1 * cfg.replicas)
+    with open(os.path.join(result.run_dir, "manifest.json"),
+              encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["failures"] == result.failures
+    assert manifest["ok"] == result.ok
 
 
 def test_default_worker_count_follows_affinity(monkeypatch):

@@ -1,6 +1,7 @@
 """Property tests: invariants of the accumulator, truncation, overlaps and
 sampled trees over generated inputs, and bit-exactness of the exact small
-sum, of the shared-table sweeps and of the tree sampler's wave loop.
+sum, of the shared-table sweeps, of the tree sampler's wave loop and of
+the leaf grower against the tree and field samplers.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -13,11 +14,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bbmlab import (OffspringDistribution, compensated_sum, log_partition,
-                    overlap_matrix, rescaled_partition, sample_correlated_pair,
+from bbmlab import (OffspringDistribution, ResourceLimitError,
+                    compensated_sum, log_partition, overlap_matrix,
+                    rescaled_partition, sample_correlated_pair, sample_field,
                     sample_tree, scaled_exp_sum, truncated_partition)
+from bbmlab.gwtree import grow_leaves
 from bbmlab.partition import log_partitions, m_of_t, truncation_sweep
-from bbmlab.streams import TAG_TREE, make_rng
+from bbmlab.streams import (TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE, make_rng,
+                            stream_key)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
                     deadline=None)
@@ -130,6 +134,67 @@ def test_sample_tree_matches_reference_wave_loop(seed, t, law):
         got = getattr(tree, name)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected, equal_nan=True), name
+
+
+def _pair_keys(seed):
+    return [stream_key(seed, TAG_PAIR_X), stream_key(seed, TAG_PAIR_Z)]
+
+
+@PROPERTY
+@given(seed=seeds, t=st.just(0.0) | st.floats(0.0, 8.0),
+       law=st.sampled_from(LAWS))
+def test_grow_leaves_matches_tree_and_fields(seed, t, law):
+    keys = _pair_keys(seed)
+    grown = grow_leaves(law, t, seed, keys)
+    tree = sample_tree(law, t, seed)
+    assert (grown.n_nodes, grown.n_leaves) == (tree.n_nodes, tree.n_leaves)
+    assert len(grown.positions) == len(keys)
+    for key, got in zip(keys, grown.positions):
+        want = sample_field(tree, key).x
+        # bytes, so that the -0.0 leaves of t = 0 count as well
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_grow_leaves_keeps_negative_zero_at_t_zero():
+    signs = set()
+    for seed in range(8):
+        x, = grow_leaves(LAWS[0], 0.0, seed, [seed]).positions
+        assert x.size == 1 and x[0] == 0.0
+        signs.add(math.copysign(1.0, x[0]))
+        assert x.tobytes() == sample_field(
+            sample_tree(LAWS[0], 0.0, seed), seed).x.tobytes()
+    assert signs == {1.0, -1.0}
+
+
+def _budget_outcome(grow):
+    try:
+        grown = grow()
+    except ResourceLimitError as exc:
+        return str(exc)
+    return grown.n_nodes, grown.n_leaves
+
+
+@PROPERTY
+@given(seed=seeds, t=st.floats(0.0, 6.0), law=st.sampled_from(LAWS),
+       max_nodes=st.integers(1, 300))
+def test_grow_leaves_budget_matches_sample_tree(seed, t, law, max_nodes):
+    want = _budget_outcome(lambda: sample_tree(law, t, seed,
+                                               max_nodes=max_nodes))
+    got = _budget_outcome(lambda: grow_leaves(law, t, seed, _pair_keys(seed),
+                                              max_nodes=max_nodes))
+    assert got == want
+
+
+@pytest.mark.parametrize("t,seed,max_nodes,message", [
+    (10.0, 1, 1000, "projected leaf count exp(10.00) exceeds the node "
+                    "budget 1000"),
+    (3.0, 5, 25, "tree grew past the node budget 25 (t=3.0, seed=5)"),
+])
+def test_grow_leaves_budget_errors(t, seed, max_nodes, message):
+    for grow in (sample_tree, grow_leaves):
+        with pytest.raises(ResourceLimitError) as exc:
+            grow(LAWS[0], t, seed, max_nodes=max_nodes)
+        assert str(exc.value) == message
 
 
 def _fsum_outcome(fn, v):
