@@ -9,14 +9,12 @@ identities and tail constants those simulations are tested against.
 """
 
 from .accum import ScaledComplex, compensated_sum, scaled_exp_sum
-from .extremal import (AcceptanceError, Cluster, CoxFit, ExtremalSample,
-                       LimitDraws, LimitModel, estimate_cox_constants,
-                       extremal_sample, load_cluster_bank, phi_functional,
-                       phi_tilde_functional, sample_cluster,
-                       sample_limit_partition, save_cluster_bank)
-from .field import (BbmField, CorrelatedField, EnvelopeSpec, PathDataMissing,
-                    envelope_violations, max_position, sample_correlated_pair,
-                    sample_field)
+from .extremal import (AcceptanceError, Cluster, CoxFit, LimitDraws,
+                       LimitModel, estimate_cox_constants, load_cluster_bank,
+                       sample_cluster, sample_limit_partition,
+                       save_cluster_bank)
+from .field import (BbmField, CorrelatedField, max_position,
+                    sample_correlated_pair, sample_field)
 from .gwtree import (GwTree, ResourceLimitError, overlap, overlap_matrix,
                      sample_tree)
 from .offspring import OffspringDistribution
@@ -39,22 +37,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcceptanceError", "BbmField", "Cluster", "ComplexTemperature",
-    "CorrelatedField", "CoxFit", "EnvelopeSpec", "ExtremalSample",
-    "GridCell", "GwTree", "LimitDraws", "LimitModel",
-    "OffspringDistribution", "PathDataMissing",
+    "CorrelatedField", "CoxFit", "GridCell", "GwTree", "LimitDraws",
+    "LimitModel", "OffspringDistribution",
     "Region", "RescaledPartition", "ResourceLimitError",
     "ScaledComplex", "StableFit", "TailSlopeFit", "TruncatedPartition",
     "additive_martingale", "bridge_barrier_bound",
     "classify", "compensated_sum",
     "derivative_martingale", "empirical_cf", "envelope_curve",
-    "envelope_violations", "estimate_cox_constants", "extremal_sample",
+    "estimate_cox_constants",
     "gaussian_tail_bound", "grid_scan", "hill_estimator",
     "isotropic_resample", "isotropy_radii", "isotropy_statistic",
     "ks_distance", "limit_max_cdf", "limiting_free_energy",
     "load_cluster_bank", "log_partition", "m_of_t",
     "many_to_two_pair_moment", "martingale_second_moment", "max_position",
     "max_tail_exponent", "overlap", "overlap_matrix", "partition_function",
-    "phi_functional", "phi_tilde_functional", "point_scan", "make_rng",
+    "point_scan", "make_rng",
     "replica_seed", "rescaled_partition", "sample_cluster",
     "sample_correlated_pair", "sample_field", "sample_limit_partition",
     "sample_tree", "save_cluster_bank", "scaled_exp_sum",

@@ -266,14 +266,32 @@ def _guarded_chunk(call, chunk: list) -> list:
     return [call(task) for task in chunk]
 
 
+def _rerun_alone(call, chunk: list) -> list:
+    """Rerun a chunk lost to a dead pool worker in a one-worker pool.
+
+    Never in this process: a chunk that ends its worker would end the run.
+    If the chunk's worker dies again, each of its tasks fails with
+    BrokenProcessPool.
+    """
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return pool.submit(_guarded_chunk, call, chunk).result()
+        except BrokenProcessPool as exc:
+            lost = {"error_type": "BrokenProcessPool",
+                    "error": f"BrokenProcessPool: {exc}"}
+            return [(False, lost)] * len(chunk)
+
+
 def _collect(worker, cfg: ExperimentConfig, tasks: list,
              record=_task_record) -> tuple[list, list]:
     """Run worker(cfg, task) per task; results come back in task order.
 
     A failed task leaves None in its slot and adds a failure record:
     record(cfg, task), which names the task and its seed, plus the
-    exception's type and message.  When a pool worker dies, every task
-    whose chunk has no result fails with BrokenProcessPool.
+    exception's type and message.  When a pool worker dies, the pool
+    loses every pending chunk; each chunk without a result is rerun on
+    its own (_rerun_alone), so only a chunk that kills its worker again
+    fails.
     """
     call = functools.partial(_guarded, worker, cfg)
     threads = cfg.effective_threads()
@@ -282,17 +300,20 @@ def _collect(worker, cfg: ExperimentConfig, tasks: list,
     else:
         size = max(1, len(tasks) // (threads * 8))
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-        outcomes = []
+        results = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_guarded_chunk, call, chunk)
                        for chunk in chunks]
-            for chunk, future in zip(chunks, futures):
+            for future in futures:
                 try:
-                    outcomes += future.result()
-                except BrokenProcessPool as exc:
-                    lost = {"error_type": "BrokenProcessPool",
-                            "error": f"BrokenProcessPool: {exc}"}
-                    outcomes += [(False, lost)] * len(chunk)
+                    results.append(future.result())
+                except BrokenProcessPool:
+                    results.append(None)
+        outcomes = []
+        for chunk, result in zip(chunks, results):
+            if result is None:
+                result = _rerun_alone(call, chunk)
+            outcomes += result
     payloads, failures = [], []
     for task, (ok, val) in zip(tasks, outcomes):
         payloads.append(val if ok else None)

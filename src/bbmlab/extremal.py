@@ -4,9 +4,8 @@ The shifted point cloud {x_k(t) - m(t)} converges to a decorated Poisson
 point process: Cox atoms with intensity proportional to Z e^(-sqrt(2) y)
 dressed with relative clusters, and in the partially correlated regime
 each atom additionally carries an independent uniform circle mark.  This
-module produces finite-t extremal samples, evaluates the truncated limit
-functionals, samples clusters by conditioning deep maxima, and draws from
-the composite limit law given a cluster bank.
+module samples clusters by conditioning deep maxima, fits the Cox constant,
+and draws from the composite limit law given a cluster bank.
 
 Cluster decorations for |rho| < 1 reuse the secondary field harvested from
 the same conditioned runs that produced each cluster; that is an
@@ -27,7 +26,7 @@ from scipy.optimize import minimize_scalar
 from .field import sample_correlated_pair, sample_field  # noqa: F401
 from .gwtree import sample_tree
 from .offspring import OffspringDistribution
-from .partition import ComplexTemperature, SQRT2, m_of_t
+from .partition import ComplexTemperature, SQRT2
 from .streams import (TAG_CLUSTER, TAG_COX, TAG_PAIR_X, TAG_PAIR_Z, make_rng,
                       stream_key)
 
@@ -40,72 +39,6 @@ COX_BLOCK = 1 << 14
 
 class AcceptanceError(RuntimeError):
     """Rejection sampler exhausted its attempt budget."""
-
-
-@dataclass(eq=False)
-class ExtremalSample:
-    """Leaf positions shifted by m(t), sorted decreasing, with unit marks."""
-
-    t: float
-    rho: float
-    tau: float
-    points: np.ndarray
-    marks: np.ndarray
-
-
-def extremal_sample(field, tau: float) -> ExtremalSample:
-    """Shifted, ordered leaf cloud of a correlated field.
-
-    Marks are e^(i (sqrt(1-rho^2) tau z_k - rho tau m(t))); at |rho| = 1
-    the z component vanishes and every mark is the same deterministic
-    rotation.
-    """
-    t = field.t
-    m = m_of_t(t)
-    order = np.argsort(-field.x, kind="stable")
-    points = field.x[order] - m
-    rho = field.rho
-    if abs(rho) == 1.0:
-        marks = np.full(points.size, np.exp(-1j * rho * tau * m))
-    else:
-        angles = math.sqrt(1.0 - rho * rho) * tau * field.z[order] \
-            - rho * tau * m
-        marks = np.exp(1j * angles)
-    return ExtremalSample(t=t, rho=rho, tau=tau, points=points, marks=marks)
-
-
-def phi_functional(points, beta, threshold: float) -> complex:
-    """Truncated energy functional sum_{p > -A} e^(beta p)."""
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    b = ComplexTemperature.of(beta).beta
-    p = np.asarray(points, dtype=np.float64)
-    kept = p[p > -threshold]
-    return complex(np.sum(np.exp(b * kept))) if kept.size else 0j
-
-
-def phi_tilde_functional(sample: ExtremalSample, beta,
-                         threshold: float) -> complex:
-    """Marked functional sum_{p > -A} e^((sigma + i rho tau) p) mark_p.
-
-    The sample's marks encode tau, so beta must carry the same tau the
-    sample was built with.
-    """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    if sample.points.shape != sample.marks.shape:
-        raise ValueError("points and marks lengths differ")
-    bt = ComplexTemperature.of(beta)
-    if abs(bt.tau - sample.tau) > 1e-12:
-        raise ValueError(
-            f"sample marks were built at tau={sample.tau!r}, "
-            f"functional asked for tau={bt.tau!r}")
-    lam = bt.lam(sample.rho)
-    keep = sample.points > -threshold
-    if not np.any(keep):
-        return 0j
-    return complex(np.sum(np.exp(lam * sample.points[keep])
-                          * sample.marks[keep]))
 
 
 @dataclass(eq=False)

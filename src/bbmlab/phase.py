@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .field import sample_correlated_pair
-from .gwtree import NODE_BUDGET, ResourceLimitError, sample_tree
+from .gwtree import NODE_BUDGET, sample_tree
 from .offspring import OffspringDistribution
 from .partition import ComplexTemperature, SQRT2, log_partitions
 from .streams import replica_seed
@@ -156,7 +156,8 @@ def point_scan(betas, dist: OffspringDistribution, t: float, replicas: int,
 
     All cells are evaluated on the same simulated fields (the estimates
     share noise but stay unbiased cell by cell), so the cost is one
-    simulation pass regardless of how many betas are scanned.
+    simulation pass regardless of how many betas are scanned.  A replica
+    over the node budget raises ResourceLimitError; none is skipped.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
@@ -164,11 +165,8 @@ def point_scan(betas, dist: OffspringDistribution, t: float, replicas: int,
     samples = []
     for i in range(replicas):
         rs = replica_seed(seed, i)
-        try:
-            tree = sample_tree(dist, t, rs, max_nodes=max_nodes)
-            fld = sample_correlated_pair(tree, rho, rs)
-        except ResourceLimitError:
-            continue
+        tree = sample_tree(dist, t, rs, max_nodes=max_nodes)
+        fld = sample_correlated_pair(tree, rho, rs)
         samples.append(log_partitions(fld, bts))
     return scan_cells(bts, samples, t)
 

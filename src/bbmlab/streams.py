@@ -2,7 +2,7 @@
 
 Every stochastic routine in this package draws from a counter-based Philox
 generator whose 64-bit key is derived from a user seed plus a small role tag
-(tree shape, field increments, bridge interiors, ...).  Distinct roles get
+(tree shape, field increments, cluster attempts, ...).  Distinct roles get
 distinct keys, so adding draws to one routine never perturbs another, and a
 given (seed, role) pair produces bit-identical draws across runs and across
 any parallel schedule.
@@ -22,7 +22,7 @@ MASK64 = (1 << 64) - 1
 # stream downstream of a seed.
 TAG_TREE = 0x01
 TAG_FIELD = 0x03
-TAG_BRIDGE = 0x04
+# 0x04 (the retired bridge-interior stream) must not be reused.
 TAG_PAIR_X = 0x05
 TAG_PAIR_Z = 0x06
 TAG_COX = 0x07

@@ -8,108 +8,17 @@ import numpy as np
 import pytest
 
 from bbmlab import (AcceptanceError, LimitModel, OffspringDistribution,
-                    estimate_cox_constants, extremal_sample, ks_distance,
-                    load_cluster_bank, m_of_t, max_position, phi_functional,
-                    phi_tilde_functional, sample_cluster,
-                    sample_correlated_pair, sample_limit_partition,
-                    sample_tree, save_cluster_bank, truncated_partition)
+                    estimate_cox_constants, ks_distance, load_cluster_bank,
+                    sample_cluster, sample_correlated_pair,
+                    sample_limit_partition, sample_tree, save_cluster_bank)
 import bbmlab.field
-from bbmlab.extremal import COX_BLOCK, DEFAULT_MAX_ATTEMPTS, ExtremalSample
+from bbmlab.extremal import COX_BLOCK, DEFAULT_MAX_ATTEMPTS
 from bbmlab.streams import (TAG_CLUSTER, TAG_COX, TAG_FIELD, make_rng,
                             stream_key)
 
 SEED = 20260825
 SQRT2 = math.sqrt(2.0)
 BINARY = OffspringDistribution.binary()
-
-
-def field_for(t=6.0, rho=0.7, tag=0x61):
-    tree = sample_tree(BINARY, t, stream_key(SEED, tag))
-    return sample_correlated_pair(tree, rho, stream_key(SEED, tag))
-
-
-class TestExtremalSample:
-    def test_structure(self):
-        fld = field_for()
-        sm = extremal_sample(fld, tau=0.5)
-        assert sm.points.size == fld.tree.n_leaves
-        assert np.all(np.diff(sm.points) <= 0.0)
-        assert np.allclose(np.abs(sm.marks), 1.0, atol=1e-12)
-        top, _ = max_position(fld)
-        assert sm.points[0] == pytest.approx(top - m_of_t(fld.tree.t),
-                                             abs=1e-12)
-
-    def test_rho_one_marks_share_global_phase(self):
-        fld = field_for(rho=1.0, tag=0x62)
-        tau = 0.5
-        sm = extremal_sample(fld, tau=tau)
-        expected = cmath.exp(-1j * tau * fld.rho * m_of_t(fld.tree.t))
-        assert np.allclose(sm.marks, expected, atol=1e-12)
-
-
-class TestPhiFunctionals:
-    def test_single_point(self):
-        assert phi_functional([0.0], complex(0.7, 0.2), 3.0) == 1.0 + 0.0j
-
-    def test_all_points_cut(self):
-        assert phi_functional([-5.0, -7.0], complex(1.0, 0.0), 2.0) == 0.0j
-
-    def test_two_term_example(self):
-        got = phi_functional([0.0, -1.0], complex(1.0, 0.0), 2.0)
-        assert got == pytest.approx(1.0 + math.exp(-1.0), rel=1e-12)
-        assert got == pytest.approx(1.3678794, abs=1e-7)
-
-    def test_truncation_tower_identity(self):
-        rng = make_rng(SEED, 0x63)
-        points = -rng.exponential(2.0, 200)
-        for beta in (complex(0.9, 0.0), complex(1.2, 0.8)):
-            lo, hi = 1.5, 4.0
-            inner = phi_functional(points, beta, lo)
-            outer = phi_functional(points, beta, hi)
-            band = points[(points > -hi) & (points <= -lo)]
-            direct = complex(np.sum(np.exp(beta * band)))
-            assert outer - inner == pytest.approx(direct, rel=1e-12)
-
-    def test_threshold_domain(self):
-        with pytest.raises(ValueError):
-            phi_functional([0.0], complex(1.0, 0.0), 0.0)
-
-
-class TestPhiTilde:
-    def test_single_point_unit_mark(self):
-        sm = ExtremalSample(t=4.0, rho=0.5, tau=0.9,
-                            points=np.array([0.0]),
-                            marks=np.array([1.0 + 0.0j]))
-        assert phi_tilde_functional(sm, complex(1.2, 0.9), 2.0) == 1.0 + 0.0j
-
-    def test_all_points_cut(self):
-        sm = ExtremalSample(t=4.0, rho=0.5, tau=0.9,
-                            points=np.array([-3.0, -4.0]),
-                            marks=np.ones(2, dtype=np.complex128))
-        assert phi_tilde_functional(sm, complex(1.2, 0.9), 2.0) == 0.0j
-
-    def test_length_mismatch_rejected(self):
-        sm = ExtremalSample(t=4.0, rho=0.5, tau=0.9,
-                            points=np.array([0.0, -1.0]),
-                            marks=np.array([1.0 + 0.0j]))
-        with pytest.raises(ValueError):
-            phi_tilde_functional(sm, complex(1.2, 0.9), 2.0)
-
-    def test_tau_disagreement_rejected(self):
-        sm = ExtremalSample(t=4.0, rho=0.5, tau=0.3,
-                            points=np.array([0.0]),
-                            marks=np.array([1.0 + 0.0j]))
-        with pytest.raises(ValueError):
-            phi_tilde_functional(sm, complex(1.2, 0.9), 2.0)
-
-    def test_matches_centered_truncation_at_rho_zero(self):
-        beta = complex(1.2, 0.9)
-        fld = field_for(rho=0.0, tag=0x64)
-        sm = extremal_sample(fld, tau=beta.imag)
-        threshold = 3.7
-        via_points = phi_tilde_functional(sm, beta, threshold)
-        via_field = truncated_partition(fld, beta, threshold).kept
-        assert via_points == pytest.approx(via_field, rel=1e-10)
 
 
 class TestSampleCluster:

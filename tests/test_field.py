@@ -1,14 +1,12 @@
-"""Gaussian field construction, correlated pairs, and envelope checks."""
+"""Gaussian field construction, correlated pairs, and the leaf maximum."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bbmlab import (EnvelopeSpec, OffspringDistribution, PathDataMissing,
-                    envelope_violations, max_position, overlap_matrix,
+from bbmlab import (OffspringDistribution, max_position, overlap_matrix,
                     sample_correlated_pair, sample_field, sample_tree)
-from bbmlab.field import BbmField, EdgePaths
 from bbmlab.streams import replica_seed, stream_key
 
 from test_offspring_gw import single_lineage
@@ -29,13 +27,6 @@ class TestSampleField:
         assert np.array_equal(sample_field(tree, 5).x, sample_field(tree, 5).x)
         assert not np.array_equal(sample_field(tree, 5).x,
                                   sample_field(tree, 6).x)
-
-    def test_paths_do_not_change_endpoints(self):
-        tree = sample_tree(BINARY, 3.0, 22)
-        bare = sample_field(tree, 9)
-        with_paths = sample_field(tree, 9, keep_paths=True)
-        assert np.array_equal(bare.x, with_paths.x)
-        assert with_paths.paths is not None and bare.paths is None
 
     def test_covariance_matches_overlap(self):
         # fixed 7-leaf tree; empirical second moments against the overlap
@@ -68,7 +59,7 @@ class TestCorrelatedPair:
         tree = sample_tree(BINARY, 2.0, 31)
         fld = sample_correlated_pair(tree, 1.0, 8)
         assert np.array_equal(fld.y, fld.x)
-        assert fld.z_field is None
+        assert fld.z is None
 
     def test_rho_minus_one_exact(self):
         tree = sample_tree(BINARY, 2.0, 31)
@@ -111,51 +102,6 @@ class TestCorrelatedPair:
             mx_single[i] = float(np.max(sample_field(
                 tree, stream_key(rs, 0xF00D)).x))
         assert stats.ks_distance(mx_pair, mx_single) <= 0.02
-
-
-class TestEnvelope:
-    def test_pinned_zero_path_never_violates(self):
-        # the envelope is strictly positive on [r, t-r], so the zero path
-        # stays under it everywhere
-        t, step = 10.0, 0.05
-        n_int = math.ceil(t / step) - 1
-        tree = single_lineage(t)
-        fld = BbmField(tree=tree, seed=0, node_pos=np.zeros(1),
-                       paths=EdgePaths(step=step,
-                                       times=(np.arange(n_int) + 1) * step,
-                                       values=np.zeros(n_int),
-                                       offsets=np.array([0, n_int])))
-        assert envelope_violations(fld, EnvelopeSpec(0.4, 1.0)) == 0
-
-    def test_requires_paths(self):
-        tree = sample_tree(BINARY, 3.0, 41)
-        fld = sample_field(tree, 4)
-        with pytest.raises(PathDataMissing):
-            envelope_violations(fld, EnvelopeSpec(0.4, 1.0))
-
-    def test_empty_window_rejected(self):
-        tree = sample_tree(BINARY, 1.0, 41)
-        fld = sample_field(tree, 4, keep_paths=True)
-        with pytest.raises(ValueError):
-            envelope_violations(fld, EnvelopeSpec(0.4, 0.6))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            EnvelopeSpec(0.5, 1.0)
-        with pytest.raises(ValueError):
-            EnvelopeSpec(0.0, 1.0)
-        with pytest.raises(ValueError):
-            EnvelopeSpec(0.4, -0.1)
-
-    def test_violations_decrease_with_r(self):
-        totals = {0.5: 0, 1.0: 0, 2.0: 0}
-        for i in range(150):
-            rs = replica_seed(SEED, i)
-            tree = sample_tree(BINARY, 10.0, rs)
-            fld = sample_field(tree, rs, keep_paths=True)
-            for r in totals:
-                totals[r] += envelope_violations(fld, EnvelopeSpec(0.4, r))
-        assert totals[0.5] > totals[1.0] > totals[2.0]
 
 
 class TestMaxPosition:

@@ -12,7 +12,7 @@ from bbmlab import (ComplexTemperature, OffspringDistribution,
                     log_partition, m_of_t, partition_function,
                     rescaled_partition, sample_correlated_pair, sample_tree,
                     truncated_partition)
-from bbmlab.field import BbmField, CorrelatedField
+from bbmlab.field import CorrelatedField
 from bbmlab.streams import replica_seed, stream_key
 
 from test_offspring_gw import single_lineage
@@ -27,9 +27,7 @@ def pinned_field(t, x, y, rho=1.0):
     tree = single_lineage(t)
     xs = np.asarray(x, dtype=np.float64)
     ys = np.asarray(y, dtype=np.float64)
-    xf = BbmField(tree=tree, seed=0, node_pos=xs)
-    return CorrelatedField(tree=tree, rho=rho, seed=0, x_field=xf,
-                           z_field=None, x=xs, y=ys, z=None)
+    return CorrelatedField(tree=tree, rho=rho, seed=0, x=xs, y=ys, z=None)
 
 
 def sampled_field(t=4.0, rho=0.5, tag=0x51):

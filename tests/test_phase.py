@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bbmlab import (OffspringDistribution, Region, classify, grid_scan,
-                    limiting_free_energy, point_scan)
+from bbmlab import (OffspringDistribution, Region, ResourceLimitError,
+                    classify, grid_scan, limiting_free_energy, point_scan)
 from bbmlab.streams import make_rng
 
 SEED = 20260825
@@ -139,3 +139,9 @@ class TestScans:
                            seed=SEED)
         assert [c.p_hat for c in cells] == [c.p_hat for c in again]
         assert [complex(c.sigma, c.tau) for c in cells] == betas
+
+    def test_point_scan_raises_over_budget(self):
+        # a replica over the node budget raises; no replica is skipped
+        with pytest.raises(ResourceLimitError):
+            point_scan([complex(1.0, 0.5)], BINARY, t=3.0, replicas=5,
+                       rho=1.0, seed=SEED, max_nodes=8)
