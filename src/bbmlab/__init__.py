@@ -11,8 +11,8 @@ identities and tail constants those simulations are tested against.
 from .accum import ScaledComplex, compensated_sum, scaled_exp_sum
 from .extremal import (AcceptanceError, Cluster, CoxFit, LimitDraws,
                        LimitModel, estimate_cox_constants, load_cluster_bank,
-                       sample_cluster, sample_limit_partition,
-                       save_cluster_bank)
+                       sample_cluster, sample_clusters,
+                       sample_limit_partition, save_cluster_bank)
 from .field import (BbmField, CorrelatedField, max_position,
                     sample_correlated_pair, sample_field)
 from .gwtree import (GwTree, ResourceLimitError, overlap, overlap_matrix,
@@ -53,7 +53,8 @@ __all__ = [
     "max_tail_exponent", "overlap", "overlap_matrix", "partition_function",
     "point_scan", "make_rng",
     "replica_seed", "rescaled_partition", "sample_cluster",
-    "sample_correlated_pair", "sample_field", "sample_limit_partition",
-    "sample_tree", "save_cluster_bank", "scaled_exp_sum",
-    "scaled_partition", "stream_key", "truncated_partition",
+    "sample_clusters", "sample_correlated_pair", "sample_field",
+    "sample_limit_partition", "sample_tree", "save_cluster_bank",
+    "scaled_exp_sum", "scaled_partition", "stream_key",
+    "truncated_partition",
 ]

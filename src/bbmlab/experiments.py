@@ -26,8 +26,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import stats
-from .extremal import (AcceptanceError, LimitModel, estimate_cox_constants,
-                       load_cluster_bank, sample_cluster, sample_limit_partition,
+from .extremal import (AcceptanceError, Cluster, LimitModel,
+                       estimate_cox_constants, load_cluster_bank,
+                       sample_clusters, sample_limit_partition,
                        save_cluster_bank)
 from .field import CorrelatedField, correlate
 from .gwtree import NODE_BUDGET, grow_leaves
@@ -42,6 +43,7 @@ from .streams import TAG_PAIR_X, TAG_PAIR_Z, make_rng, replica_seed, stream_key
 
 # No longer called here.  perfbench/spans.py rebinds these names in this
 # module to time them, so they stay imported until its BINDINGS move.
+from .extremal import sample_cluster  # noqa: F401
 from .field import sample_correlated_pair, sample_field  # noqa: F401
 from .gwtree import sample_tree  # noqa: F401
 from .phase import classify, grid_scan, limiting_free_energy  # noqa: F401
@@ -245,12 +247,21 @@ def _task_range(kind: str, horizon: str, value: float, count: int) -> dict:
     return {"kind": kind, horizon: value, "range": [0, count]}
 
 
-def _guarded(worker, cfg, task):
-    try:
-        return True, worker(cfg, task)
-    except Exception as exc:  # contained: replica failures are counted
-        name = type(exc).__name__
-        return False, {"error_type": name, "error": f"{name}: {exc}"}
+def _failure(exc: Exception) -> tuple:
+    name = type(exc).__name__
+    return False, {"error_type": name, "error": f"{name}: {exc}"}
+
+
+def _guarded_chunk(worker, cfg: ExperimentConfig, chunk: list) -> list:
+    """The chunk worker of a per-task worker: (True, worker(cfg, task))
+    per task, or its contained failure."""
+    outcomes = []
+    for task in chunk:
+        try:
+            outcomes.append((True, worker(cfg, task)))
+        except Exception as exc:  # contained: replica failures are counted
+            outcomes.append(_failure(exc))
+    return outcomes
 
 
 def _task_record(cfg: ExperimentConfig, task: int) -> dict:
@@ -262,10 +273,6 @@ def _replica_record(cfg: ExperimentConfig, task: tuple) -> dict:
     return {"t": t, "replica": index, "seed": replica_seed(cfg.seed, index)}
 
 
-def _guarded_chunk(call, chunk: list) -> list:
-    return [call(task) for task in chunk]
-
-
 def _rerun_alone(call, chunk: list) -> list:
     """Rerun a chunk lost to a dead pool worker in a one-worker pool.
 
@@ -275,35 +282,34 @@ def _rerun_alone(call, chunk: list) -> list:
     """
     with ProcessPoolExecutor(max_workers=1) as pool:
         try:
-            return pool.submit(_guarded_chunk, call, chunk).result()
+            return pool.submit(call, chunk).result()
         except BrokenProcessPool as exc:
-            lost = {"error_type": "BrokenProcessPool",
-                    "error": f"BrokenProcessPool: {exc}"}
-            return [(False, lost)] * len(chunk)
+            return [_failure(exc)] * len(chunk)
 
 
-def _collect(worker, cfg: ExperimentConfig, tasks: list,
+def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
              record=_task_record) -> tuple[list, list]:
-    """Run worker(cfg, task) per task; results come back in task order.
+    """Run the tasks in chunks; results come back in task order.
 
-    A failed task leaves None in its slot and adds a failure record:
-    record(cfg, task), which names the task and its seed, plus the
-    exception's type and message.  When a pool worker dies, the pool
-    loses every pending chunk; each chunk without a result is rerun on
-    its own (_rerun_alone), so only a chunk that kills its worker again
-    fails.
+    chunk_worker(cfg, chunk) returns one (ok, payload) per task of the
+    chunk, and (False, {"error_type", "error"}) for a task that failed
+    (_guarded_chunk makes one from a per-task worker).  A failed task
+    leaves None in its slot and adds a failure record: record(cfg, task),
+    which names the task and its seed, plus the error.  When a pool
+    worker dies, the pool loses every pending chunk; each chunk without a
+    result is rerun on its own (_rerun_alone), so only a chunk that kills
+    its worker again fails.  Without a pool, all tasks are one chunk.
     """
-    call = functools.partial(_guarded, worker, cfg)
+    call = functools.partial(chunk_worker, cfg)
     threads = cfg.effective_threads()
     if threads <= 1 or len(tasks) <= 1:
-        outcomes = [call(task) for task in tasks]
+        outcomes = call(tasks)
     else:
         size = max(1, len(tasks) // (threads * 8))
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         results = []
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_guarded_chunk, call, chunk)
-                       for chunk in chunks]
+            futures = [pool.submit(call, chunk) for chunk in chunks]
             for future in futures:
                 try:
                     results.append(future.result())
@@ -486,7 +492,8 @@ def _run_replicas(observable, cfg: ExperimentConfig,
     tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
     worker = functools.partial(_observe, observable, cfg.dist(),
                                _field_tags(cfg))
-    payloads, failures = _collect(worker, cfg, tasks, _replica_record)
+    payloads, failures = _collect(functools.partial(_guarded_chunk, worker),
+                                  cfg, tasks, _replica_record)
     rows = [row for p in payloads if p is not None for row in p]
     return rows, failures, [_task_range("replica", "t", t, cfg.replicas)
                             for t in ts]
@@ -754,7 +761,8 @@ def _bridge_worker(cfg: ExperimentConfig, chunk_index: int) -> tuple:
 
 def _run_bridge_check(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     tasks = list(range(-(-cfg.replicas // BRIDGE_CHUNK)))
-    payloads, failures = _collect(_bridge_worker, cfg, tasks)
+    payloads, failures = _collect(
+        functools.partial(_guarded_chunk, _bridge_worker), cfg, tasks)
     rows = [p for p in payloads if p is not None]
     n_total = sum(r[2] for r in rows)
     n_stay = sum(r[3] for r in rows)
@@ -781,19 +789,25 @@ def _run_bridge_check(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         schedule=[_task_range("chunk", "t", cfg.t, len(tasks))])
 
 
-def _cluster_worker(dist: OffspringDistribution, cfg: ExperimentConfig,
-                    index: int):
-    rs = replica_seed(cfg.seed, index)
-    cl = sample_cluster(cfg.t_cond, dist, rs, max_attempts=cfg.max_attempts)
-    return index, rs, cl
+def _cluster_chunk(dist: OffspringDistribution, cfg: ExperimentConfig,
+                   chunk: list) -> list:
+    """(True, (index, seed, cluster)) or a failure per task, the chunk's
+    clusters drawn by one sample_clusters call."""
+    seeds = [replica_seed(cfg.seed, index) for index in chunk]
+    try:
+        drawn = sample_clusters(cfg.t_cond, dist, seeds, cfg.max_attempts)
+    except Exception as exc:  # contained: every task of the chunk fails
+        drawn = [exc] * len(chunk)
+    return [(True, (index, rs, cl)) if isinstance(cl, Cluster)
+            else _failure(cl) for index, rs, cl in zip(chunk, seeds, drawn)]
 
 
 def _sample_clusters(cfg: ExperimentConfig,
                      dist: OffspringDistribution) -> tuple[list, list, list]:
     """(index, seed, cluster) for each accepted task, failure records and
     seed-schedule entries."""
-    worker = functools.partial(_cluster_worker, dist)
-    payloads, failures = _collect(worker, cfg, list(range(cfg.min_clusters)))
+    payloads, failures = _collect(functools.partial(_cluster_chunk, dist),
+                                  cfg, list(range(cfg.min_clusters)))
     return ([p for p in payloads if p is not None], failures,
             [_task_range("cluster", "t_cond", cfg.t_cond, cfg.min_clusters)])
 
@@ -856,9 +870,9 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         fit = stats.hill_estimator(pos, k_fraction=0.05)
         summary["hill"] = {"alpha_hat": fit.alpha_hat,
                            "alpha_se": fit.alpha_se, "k_used": fit.k_used}
-    rows = [(i, v.real, v.imag, float(np.abs(v)), int(c))
-            for i, (v, c) in enumerate(zip(draws.values,
-                                           draws.atom_counts))]
+    rows = list(zip(range(cfg.replicas), draws.values.real.tolist(),
+                    draws.values.imag.tolist(), moduli.tolist(),
+                    draws.atom_counts.tolist()))
     cols = ["draw", "value_re", "value_im", "abs", "n_atoms"]
     return RunnerOutput(csvs={"limit_draws.csv": (cols, rows)},
                         summary=summary, failures=failures,

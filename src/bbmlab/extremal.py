@@ -7,6 +7,12 @@ each atom additionally carries an independent uniform circle mark.  This
 module samples clusters by conditioning deep maxima, fits the Cox constant,
 and draws from the composite limit law given a cluster bank.
 
+A cluster conditions a t_cond run on max x >= sqrt(2) t_cond, which few
+attempts pass.  sample_clusters screens many seeds' attempts at once,
+growing their small trees and x fields as one forest (screen_maxima), and
+regrows only each seed's first accepted attempt with its z field; the
+clusters are those of trying one attempt at a time.
+
 Cluster decorations for |rho| < 1 reuse the secondary field harvested from
 the same conditioned runs that produced each cluster; that is an
 approximation to the exact decoration law.  Bank files (v2) store these
@@ -22,15 +28,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-# perfbench/spans.py rebinds extremal.sample_correlated_pair
-from .field import sample_correlated_pair, sample_field  # noqa: F401
-from .gwtree import sample_tree
+from .gwtree import NODE_BUDGET, grow_leaves, over_budget, screen_maxima
 from .offspring import OffspringDistribution
 from .partition import ComplexTemperature, SQRT2
-from .streams import (TAG_CLUSTER, TAG_COX, TAG_PAIR_X, TAG_PAIR_Z, make_rng,
-                      stream_key)
+from .streams import (TAG_CLUSTER, TAG_COX, TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z,
+                      TAG_TREE, make_rng, rekey, stream_key)
+
+# No longer called here.  perfbench/spans.py rebinds these names in this
+# module to time them, so they stay imported until its BINDINGS move.
+from .field import sample_correlated_pair  # noqa: F401
+from .gwtree import sample_tree  # noqa: F401
 
 DEFAULT_MAX_ATTEMPTS = 100000
+# Cluster attempts screened per round, shared among the seeds still
+# open: each screens its next ceil(SCREEN_BATCH / open) attempts in one
+# forest.  Every batch gives the same clusters; it sets the forest's
+# width, and so how far the per-wave cost is shared.
+SCREEN_BATCH = 16
 # Limit draws are made in blocks of whole draws holding at most this many
 # Cox atoms (a larger single draw is a block of its own).  The blocks fix
 # the order of the random stream, so changing this changes every draw.
@@ -63,27 +77,85 @@ def sample_cluster(t_cond: float, dist: OffspringDistribution, seed: int,
 
     Attempts use substreams indexed by attempt number, so the accepted
     cluster is a deterministic function of (t_cond, dist, seed) no matter
-    how attempts might be scheduled.  An attempt draws its tree and x
-    field; the z field, on its own stream, is drawn only for the accepted
-    attempt, so a rejection never pays for it.
+    how attempts are scheduled.  An attempt draws its tree and x field;
+    the z field, on its own stream, is drawn only for the accepted
+    attempt, so a rejection never pays for it.  This is sample_clusters
+    for one seed; its error is raised.
+    """
+    (cl,) = sample_clusters(t_cond, dist, [seed], max_attempts)
+    if isinstance(cl, Exception):
+        raise cl
+    return cl
+
+
+def sample_clusters(t_cond: float, dist: OffspringDistribution, seeds,
+                    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+                    max_nodes: int = NODE_BUDGET) -> list:
+    """sample_cluster for every seed, their attempts screened together.
+
+    Entry i is the Cluster of seeds[i] or the error that ended it: an
+    AcceptanceError when its max_attempts attempts are all rejected, a
+    ResourceLimitError when an attempt's tree grows past max_nodes before
+    any attempt is accepted.  One seed's error leaves the others running.
+
+    It works in rounds.  Each open seed screens its next
+    ceil(SCREEN_BATCH / open seeds) attempts, all in one screen_maxima
+    forest that draws trees and x only.  A seed's first attempt in
+    attempt order whose max reaches sqrt(2) t_cond is accepted and grown
+    again with its x and z (grow_leaves), which gives the same x; the
+    attempts screened after it are dropped.  The round's generators are
+    built once per call and re-keyed to each round's streams.
     """
     if t_cond <= 0.0:
         raise ValueError("t_cond must be positive")
     threshold = SQRT2 * t_cond
-    for attempt in range(max_attempts):
-        sub = stream_key(seed, TAG_CLUSTER, attempt)
-        tree = sample_tree(dist, t_cond, sub)
-        x = sample_field(tree, stream_key(sub, TAG_PAIR_X)).x
-        top = float(np.max(x))
-        if top >= threshold:
-            z = sample_field(tree, stream_key(sub, TAG_PAIR_Z)).x
-            order = np.argsort(-x, kind="stable")
-            atoms = x[order] - top
-            z_rel = z[order] - z[order[0]]
-            return Cluster(atoms=atoms, t_cond=float(t_cond), max_value=top,
-                           attempts=attempt + 1, z_rel=z_rel)
-    raise AcceptanceError(
-        f"no cluster accepted in {max_attempts} attempts at t_cond={t_cond}")
+    drawn = [None] * len(seeds)
+    tried = [0] * len(seeds)
+    streams = []  # (tree, x) generator pairs, re-keyed before each round
+    pending = list(range(len(seeds)))
+    while pending:
+        per_seed = -(-SCREEN_BATCH // len(pending))
+        batch = [(i, a) for i in pending
+                 for a in range(tried[i], min(tried[i] + per_seed,
+                                              max_attempts))]
+        while len(streams) < len(batch):
+            streams.append((make_rng(0), make_rng(0)))
+        subs = []
+        for (i, a), (tree_rng, x_rng) in zip(batch, streams):
+            sub = stream_key(seeds[i], TAG_CLUSTER, a)
+            rekey(tree_rng, sub, TAG_TREE)
+            rekey(x_rng, stream_key(sub, TAG_PAIR_X), TAG_FIELD)
+            subs.append(sub)
+        maxima = screen_maxima(dist, t_cond, streams[:len(batch)], max_nodes)
+        for (i, a), sub, top in zip(batch, subs, maxima.tolist()):
+            if drawn[i] is not None:
+                continue
+            tried[i] = a + 1
+            if math.isnan(top):
+                drawn[i] = over_budget(max_nodes, t_cond, sub)
+            elif top >= threshold:
+                drawn[i] = _accepted(dist, t_cond, sub, a + 1, top, max_nodes)
+        for i in pending:
+            if drawn[i] is None and tried[i] >= max_attempts:
+                drawn[i] = AcceptanceError(
+                    f"no cluster accepted in {max_attempts} attempts at "
+                    f"t_cond={t_cond}")
+        pending = [i for i in pending if drawn[i] is None]
+    return drawn
+
+
+def _accepted(dist: OffspringDistribution, t_cond: float, sub: int,
+              attempts: int, top: float, max_nodes: int) -> Cluster:
+    """The cluster of the accepted attempt ``sub``, whose screened max is
+    ``top``: its x and z leaves, sorted by x and taken relative to the
+    leaf at the max."""
+    x, z = grow_leaves(dist, t_cond, sub, [stream_key(sub, TAG_PAIR_X),
+                                           stream_key(sub, TAG_PAIR_Z)],
+                       max_nodes).positions
+    assert float(np.max(x)) == top, "regrown attempt lost its screened max"
+    order = np.argsort(-x, kind="stable")
+    return Cluster(atoms=x[order] - top, t_cond=float(t_cond), max_value=top,
+                   attempts=attempts, z_rel=z[order] - z[order[0]])
 
 
 @dataclass(eq=False)

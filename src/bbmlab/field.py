@@ -100,7 +100,13 @@ def sample_correlated_pair(tree: GwTree, rho: float,
 
 
 def max_position(field) -> tuple[float, int]:
-    """(max leaf x, leaf id); ties resolve to the smallest leaf id."""
+    """(max leaf x, leaf id); ties resolve to the smallest leaf id.
+
+    Leaves streamed by grow_leaves keep no leaf ids; their leaf is named
+    by its index in leaf-id order.
+    """
     x = field.x
     idx = int(np.argmax(x))
+    if isinstance(field.tree, GrownLeaves):
+        return float(x[idx]), idx
     return float(x[idx]), int(field.tree.leaves[idx])

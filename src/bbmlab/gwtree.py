@@ -13,7 +13,9 @@ The draw order (one exponential block per wave, one uniform block for the
 splitting subset) is frozen: a given (law, t, seed) triple reproduces the
 identical tree on any machine.  The loop has two consumers: sample_tree
 keeps every node, and grow_leaves lays fields on the waves as they come
-and keeps only the frontier and the finished leaves.
+and keeps only the frontier and the finished leaves.  screen_maxima grows
+many small trees in the same draw order, one forest wave at a time, and
+keeps only each tree's max leaf x.
 """
 
 from __future__ import annotations
@@ -106,6 +108,25 @@ class GwTree:
         assert self.n_leaves >= 1
 
 
+def _check_horizon(dist: OffspringDistribution, t: float,
+                   max_nodes: int) -> None:
+    """Reject a horizon before any draw: not finite or negative, or with a
+    projected leaf count e^((m-1)t) past the node budget."""
+    if t < 0.0 or not math.isfinite(t):
+        raise ValueError(f"horizon t must be finite and >= 0, got {t!r}")
+    mean = dist.mean_children
+    if (mean - 1.0) * t > math.log(max_nodes):
+        raise ResourceLimitError(
+            f"projected leaf count exp({(mean - 1.0) * t:.2f}) exceeds the "
+            f"node budget {max_nodes}")
+
+
+def over_budget(max_nodes: int, t: float, seed: int) -> ResourceLimitError:
+    """The error of the tree of (t, seed) that grew past max_nodes."""
+    return ResourceLimitError(
+        f"tree grew past the node budget {max_nodes} (t={t}, seed={seed})")
+
+
 def _waves(dist: OffspringDistribution, t: float, seed: int,
            max_nodes: int):
     """The growth loop: yield (birth, split_at, child_of) for each wave.
@@ -119,14 +140,7 @@ def _waves(dist: OffspringDistribution, t: float, seed: int,
     It reads nothing of a wave after yielding it, so a consumer may write
     into the yielded arrays.
     """
-    if t < 0.0 or not math.isfinite(t):
-        raise ValueError(f"horizon t must be finite and >= 0, got {t!r}")
-    mean = dist.mean_children
-    if (mean - 1.0) * t > math.log(max_nodes):
-        raise ResourceLimitError(
-            f"projected leaf count exp({(mean - 1.0) * t:.2f}) exceeds the "
-            f"node budget {max_nodes}")
-
+    _check_horizon(dist, t, max_nodes)
     rng = make_rng(seed, TAG_TREE)
     birth = np.zeros(1, dtype=np.float64)
     n_total = 1
@@ -140,9 +154,7 @@ def _waves(dist: OffspringDistribution, t: float, seed: int,
             splitters, dist.sample_counts(rng.random(splitters.size)))
         n_total += child_of.size
         if n_total > max_nodes:
-            raise ResourceLimitError(
-                f"tree grew past the node budget {max_nodes} "
-                f"(t={t}, seed={seed})")
+            raise over_budget(max_nodes, t, seed)
         next_birth = split_at.take(child_of)
         yield birth, split_at, child_of
         birth = next_birth
@@ -230,6 +242,76 @@ def grow_leaves(dist: OffspringDistribution, t: float, seed: int,
     return GrownLeaves(
         t=float(t), seed=seed, n_nodes=n_nodes, n_leaves=n_leaves,
         positions=tuple(np.concatenate(c) for c in chunks))
+
+
+def screen_maxima(dist: OffspringDistribution, t: float, streams,
+                  max_nodes: int = NODE_BUDGET) -> np.ndarray:
+    """The max leaf x of many trees on [0, t], grown together as one forest.
+
+    ``streams`` holds one (tree_rng, x_rng) generator pair per tree:
+    tree_rng at the start of the make_rng(seed, TAG_TREE) stream that
+    sample_tree(dist, t, seed) reads, x_rng at the start of the
+    make_rng(key, TAG_FIELD) stream of sample_field(tree, key).  Entry j
+    is then np.max(sample_field(sample_tree(dist, t, seed_j), key_j).x),
+    or NaN when tree j grows past max_nodes, which stops that tree alone.
+
+    Per wave each live tree makes the calls _waves and grow_leaves make on
+    its streams (an exponential block, a uniform block when it has
+    splitters, a normal block), so every stream sees their draw order.
+    The rest of the wave runs once over the whole frontier, which stays
+    grouped by tree and, within a tree, in node-id order.
+    """
+    _check_horizon(dist, t, max_nodes)
+    n = len(streams)
+    maxima = np.full(n, -np.inf)
+    sizes = np.ones(n, dtype=np.int64)  # frontier nodes, per tree
+    total = sizes.copy()                # nodes grown so far, per tree
+    tree = np.arange(n)                 # the tree of each frontier node
+    birth = np.zeros(n)
+    start = None                        # parents' x, per frontier node
+    while tree.size:
+        live = sizes.nonzero()[0]
+        split_at = np.empty(tree.size)
+        pos = np.empty(tree.size)
+        lo = 0
+        for j, hi in zip(live.tolist(), np.cumsum(sizes[live]).tolist()):
+            tree_rng, x_rng = streams[j]
+            tree_rng.standard_exponential(out=split_at[lo:hi])
+            x_rng.standard_normal(out=pos[lo:hi])
+            lo = hi
+        split_at += birth
+        splits = split_at < t
+        scale = np.minimum(split_at, t)
+        scale -= birth
+        np.sqrt(scale, out=scale)
+        pos *= scale
+        if start is not None:
+            pos += start
+        np.maximum.at(maxima, tree, np.where(splits, -np.inf, pos))
+        splitters = splits.nonzero()[0]
+        if splitters.size == 0:
+            break
+        per_tree = np.bincount(tree.take(splitters), minlength=n)
+        uniforms = np.empty(splitters.size)
+        lo = 0
+        for j in per_tree.nonzero()[0].tolist():
+            hi = lo + int(per_tree[j])
+            streams[j][0].random(out=uniforms[lo:hi])
+            lo = hi
+        child_of = np.repeat(splitters, dist.sample_counts(uniforms))
+        tree = tree.take(child_of)
+        sizes = np.bincount(tree, minlength=n)
+        total += sizes
+        over = total > max_nodes
+        if over.any():
+            maxima[over] = np.nan
+            sizes[over] = 0
+            keep = ~over.take(tree)
+            child_of = child_of[keep]
+            tree = tree[keep]
+        birth = split_at.take(child_of)
+        start = pos.take(child_of)
+    return maxima
 
 
 def _require_leaf(tree: GwTree, node: int) -> None:

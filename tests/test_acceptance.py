@@ -23,7 +23,7 @@ import scipy.stats as sps
 
 from bbmlab import (LimitModel, OffspringDistribution, gaussian_tail_bound,
                     hill_estimator, ks_distance, many_to_two_pair_moment,
-                    overlap_matrix, rescaled_partition, sample_cluster,
+                    overlap_matrix, rescaled_partition, sample_clusters,
                     sample_correlated_pair, sample_limit_partition,
                     sample_tree, stats)
 from bbmlab.experiments import ExperimentConfig, Replica, run
@@ -335,8 +335,8 @@ def test_bridge_and_tail_bounds(criteria, tmp_path_factory):
 
 def test_limit_object_consistency(criteria):
     t0 = time.monotonic()
-    clusters = [sample_cluster(6.0, BINARY, replica_seed(SEED, i))
-                for i in range(200)]
+    clusters = sample_clusters(6.0, BINARY,
+                               [replica_seed(SEED, i) for i in range(200)])
     model = LimitModel(cox_constant=1.0, z_weight=1.0, clusters=clusters)
     draws = sample_limit_partition(model, complex(1.5, 0.0), 1.0, 4.0,
                                    100000, stream_key(SEED, 0x11D))

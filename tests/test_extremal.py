@@ -7,14 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbmlab import (AcceptanceError, LimitModel, OffspringDistribution,
+from bbmlab import (AcceptanceError, Cluster, LimitModel,
+                    OffspringDistribution, ResourceLimitError,
                     estimate_cox_constants, ks_distance, load_cluster_bank,
-                    sample_cluster, sample_correlated_pair,
-                    sample_limit_partition, sample_tree, save_cluster_bank)
-import bbmlab.field
-from bbmlab.extremal import COX_BLOCK, DEFAULT_MAX_ATTEMPTS
-from bbmlab.streams import (TAG_CLUSTER, TAG_COX, TAG_FIELD, make_rng,
-                            stream_key)
+                    sample_cluster, sample_clusters, sample_correlated_pair,
+                    sample_field, sample_limit_partition, sample_tree,
+                    save_cluster_bank)
+import bbmlab.extremal
+import bbmlab.gwtree
+from bbmlab.extremal import COX_BLOCK, DEFAULT_MAX_ATTEMPTS, SCREEN_BATCH
+from bbmlab.streams import (TAG_CLUSTER, TAG_COX, TAG_FIELD, TAG_PAIR_X,
+                            TAG_PAIR_Z, make_rng, stream_key)
 
 SEED = 20260825
 SQRT2 = math.sqrt(2.0)
@@ -56,23 +59,117 @@ class TestSampleCluster:
         assert cl.attempts == attempt + 1
 
     def test_z_field_drawn_only_when_accepted(self, monkeypatch):
-        field_rngs = []
-        real_make_rng = bbmlab.field.make_rng
+        # field streams are opened by make_rng in gwtree (the accepted
+        # attempt's regrowth) and re-keyed in extremal (the screen)
+        field_keys = []
 
-        def counting_make_rng(seed, *tags):
-            if tags == (TAG_FIELD,):
-                field_rngs.append(seed)
-            return real_make_rng(seed, *tags)
+        def recording(open_stream):
+            def wrapped(*args):
+                *_, seed, tag = args
+                if tag == TAG_FIELD:
+                    field_keys.append(seed)
+                return open_stream(*args)
+            return wrapped
 
-        monkeypatch.setattr(bbmlab.field, "make_rng", counting_make_rng)
-        cl = sample_cluster(4.0, BINARY, stream_key(SEED, 0x6D, 0))
+        monkeypatch.setattr(bbmlab.gwtree, "make_rng",
+                            recording(bbmlab.gwtree.make_rng))
+        monkeypatch.setattr(bbmlab.extremal, "rekey",
+                            recording(bbmlab.extremal.rekey))
+        seed = stream_key(SEED, 0x6D, 0)
+        cl = sample_cluster(4.0, BINARY, seed)
         assert cl.attempts > 1
-        assert len(field_rngs) == cl.attempts + 1
+        # every attempt screened, the accepted one's round included
+        subs = [stream_key(seed, TAG_CLUSTER, a)
+                for a in range(cl.attempts + SCREEN_BATCH)]
+        z_keys = [k for k in field_keys
+                  if k in {stream_key(sub, TAG_PAIR_Z) for sub in subs}]
+        assert z_keys == [stream_key(subs[cl.attempts - 1], TAG_PAIR_Z)]
+        assert stream_key(subs[0], TAG_PAIR_X) in field_keys
 
     def test_rejection_exhausted(self):
         with pytest.raises(AcceptanceError, match="1 attempts"):
             sample_cluster(6.0, BINARY, stream_key(SEED, 0xE0, 0),
                            max_attempts=1)
+
+
+def same_cluster(a: Cluster, b: Cluster) -> bool:
+    return (a.atoms.tobytes() == b.atoms.tobytes()
+            and a.z_rel.tobytes() == b.z_rel.tobytes()
+            and a.max_value == b.max_value and a.attempts == b.attempts)
+
+
+def first_decisive_attempt(seed, t_cond, max_nodes):
+    """Reference: attempts one at a time until one is accepted (its
+    attempt count) or grows past the budget (the error's message)."""
+    for attempt in range(DEFAULT_MAX_ATTEMPTS):
+        sub = stream_key(seed, TAG_CLUSTER, attempt)
+        try:
+            tree = sample_tree(BINARY, t_cond, sub, max_nodes=max_nodes)
+        except ResourceLimitError as exc:
+            return str(exc)
+        x = sample_field(tree, stream_key(sub, TAG_PAIR_X)).x
+        if np.max(x) >= SQRT2 * t_cond:
+            return attempt + 1
+
+
+class TestSampleClusters:
+    SEEDS = [stream_key(SEED, 0x6E, i) for i in range(7)]
+
+    @pytest.fixture(scope="class")
+    def one_by_one(self):
+        return [sample_cluster(4.0, BINARY, s) for s in self.SEEDS]
+
+    @pytest.mark.parametrize("group", [1, 3, 7])
+    def test_matches_one_seed_calls(self, one_by_one, group):
+        got = [cl for j in range(0, len(self.SEEDS), group)
+               for cl in sample_clusters(4.0, BINARY,
+                                         self.SEEDS[j:j + group])]
+        assert len(got) == len(one_by_one)
+        assert all(same_cluster(a, b) for a, b in zip(got, one_by_one))
+
+    def test_exhausted_seeds_fail_alone(self, one_by_one):
+        limit = sorted(cl.attempts for cl in one_by_one)[3]
+        got = sample_clusters(4.0, BINARY, self.SEEDS, max_attempts=limit)
+        exhausted = 0
+        for want, cl in zip(one_by_one, got):
+            if want.attempts <= limit:
+                assert same_cluster(cl, want)
+            else:
+                exhausted += 1
+                assert isinstance(cl, AcceptanceError)
+                assert f"{limit} attempts" in str(cl)
+        assert 0 < exhausted < len(self.SEEDS)
+
+    def test_budget_breach_only_before_acceptance(self):
+        # at 60 nodes some t = 3 attempts break the budget: a seed fails
+        # when one does before any attempt is accepted, and not when one
+        # comes after, even within the round that screened both
+        seeds = [stream_key(SEED, 0x6F, i) for i in range(8)]
+        want = [first_decisive_attempt(s, 3.0, 60) for s in seeds]
+        together = sample_clusters(3.0, BINARY, seeds, max_nodes=60)
+        alone = [sample_clusters(3.0, BINARY, [s], max_nodes=60)[0]
+                 for s in seeds]
+        for w, a, b in zip(want, together, alone):
+            if isinstance(w, str):
+                assert isinstance(a, ResourceLimitError) and str(a) == w
+                assert isinstance(b, ResourceLimitError) and str(b) == w
+            else:
+                assert a.attempts == b.attempts == w
+                assert same_cluster(a, b)
+        assert any(isinstance(w, str) for w in want)
+
+        def breaks_budget(seed, attempt):
+            try:
+                sample_tree(BINARY, 3.0, stream_key(seed, TAG_CLUSTER,
+                                                    attempt), max_nodes=60)
+            except ResourceLimitError:
+                return True
+            return False
+
+        # a seed alone screens SCREEN_BATCH attempts in its first round
+        assert any(isinstance(w, int) and any(
+            breaks_budget(s, a) for a in range(w, SCREEN_BATCH))
+            for s, w in zip(seeds, want))
 
 
 class TestClusterBank:

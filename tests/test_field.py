@@ -7,7 +7,8 @@ import pytest
 
 from bbmlab import (OffspringDistribution, max_position, overlap_matrix,
                     sample_correlated_pair, sample_field, sample_tree)
-from bbmlab.streams import replica_seed, stream_key
+from bbmlab.experiments import ExperimentConfig, Replica, _field_tags
+from bbmlab.streams import TAG_PAIR_X, replica_seed, stream_key
 
 from test_offspring_gw import single_lineage
 
@@ -121,3 +122,12 @@ class TestMaxPosition:
         fld = sample_field(single_lineage(4.0), 77)
         value, leaf = max_position(fld)
         assert value == fld.x[0] and leaf == 0
+
+    def test_streamed_replica_names_leaf_index(self):
+        cfg = ExperimentConfig(experiment="extremal_max", t=3.0)
+        rep = Replica(cfg, BINARY, (3.0, 0), _field_tags(cfg))
+        value, index = max_position(rep.pair(1.0))
+        tree = sample_tree(BINARY, 3.0, rep.seed)
+        want = max_position(sample_field(tree, stream_key(rep.seed,
+                                                          TAG_PAIR_X)))
+        assert (value, int(tree.leaves[index])) == want

@@ -1,7 +1,8 @@
 """Property tests: invariants of the accumulator, truncation, overlaps and
 sampled trees over generated inputs, and bit-exactness of the exact small
 sum, of the shared-table sweeps, of the tree sampler's wave loop and of
-the leaf grower against the tree and field samplers.
+the leaf grower and the forest screen against the tree and field
+samplers.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -18,10 +19,10 @@ from bbmlab import (OffspringDistribution, ResourceLimitError,
                     compensated_sum, log_partition, overlap_matrix,
                     rescaled_partition, sample_correlated_pair, sample_field,
                     sample_tree, scaled_exp_sum, truncated_partition)
-from bbmlab.gwtree import grow_leaves
+from bbmlab.gwtree import NODE_BUDGET, grow_leaves, screen_maxima
 from bbmlab.partition import log_partitions, m_of_t, truncation_sweep
-from bbmlab.streams import (TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE, make_rng,
-                            stream_key)
+from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE,
+                            make_rng, rekey, stream_key)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
                     deadline=None)
@@ -164,6 +165,42 @@ def test_grow_leaves_keeps_negative_zero_at_t_zero():
         assert x.tobytes() == sample_field(
             sample_tree(LAWS[0], 0.0, seed), seed).x.tobytes()
     assert signs == {1.0, -1.0}
+
+
+def _screened_max(law, t, seed, x_key, max_nodes):
+    try:
+        tree = sample_tree(law, t, seed, max_nodes=max_nodes)
+    except ResourceLimitError:
+        return math.nan
+    return float(np.max(sample_field(tree, x_key).x))
+
+
+@PROPERTY
+@given(keys=st.lists(st.tuples(seeds, seeds), min_size=1, max_size=40),
+       t=st.just(0.0) | st.floats(0.0, 6.0), law=st.sampled_from(LAWS),
+       max_nodes=st.just(NODE_BUDGET) | st.integers(1, 300))
+def test_screen_maxima_match_tree_and_field(keys, t, law, max_nodes):
+    assume((law.mean_children - 1.0) * t <= math.log(max_nodes))
+    streams = [(make_rng(seed, TAG_TREE), make_rng(x_key, TAG_FIELD))
+               for seed, x_key in keys]
+    got = screen_maxima(law, t, streams, max_nodes)
+    want = np.array([_screened_max(law, t, seed, x_key, max_nodes)
+                     for seed, x_key in keys])
+    # bytes: the -0.0 maxima of t = 0 and the NaN of a tree over budget
+    assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(seed=seeds, used=seeds, tags=st.lists(st.integers(0, 255),
+                                             max_size=3))
+def test_rekey_draws_like_make_rng(seed, used, tags):
+    rng = make_rng(used)
+    rng.standard_normal(3)
+    rng.random(1)
+    rekey(rng, seed, *tags)
+    fresh = make_rng(seed, *tags)
+    for draw in ("standard_normal", "standard_exponential", "random"):
+        assert np.array_equal(getattr(rng, draw)(7), getattr(fresh, draw)(7))
 
 
 def _budget_outcome(grow):
