@@ -21,11 +21,11 @@ from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, envelope_curve,
                       gaussian_tail_bound, limit_max_cdf,
                       many_to_two_pair_moment, martingale_second_moment)
-from .partition import (ComplexTemperature, RescaledPartition,
-                        TruncatedPartition, additive_martingale,
-                        derivative_martingale, log_partition, m_of_t,
-                        partition_function, rescaled_partition,
-                        scaled_partition, truncated_partition)
+from .partition import (RescaledPartition, TruncatedPartition,
+                        additive_martingale, derivative_martingale,
+                        log_partition, m_of_t, partition_function,
+                        rescaled_partition, scaled_partition,
+                        truncated_partition)
 from .phase import (GridCell, Region, classify, grid_scan,
                     limiting_free_energy, point_scan)
 from .stats import (StableFit, TailSlopeFit, empirical_cf,
@@ -36,8 +36,7 @@ from .streams import make_rng, replica_seed, stream_key
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcceptanceError", "BbmField", "Cluster", "ComplexTemperature",
-    "CorrelatedField", "CoxFit", "GridCell", "GwTree", "LimitDraws",
+    "AcceptanceError", "BbmField", "Cluster", "CorrelatedField", "CoxFit", "GridCell", "GwTree", "LimitDraws",
     "LimitModel", "OffspringDistribution",
     "Region", "RescaledPartition", "ResourceLimitError",
     "ScaledComplex", "StableFit", "TailSlopeFit", "TruncatedPartition",

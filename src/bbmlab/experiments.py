@@ -35,9 +35,9 @@ from .gwtree import NODE_BUDGET, grow_leaves
 from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
                       martingale_second_moment)
-from .partition import (ComplexTemperature, SQRT2, additive_martingale,
-                        derivative_martingale, log_partitions, m_of_t,
-                        rescaled_partition, truncation_sweep)
+from .partition import (SQRT2, additive_martingale, derivative_martingale,
+                        log_partitions, m_of_t, rescaled_partition,
+                        truncation_sweep)
 from .phase import grid_betas, scan_cells
 from .streams import TAG_PAIR_X, TAG_PAIR_Z, make_rng, replica_seed, stream_key
 
@@ -55,6 +55,12 @@ DEFAULT_SEED = 20260825
 # Run-level side streams, keyed stream_key(cfg.seed, tag).
 COX_STREAM = 0x11D
 CALIBRATION_STREAM = 0x150
+
+# glassy_tail fits the Hill index on each of these fractions of the
+# largest moduli (when there are enough positive moduli to fit).
+HILL_K_FRACTIONS = (0.02, 0.05, 0.1)
+# Time step of bridge_check's discretized Brownian bridges.
+BRIDGE_STEP = 0.01
 
 
 class ConfigError(ValueError):
@@ -81,7 +87,6 @@ class ExperimentConfig:
     delta: float = 0.1
     output_dir: str = "runs"
     max_nodes: int = NODE_BUDGET
-    bridge_step: float = 0.01
     sigma_range: list | None = None
     tau_range: list | None = None
     resolution: int = 0
@@ -92,7 +97,6 @@ class ExperimentConfig:
     cox_z: float = 1.0
     bank_path: str | None = None
     input_csv: str | None = None
-    k_fractions: list = field(default_factory=lambda: [0.02, 0.05, 0.1])
 
     def dist(self) -> OffspringDistribution:
         return OffspringDistribution.from_pairs(
@@ -107,8 +111,7 @@ class ExperimentConfig:
                 (self.rho_list if self.rho_list else [self.rho])]
 
     def betas(self) -> list:
-        return [ComplexTemperature.of(parse_complex(b))
-                for b in self.beta_list]
+        return [parse_complex(b) for b in self.beta_list]
 
     def effective_threads(self) -> int:
         return self.threads if self.threads else \
@@ -194,6 +197,16 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
     if not cfg.beta_list:
         raise ConfigError("beta_list must not be empty")
     cfg.betas()  # parses every entry
+    try:
+        cfg.dist()
+    except ValueError as exc:
+        raise ConfigError(f"offspring: {exc}") from exc
+    if not all(-1.0 <= rho <= 1.0 for rho in [cfg.rho] + cfg.rhos()):
+        raise ConfigError("rho and rho_list entries must lie in [-1, 1]")
+    if not all(0.0 <= t < math.inf for t in [cfg.t] + cfg.ts()):
+        raise ConfigError("t and t_list entries must be finite and >= 0")
+    if not all(float(a) >= 0.0 for a in cfg.a_list):
+        raise ConfigError("a_list entries must be >= 0")
     if cfg.experiment == "free_energy_scan" and cfg.sigma_range is not None:
         if cfg.tau_range is None or cfg.resolution < 1:
             raise ConfigError(
@@ -339,8 +352,6 @@ def _jsonable(value):
         return value.item()
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, ComplexTemperature):
-        return [value.sigma, value.tau]
     return value
 
 
@@ -434,18 +445,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------- replicas
 
 
-def _field_tags(cfg: ExperimentConfig) -> tuple:
-    """The field streams a replica of cfg draws: none for tree_moments,
-    else x, and z as well when a rho the experiment reads has |rho| < 1."""
-    rhos = {"tree_moments": [], "martingale": cfg.rhos(),
-            "extremal_max": [1.0]}.get(cfg.experiment, [cfg.rho])
-    if not rhos:
-        return ()
-    if all(abs(rho) == 1.0 for rho in rhos):
-        return (TAG_PAIR_X,)
-    return (TAG_PAIR_X, TAG_PAIR_Z)
-
-
 class Replica:
     """One replica of the pipeline: the leaves of task (t, index).
 
@@ -482,16 +481,23 @@ def _observe(observable, dist, tags, cfg: ExperimentConfig,
     return observable(cfg, Replica(cfg, dist, task, tags))
 
 
-def _run_replicas(observable, cfg: ExperimentConfig,
-                  ts: list) -> tuple[list, list, int]:
+def _run_replicas(observable, cfg: ExperimentConfig, ts: list,
+                  rhos: list) -> tuple[list, list, int]:
     """observable(cfg, replica) for replicas 0..replicas-1 at each t in ts.
 
+    ``rhos`` are the correlations the observable reads: the replicas draw
+    no field when it is empty, x alone when every |rho| = 1, else x and z.
     Each observable returns a list of rows; the result is (rows in task
     order, t-major; failure records; seed-schedule entries).
     """
+    if not rhos:
+        tags = ()
+    elif all(abs(rho) == 1.0 for rho in rhos):
+        tags = (TAG_PAIR_X,)
+    else:
+        tags = (TAG_PAIR_X, TAG_PAIR_Z)
     tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
-    worker = functools.partial(_observe, observable, cfg.dist(),
-                               _field_tags(cfg))
+    worker = functools.partial(_observe, observable, cfg.dist(), tags)
     payloads, failures = _collect(functools.partial(_guarded_chunk, worker),
                                   cfg, tasks, _replica_record)
     rows = [row for p in payloads if p is not None for row in p]
@@ -504,12 +510,13 @@ def _tree_rows(cfg: ExperimentConfig, rep: Replica) -> list:
 
 
 def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, schedule = _run_replicas(_tree_rows, cfg, cfg.ts())
+    rows, failures, schedule = _run_replicas(_tree_rows, cfg, cfg.ts(), [])
+    growth = cfg.dist().mean_children - 1.0  # E[n_leaves] = e^(growth t)
     summary = {}
     for t in cfg.ts():
         ns = np.array([r[3] for r in rows if r[0] == t], dtype=np.float64)
         mean, se = _mean_se(ns)
-        target = math.exp(t)
+        target = math.exp(growth * t)
         summary[f"t={t}"] = {
             "replicas": int(ns.size), "mean": mean, "se": se,
             "target": target,
@@ -521,36 +528,37 @@ def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         summary=summary, failures=failures, schedule=schedule)
 
 
-def _martingale_rows(bts: list, cfg: ExperimentConfig, rep: Replica) -> list:
+def _martingale_rows(betas: list, cfg: ExperimentConfig,
+                     rep: Replica) -> list:
     rows = []
     for rho in cfg.rhos():
         fld = rep.pair(rho)
-        for bt in bts:
-            m = additive_martingale(fld, bt)
-            rows.append((rep.t, bt.sigma, bt.tau, rho, rep.index, rep.seed,
-                         rep.n_leaves, m.real, m.imag, abs(m) ** 2))
+        for beta in betas:
+            m = additive_martingale(fld, beta)
+            rows.append((rep.t, beta.real, beta.imag, rho, rep.index,
+                         rep.seed, rep.n_leaves, m.real, m.imag, abs(m) ** 2))
     return rows
 
 
 def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    bts = cfg.betas()
+    betas = cfg.betas()
     rows, failures, schedule = _run_replicas(
-        functools.partial(_martingale_rows, bts), cfg, [cfg.t])
+        functools.partial(_martingale_rows, betas), cfg, [cfg.t], cfg.rhos())
     k_fac = cfg.dist().second_factorial_moment
     summary = {}
-    for bt in bts:
-        oracle = martingale_second_moment(bt.beta, cfg.t, k_fac,
+    for beta in betas:
+        oracle = martingale_second_moment(beta, cfg.t, k_fac,
                                           allow_unbounded=True)
         for rho in cfg.rhos():
-            sel = [r for r in rows
-                   if r[1] == bt.sigma and r[2] == bt.tau and r[3] == rho]
+            sel = [r for r in rows if r[1] == beta.real
+                   and r[2] == beta.imag and r[3] == rho]
             re = np.array([r[7] for r in sel])
             im = np.array([r[8] for r in sel])
             a2 = np.array([r[9] for r in sel])
             mean_re, se_re = _mean_se(re)
             mean_im, se_im = _mean_se(im)
             mean_a2, se_a2 = _mean_se(a2)
-            summary[f"beta={bt.beta} rho={rho}"] = {
+            summary[f"beta={beta} rho={rho}"] = {
                 "replicas": int(re.size),
                 "mean_re": mean_re, "se_re": se_re,
                 "mean_im": mean_im, "se_im": se_im,
@@ -563,21 +571,22 @@ def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
                         summary=summary, failures=failures, schedule=schedule)
 
 
-def _free_energy_rows(bts: list, cfg: ExperimentConfig,
+def _free_energy_rows(betas: list, cfg: ExperimentConfig,
                       rep: Replica) -> list:
     fld = rep.pair(cfg.rho)
-    return [(rep.t, log_partitions(fld, bts))]
+    return [(rep.t, log_partitions(fld, betas))]
 
 
 def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     if cfg.sigma_range is not None:
-        bts = grid_betas(cfg.sigma_range, cfg.tau_range, cfg.resolution)
+        betas = grid_betas(cfg.sigma_range, cfg.tau_range, cfg.resolution)
     else:
-        bts = cfg.betas()
-    observable = functools.partial(_free_energy_rows, bts)
-    samples, failures, schedule = _run_replicas(observable, cfg, cfg.ts())
+        betas = cfg.betas()
+    observable = functools.partial(_free_energy_rows, betas)
+    samples, failures, schedule = _run_replicas(observable, cfg, cfg.ts(),
+                                                [cfg.rho])
     cells = [cell for t in cfg.ts() for cell in
-             scan_cells(bts, [ps for rt, ps in samples if rt == t], t)]
+             scan_cells(betas, [ps for rt, ps in samples if rt == t], t)]
     rows = [(c.sigma, c.tau, c.phase, c.p_limit, c.p_hat, c.stderr,
              c.n_replicas, c.t) for c in cells]
     cols = ["sigma", "tau", "phase", "p_limit", "p_hat", "stderr",
@@ -593,26 +602,26 @@ def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         summary=summary, failures=failures, schedule=schedule)
 
 
-def _glassy_rows(bt: ComplexTemperature, cfg: ExperimentConfig,
-                 rep: Replica) -> list:
-    val = rescaled_partition(rep.pair(cfg.rho), bt).real_shift
+def _glassy_rows(beta: complex, cfg: ExperimentConfig, rep: Replica) -> list:
+    val = rescaled_partition(rep.pair(cfg.rho), beta).real_shift
     return [(rep.index, rep.seed, rep.n_leaves, val.real, val.imag,
              abs(val))]
 
 
 def _run_glassy_tail(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    bt = cfg.betas()[0]
+    beta = cfg.betas()[0]
     rows, failures, schedule = _run_replicas(
-        functools.partial(_glassy_rows, bt), cfg, [cfg.t])
+        functools.partial(_glassy_rows, beta), cfg, [cfg.t], [cfg.rho])
     moduli = np.array([r[5] for r in rows])
-    target = SQRT2 / abs(bt.sigma) if bt.sigma else math.nan
+    target = SQRT2 / abs(beta.real) if beta.real else math.nan
     summary = {"alpha_target": target, "n": int(moduli.size)}
-    for kf in cfg.k_fractions:
-        fit = stats.hill_estimator(moduli[moduli > 0], k_fraction=kf)
-        summary[f"hill_k={kf}"] = {
-            "alpha_hat": fit.alpha_hat, "alpha_se": fit.alpha_se,
-            "k_used": fit.k_used,
-        }
+    pos = moduli[moduli > 0]
+    if pos.size >= stats.HILL_MIN_SAMPLES:
+        for kf in HILL_K_FRACTIONS:
+            fit = stats.hill_estimator(pos, k_fraction=kf)
+            summary[f"hill_k={kf}"] = {"alpha_hat": fit.alpha_hat,
+                                        "alpha_se": fit.alpha_se,
+                                        "k_used": fit.k_used}
     cols = ["replica", "seed", "n_leaves", "x_re", "x_im", "abs_x"]
     return RunnerOutput(csvs={"glassy_tail.csv": (cols, rows)},
                         summary=summary, failures=failures,
@@ -639,7 +648,8 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         samples = _read_complex_samples(cfg.input_csv)
     else:
         rows, failures, schedule = _run_replicas(
-            functools.partial(_glassy_rows, cfg.betas()[0]), cfg, [cfg.t])
+            functools.partial(_glassy_rows, cfg.betas()[0]), cfg, [cfg.t],
+            [cfg.rho])
         samples = np.array([complex(r[3], r[4]) for r in rows])
     radii = stats.isotropy_radii(samples)
     statistic = stats.isotropy_statistic(samples, radii)
@@ -668,9 +678,9 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
                         streams={"calibration": CALIBRATION_STREAM})
 
 
-def _truncation_rows(bt: ComplexTemperature, cfg: ExperimentConfig,
+def _truncation_rows(beta: complex, cfg: ExperimentConfig,
                      rep: Replica) -> list:
-    parts = truncation_sweep(rep.pair(cfg.rho), bt, cfg.a_list)
+    parts = truncation_sweep(rep.pair(cfg.rho), beta, cfg.a_list)
     return [(rep.index, rep.seed, rep.n_leaves, float(a),
              part.kept.real, part.kept.imag, abs(part.discarded))
             for a, part in zip(cfg.a_list, parts)]
@@ -678,7 +688,8 @@ def _truncation_rows(bt: ComplexTemperature, cfg: ExperimentConfig,
 
 def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     rows, failures, schedule = _run_replicas(
-        functools.partial(_truncation_rows, cfg.betas()[0]), cfg, [cfg.t])
+        functools.partial(_truncation_rows, cfg.betas()[0]), cfg, [cfg.t],
+        [cfg.rho])
     summary = {"delta": cfg.delta}
     p_by_a = []
     for a in cfg.a_list:
@@ -708,7 +719,7 @@ def _extremal_rows(cfg: ExperimentConfig, rep: Replica) -> list:
 
 def _run_extremal_max(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     ts = cfg.ts()
-    rows, failures, schedule = _run_replicas(_extremal_rows, cfg, ts)
+    rows, failures, schedule = _run_replicas(_extremal_rows, cfg, ts, [1.0])
     summary = {}
     shifts = {}
     zvals = {}
@@ -748,7 +759,7 @@ def _bridge_worker(cfg: ExperimentConfig, chunk_index: int) -> tuple:
     n_paths = min(BRIDGE_CHUNK, cfg.replicas - chunk_index * BRIDGE_CHUNK)
     rs = replica_seed(cfg.seed, chunk_index)
     rng = make_rng(rs, 0xB1)
-    t, a, step = cfg.t, cfg.r, cfg.bridge_step
+    t, a, step = cfg.t, cfg.r, BRIDGE_STEP
     n_steps = int(round(t / step))
     s = np.arange(1, n_steps + 1) * step
     window = (s >= a) & (s <= t - a)
@@ -795,7 +806,8 @@ def _cluster_chunk(dist: OffspringDistribution, cfg: ExperimentConfig,
     clusters drawn by one sample_clusters call."""
     seeds = [replica_seed(cfg.seed, index) for index in chunk]
     try:
-        drawn = sample_clusters(cfg.t_cond, dist, seeds, cfg.max_attempts)
+        drawn = sample_clusters(cfg.t_cond, dist, seeds, cfg.max_attempts,
+                                max_nodes=cfg.max_nodes)
     except Exception as exc:  # contained: every task of the chunk fails
         drawn = [exc] * len(chunk)
     return [(True, (index, rs, cl)) if isinstance(cl, Cluster)
@@ -846,9 +858,9 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         clusters = [c for _, _, c in results]
     model = LimitModel(cox_constant=cfg.cox_c, z_weight=cfg.cox_z,
                        clusters=clusters)
-    bt = cfg.betas()[0]
+    beta = cfg.betas()[0]
     a = float(cfg.a_list[0])
-    draws = sample_limit_partition(model, bt, cfg.rho, a, cfg.replicas,
+    draws = sample_limit_partition(model, beta, cfg.rho, a, cfg.replicas,
                                    stream_key(cfg.seed, COX_STREAM))
     moduli = np.abs(draws.values)
     counts = draws.atom_counts.astype(np.float64)
@@ -862,11 +874,11 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         "model_mean_atoms": cfg.cox_c * cfg.cox_z * math.exp(SQRT2 * a)
         / SQRT2,
         "dispersion": dispersion,
-        "alpha_target": SQRT2 / abs(bt.sigma) if bt.sigma else math.nan,
+        "alpha_target": SQRT2 / abs(beta.real) if beta.real else math.nan,
         "n_zero": int(np.count_nonzero(moduli == 0.0)),
     }
     pos = moduli[moduli > 0]
-    if pos.size >= 100:
+    if pos.size >= stats.HILL_MIN_SAMPLES:
         fit = stats.hill_estimator(pos, k_fraction=0.05)
         summary["hill"] = {"alpha_hat": fit.alpha_hat,
                            "alpha_se": fit.alpha_se, "k_used": fit.k_used}

@@ -30,7 +30,7 @@ from scipy.optimize import minimize_scalar
 
 from .gwtree import NODE_BUDGET, grow_leaves, over_budget, screen_maxima
 from .offspring import OffspringDistribution
-from .partition import ComplexTemperature, SQRT2
+from .partition import SQRT2
 from .streams import (TAG_CLUSTER, TAG_COX, TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z,
                       TAG_TREE, make_rng, rekey, stream_key)
 
@@ -207,12 +207,12 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
         raise ValueError("n_draws must be >= 1")
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
-    bt = ComplexTemperature.of(beta)
     full_phase = abs(rho) == 1.0
     if not full_phase and any(cl.z_rel is None for cl in model.clusters):
         raise ValueError("|rho| < 1 needs cluster decorations (z_rel); "
                          "a v1 bank file has none")
-    lam = bt.beta if full_phase else bt.lam(rho)
+    # lambda = sigma + i rho tau: the x-correlated part of the phase
+    lam = complex(beta) if full_phase else complex(beta.real, rho * beta.imag)
 
     # per-cluster weights W = sum_l e^(lam Delta_l) (marks folded in when
     # decorating), computed once per call
@@ -221,7 +221,7 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
         terms = np.exp(lam * cl.atoms)
         if not full_phase:
             terms = terms * np.exp(
-                1j * math.sqrt(1.0 - rho * rho) * bt.tau * cl.z_rel)
+                1j * math.sqrt(1.0 - rho * rho) * beta.imag * cl.z_rel)
         weights[i] = terms.sum()
 
     mean_atoms = (model.cox_constant * model.z_weight

@@ -1,7 +1,8 @@
 """Partition functions and martingales of the complex-temperature field.
 
-For inverse temperature beta = sigma + i tau the raw partition function of
-a correlated field is sum_k exp(sigma x_k + i tau y_k) over the leaves.
+For inverse temperature beta = sigma + i tau (a complex number; sigma and
+tau are its .real and .imag) the raw partition function of a correlated
+field is sum_k exp(sigma x_k + i tau y_k) over the leaves.
 Two centerings matter: dividing by e^(beta m(t)) (the natural scaling when
 the imaginary energy is a deterministic rotation of the real one) and by
 e^(sigma m(t)) only (the scaling under which partial correlation leaves a
@@ -17,7 +18,6 @@ sigma x_k is in the hundreds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,33 +35,9 @@ def m_of_t(t: float) -> float:
     return SQRT2 * t - 1.5 / SQRT2 * math.log(t)
 
 
-@dataclass(frozen=True)
-class ComplexTemperature:
-    """Inverse temperature split into real and imaginary parts."""
-
-    sigma: float
-    tau: float
-
-    @classmethod
-    def of(cls, beta) -> "ComplexTemperature":
-        if isinstance(beta, ComplexTemperature):
-            return beta
-        b = complex(beta)
-        return cls(sigma=b.real, tau=b.imag)
-
-    @property
-    def beta(self) -> complex:
-        return complex(self.sigma, self.tau)
-
-    def lam(self, rho: float) -> complex:
-        """Effective exponent lambda = sigma + i rho tau for correlation rho."""
-        return complex(self.sigma, rho * self.tau)
-
-
 def scaled_partition(field, beta) -> ScaledComplex:
     """Raw partition sum in log-scale form: sum_k e^(sigma x_k + i tau y_k)."""
-    bt = ComplexTemperature.of(beta)
-    return scaled_exp_sum(bt.sigma * field.x, bt.tau * field.y)
+    return scaled_exp_sum(beta.real * field.x, beta.imag * field.y)
 
 
 def partition_function(field, beta) -> complex:
@@ -76,11 +52,10 @@ class RescaledPartition(NamedTuple):
 
 def rescaled_partition(field, beta) -> RescaledPartition:
     """Both centerings of the raw sum for the field's horizon."""
-    bt = ComplexTemperature.of(beta)
     m = m_of_t(field.t)
     scaled = scaled_partition(field, beta)
-    real_shift = scaled.shifted(-bt.sigma * m)
-    full = real_shift.rotated(-bt.tau * m)
+    real_shift = scaled.shifted(-beta.real * m)
+    full = real_shift.rotated(-beta.imag * m)
     return RescaledPartition(full=full.value, real_shift=real_shift.value)
 
 
@@ -109,15 +84,14 @@ def truncation_sweep(field, beta, thresholds) -> list[TruncatedPartition]:
     for a in thresholds:
         if a < 0.0:
             raise ValueError(f"threshold must be >= 0, got {a!r}")
-    bt = ComplexTemperature.of(beta)
     shift = field.x - m_of_t(field.t)
-    cos, sin = _phase_tables(bt.tau, field.y)
+    cos, sin = _phase_tables(beta.imag, field.y)
     parts = []
     for a in thresholds:
         keep = shift >= -a
         drop = ~keep
-        kept = scaled_trig_sum(bt.sigma * shift[keep], cos, sin, keep)
-        disc = scaled_trig_sum(bt.sigma * shift[drop], cos, sin, drop)
+        kept = scaled_trig_sum(beta.real * shift[keep], cos, sin, keep)
+        disc = scaled_trig_sum(beta.real * shift[drop], cos, sin, drop)
         parts.append(TruncatedPartition(kept=kept.value, discarded=disc.value))
     return parts
 
@@ -135,10 +109,9 @@ def additive_martingale(field, beta) -> complex:
     which compensates both the expected population growth and the full
     complex moment of one leaf's energy pair, so E[M] = 1 at every horizon.
     """
-    bt = ComplexTemperature.of(beta)
     t = field.t
-    log_norm = -t * (1.0 + 0.5 * (bt.sigma ** 2 - bt.tau ** 2))
-    angle = -t * bt.sigma * field.rho * bt.tau
+    log_norm = -t * (1.0 + 0.5 * (beta.real ** 2 - beta.imag ** 2))
+    angle = -t * beta.real * field.rho * beta.imag
     return scaled_partition(field, beta).shifted(log_norm).rotated(angle).value
 
 
@@ -163,15 +136,14 @@ def log_partitions(field, betas) -> list[float]:
     t = field.t
     if t <= 0.0:
         raise ValueError("log_partition needs a horizon t > 0")
-    bts = [ComplexTemperature.of(b) for b in betas]
     by_tau: dict = {}
-    for j, bt in enumerate(bts):
-        by_tau.setdefault(bt.tau, []).append(j)
-    p = [0.0] * len(bts)
+    for j, beta in enumerate(betas):
+        by_tau.setdefault(beta.imag, []).append(j)
+    p = [0.0] * len(betas)
     for tau, js in by_tau.items():
         cos, sin = _phase_tables(tau, field.y)
         for j in js:
-            p[j] = scaled_trig_sum(bts[j].sigma * field.x, cos,
+            p[j] = scaled_trig_sum(betas[j].real * field.x, cos,
                                    sin).abs_log / t
         del cos, sin  # free before the next tau's tables are built
     return p

@@ -28,7 +28,7 @@ import numpy as np
 from .field import sample_correlated_pair
 from .gwtree import NODE_BUDGET, sample_tree
 from .offspring import OffspringDistribution
-from .partition import ComplexTemperature, SQRT2, log_partitions
+from .partition import SQRT2, log_partitions
 from .streams import replica_seed
 
 # No longer called here.  perfbench/spans.py rebinds this name in this
@@ -46,8 +46,7 @@ class Region(str, Enum):
 
 
 def _margins(beta) -> tuple[float, float, float]:
-    bt = ComplexTemperature.of(beta)
-    s, u = abs(bt.sigma), abs(bt.tau)
+    s, u = abs(beta.real), abs(beta.imag)
     g1 = 2.0 * s * s - 1.0          # > 0 toward B2/away from B3
     g2 = s + u - SQRT2              # > 0 toward B2
     g3 = s * s + u * u - 1.0        # > 0 toward B3 (when g1 < 0)
@@ -74,11 +73,10 @@ def classify(beta, tol: float = DEFAULT_TOL) -> Region:
 
 def limiting_free_energy(beta, tol: float = DEFAULT_TOL) -> float:
     """Conjectured p(beta); on a boundary the adjoining cases must agree."""
-    bt = ComplexTemperature.of(beta)
-    s2 = bt.sigma * bt.sigma
-    t2 = bt.tau * bt.tau
+    s2 = beta.real * beta.real
+    t2 = beta.imag * beta.imag
     f_b1 = 1.0 + 0.5 * (s2 - t2)
-    f_b2 = SQRT2 * abs(bt.sigma)
+    f_b2 = SQRT2 * abs(beta.real)
     f_b3 = 0.5 + s2
     region = classify(beta, tol)
     if region is Region.B1:
@@ -120,21 +118,21 @@ class GridCell:
     t: float
 
 
-def scan_cells(bts, samples, t: float) -> list[GridCell]:
-    """One cell per temperature from per-replica lists of p_t at ``bts``.
+def scan_cells(betas, samples, t: float) -> list[GridCell]:
+    """One cell per temperature from per-replica lists of p_t at ``betas``.
 
     Sums run in replica order and the standard error uses the population
     variance, so a scan's cells do not depend on how replicas were run.
     """
-    sums = np.zeros(len(bts))
-    sums2 = np.zeros(len(bts))
+    sums = np.zeros(len(betas))
+    sums2 = np.zeros(len(betas))
     for ps in samples:
         for j, p in enumerate(ps):
             sums[j] += p
             sums2[j] += p * p
     n_ok = len(samples)
     cells = []
-    for j, bt in enumerate(bts):
+    for j, beta in enumerate(betas):
         if n_ok:
             mean = sums[j] / n_ok
             var = max(sums2[j] / n_ok - mean * mean, 0.0)
@@ -142,9 +140,9 @@ def scan_cells(bts, samples, t: float) -> list[GridCell]:
         else:
             mean, se = math.nan, math.nan
         cells.append(GridCell(
-            sigma=bt.sigma, tau=bt.tau,
-            phase=classify(bt).value,
-            p_limit=limiting_free_energy(bt),
+            sigma=beta.real, tau=beta.imag,
+            phase=classify(beta).value,
+            p_limit=limiting_free_energy(beta),
             p_hat=mean, stderr=se, n_replicas=n_ok, t=float(t)))
     return cells
 
@@ -161,25 +159,25 @@ def point_scan(betas, dist: OffspringDistribution, t: float, replicas: int,
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    bts = [ComplexTemperature.of(b) for b in betas]
+    betas = [complex(b) for b in betas]
     samples = []
     for i in range(replicas):
         rs = replica_seed(seed, i)
         tree = sample_tree(dist, t, rs, max_nodes=max_nodes)
         fld = sample_correlated_pair(tree, rho, rs)
-        samples.append(log_partitions(fld, bts))
-    return scan_cells(bts, samples, t)
+        samples.append(log_partitions(fld, betas))
+    return scan_cells(betas, samples, t)
 
 
 def grid_betas(sigma_range: tuple[float, float],
                tau_range: tuple[float, float],
-               resolution: int) -> list[ComplexTemperature]:
+               resolution: int) -> list[complex]:
     """Rectangular grid of temperatures, row-major in sigma then tau."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     sig = np.linspace(sigma_range[0], sigma_range[1], resolution)
     tau = np.linspace(tau_range[0], tau_range[1], resolution)
-    return [ComplexTemperature.of(complex(s, u)) for s in sig for u in tau]
+    return [complex(s, u) for s in sig for u in tau]
 
 
 def grid_scan(sigma_range: tuple[float, float], tau_range: tuple[float, float],

@@ -16,6 +16,8 @@ from .streams import TAG_SYNTH, make_rng
 
 # Equally spaced directions compared by isotropy_statistic.
 ISOTROPY_ANGLES = 16
+# Fewest samples hill_estimator fits.
+HILL_MIN_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -41,13 +43,14 @@ class TailSlopeFit:
 def hill_estimator(moduli, k_fraction: float = 0.05) -> StableFit:
     """Hill tail-index fit on the top ceil(k_fraction n) order statistics.
 
-    Scale-invariant by construction.  Requires at least 100 strictly
+    Scale-invariant by construction.  Requires HILL_MIN_SAMPLES strictly
     positive samples and k_fraction in (0, 0.2]; the effective order count
     is floored at 10 so the standard error alpha/sqrt(k) stays meaningful.
     """
     x = np.asarray(moduli, dtype=np.float64)
-    if x.size < 100:
-        raise ValueError(f"need >= 100 samples, got {x.size}")
+    if x.size < HILL_MIN_SAMPLES:
+        raise ValueError(
+            f"need >= {HILL_MIN_SAMPLES} samples, got {x.size}")
     if not 0.0 < k_fraction <= 0.2:
         raise ValueError(f"k_fraction must lie in (0, 0.2], got {k_fraction!r}")
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):

@@ -30,6 +30,8 @@ from bbmlab.experiments import ExperimentConfig, Replica, run
 from bbmlab.phase import GridCell, limiting_free_energy
 from bbmlab.streams import TAG_PAIR_X, TAG_PAIR_Z, replica_seed, stream_key
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20260825
 SQRT2 = math.sqrt(2.0)
 BINARY = OffspringDistribution.binary()
@@ -195,7 +197,7 @@ def test_martingale_moments(criteria, tmp_path_factory):
     elapsed = time.monotonic() - t0
     worst = 0.0
     for beta in cfg.betas():
-        blocks = {rho: result.summary[f"beta={beta.beta} rho={rho}"]
+        blocks = {rho: result.summary[f"beta={beta} rho={rho}"]
                   for rho in (0.0, 0.8)}
         for blk in blocks.values():
             worst = max(worst,

@@ -126,3 +126,18 @@ def test_limit_object_from_bank_file_matches_memory(tmp_path):
                                 output_dir=str(tmp_path))).outputs["bank.txt"]
     assert csv_digests("limit_object", str(tmp_path),
                        bank_path=bank) == DIGESTS["limit_object"]
+
+
+def test_isotropy_from_glassy_tail_csv_matches_memory(tmp_path):
+    # the glassy_tail config's samples, read back from its CSV, give the
+    # isotropy CSV that config's in-memory isotropy run writes
+    glassy = run(ExperimentConfig(**CONFIGS["glassy_tail"], threads=2,
+                                  output_dir=str(tmp_path)))
+    config = dict(CONFIGS["glassy_tail"], experiment="isotropy", threads=2,
+                  output_dir=str(tmp_path))
+    from_csv = run(ExperimentConfig(
+        **config, input_csv=glassy.outputs["glassy_tail.csv"]))
+    in_memory = run(ExperimentConfig(**config))
+    assert from_csv.ok and in_memory.ok
+    assert body_digest(from_csv.outputs["isotropy.csv"]) == \
+        body_digest(in_memory.outputs["isotropy.csv"])

@@ -128,6 +128,13 @@ class TestLoadConfig:
         dict(experiment="isotropy", input_csv="no-such-dir/samples.csv"),
         dict(experiment="limit_object", replicas=10, beta_list=["1.5"],
              bank_path="no-such-dir/bank.txt"),
+        dict(experiment="tree_moments", replicas=5, t=1.0,
+             offspring=[[1, 0.5], [4, 0.5]]),
+        dict(experiment="glassy_tail", replicas=5, t=2.0, rho=1.5,
+             beta_list=["1.5"]),
+        dict(experiment="tree_moments", replicas=5, t=-1.0),
+        dict(experiment="truncation", replicas=5, t=2.0, rho=0.5,
+             beta_list=["1.5"], a_list=[-1.0]),
     ])
     def test_bad_config_rejected_before_run_dir(self, tmp_path, bad):
         out = tmp_path / "runs"
@@ -214,6 +221,25 @@ class TestRunArtifacts:
                 os.path.join(result.run_dir, "manifest.json")))
         assert abs(sizes[1] - sizes[0]) < 100
 
+    def test_population_target_follows_offspring_mean(self, tmp_path):
+        # mean 3 children: E[n_leaves] = e^((3 - 1) t)
+        cfg = ExperimentConfig(experiment="tree_moments", replicas=400,
+                               t=1.5, offspring=[(1, 0.5), (5, 0.5)],
+                               allow_general_offspring=True,
+                               output_dir=str(tmp_path))
+        cell = run(cfg).summary["t=1.5"]
+        assert cell["target"] == pytest.approx(math.exp(3.0), rel=1e-12)
+        assert abs(cell["z"]) < 4.0
+
+    def test_glassy_tail_small_sample_skips_hill_fits(self, tmp_path):
+        cfg = ExperimentConfig(experiment="glassy_tail", replicas=60, t=2.0,
+                               rho=0.5, beta_list=["1.5+0.5i"],
+                               output_dir=str(tmp_path))
+        result = run(cfg)
+        assert result.ok
+        assert len(read_rows(result.outputs["glassy_tail.csv"])) == 60
+        assert not any(key.startswith("hill") for key in result.summary)
+
     def test_population_summary(self, tree_result):
         result, _ = tree_result
         cell = result.summary["t=1.0"]
@@ -296,6 +322,16 @@ class TestFailureBudget:
         failed = {f["task"] for f in result.failures}
         assert failed.isdisjoint(int(r["index"]) for r in rows)
         assert len(failed) + len(rows) == cfg.min_clusters
+
+
+    def test_cluster_runner_honours_max_nodes(self, tmp_path):
+        cfg = ExperimentConfig(experiment="cluster_bank", t_cond=3.0,
+                               min_clusters=8, max_nodes=60, threads=1,
+                               output_dir=str(tmp_path))
+        result = run(cfg)
+        assert result.failures
+        assert all(f["error_type"] == "ResourceLimitError"
+                   for f in result.failures)
 
 
 class TestFreeEnergyScan:
@@ -444,6 +480,16 @@ class TestCli:
         path = write_config(tmp_path, "bad.json", {
             "replicas": 20, "t": 1.0, "beta_list": ["1.5+oops"]})
         rc = cli.main(["martingale", "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("k_fractions", [0.05]), ("bridge_step", 0.01)])
+    def test_retired_keys_exit_two(self, tmp_path, key, value):
+        path = write_config(tmp_path, "old.json", {
+            "replicas": 2, "t": 1.0, key: value})
+        rc = cli.main(["tree_moments", "--config", path,
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert not (tmp_path / "out").exists()

@@ -7,7 +7,7 @@ import pytest
 
 from bbmlab import (OffspringDistribution, max_position, overlap_matrix,
                     sample_correlated_pair, sample_field, sample_tree)
-from bbmlab.experiments import ExperimentConfig, Replica, _field_tags
+from bbmlab.experiments import ExperimentConfig, Replica
 from bbmlab.streams import TAG_PAIR_X, replica_seed, stream_key
 
 from test_offspring_gw import single_lineage
@@ -125,7 +125,7 @@ class TestMaxPosition:
 
     def test_streamed_replica_names_leaf_index(self):
         cfg = ExperimentConfig(experiment="extremal_max", t=3.0)
-        rep = Replica(cfg, BINARY, (3.0, 0), _field_tags(cfg))
+        rep = Replica(cfg, BINARY, (3.0, 0), (TAG_PAIR_X,))
         value, index = max_position(rep.pair(1.0))
         tree = sample_tree(BINARY, 3.0, rep.seed)
         want = max_position(sample_field(tree, stream_key(rep.seed,

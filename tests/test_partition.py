@@ -7,11 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bbmlab import (ComplexTemperature, OffspringDistribution,
-                    additive_martingale, derivative_martingale,
-                    log_partition, m_of_t, partition_function,
-                    rescaled_partition, sample_correlated_pair, sample_tree,
-                    truncated_partition)
+from bbmlab import (OffspringDistribution, additive_martingale,
+                    derivative_martingale, log_partition, m_of_t,
+                    partition_function, rescaled_partition,
+                    sample_correlated_pair, sample_tree, truncated_partition)
 from bbmlab.field import CorrelatedField
 from bbmlab.streams import replica_seed, stream_key
 
@@ -190,11 +189,3 @@ def test_phased_sum_peak_memory(reduce):
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= 4.5 * 8 * fld.tree.n_leaves
-
-
-class TestComputeStatistics:
-    def test_temperature_helper(self):
-        bt = ComplexTemperature.of(complex(1.2, 0.9))
-        assert bt.sigma == 1.2 and bt.tau == 0.9
-        assert bt.beta == complex(1.2, 0.9)
-        assert bt.lam(0.5) == complex(1.2, 0.45)
