@@ -59,6 +59,9 @@ CALIBRATION_STREAM = 0x150
 # glassy_tail fits the Hill index on each of these fractions of the
 # largest moduli (when there are enough positive moduli to fit).
 HILL_K_FRACTIONS = (0.02, 0.05, 0.1)
+# limit_object's Cox intensity: the constant C and the weight of Z.
+COX_CONSTANT = 1.0
+COX_Z_WEIGHT = 1.0
 # Time step of bridge_check's discretized Brownian bridges.
 BRIDGE_STEP = 0.01
 
@@ -93,8 +96,6 @@ class ExperimentConfig:
     t_cond: float = 6.0
     min_clusters: int = 200
     max_attempts: int = 200000
-    cox_c: float = 1.0
-    cox_z: float = 1.0
     bank_path: str | None = None
     input_csv: str | None = None
 
@@ -207,6 +208,22 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
         raise ConfigError("t and t_list entries must be finite and >= 0")
     if not all(float(a) >= 0.0 for a in cfg.a_list):
         raise ConfigError("a_list entries must be >= 0")
+    for key in ("min_clusters", "max_attempts", "max_nodes"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    # m(t), p_t and the cluster law need a horizon > 0 (t_cond for the
+    # clusters); tree_moments and martingale are defined at t = 0
+    horizons = {"free_energy_scan": cfg.ts(), "extremal_max": cfg.ts(),
+                "glassy_tail": [cfg.t], "truncation": [cfg.t],
+                "isotropy": [] if cfg.input_csv else [cfg.t],
+                "cluster_bank": [cfg.t_cond],
+                "limit_object": [] if cfg.bank_path else [cfg.t_cond]}
+    if not all(0.0 < t < math.inf for t in horizons.get(cfg.experiment, [])):
+        raise ConfigError(f"{cfg.experiment} needs a finite horizon > 0")
+    if cfg.experiment in ("truncation", "limit_object") and not cfg.a_list:
+        raise ConfigError("a_list must not be empty")
+    if cfg.experiment == "limit_object" and not float(cfg.a_list[0]) > 0.0:
+        raise ConfigError("limit_object needs a_list[0] > 0")
     if cfg.experiment == "free_energy_scan" and cfg.sigma_range is not None:
         if cfg.tau_range is None or cfg.resolution < 1:
             raise ConfigError(
@@ -431,7 +448,8 @@ def _versions() -> dict:
     except Exception:
         own = "unknown"
     import sys
-    return {"bbmlab": own, "numpy": np.__version__,
+    import scipy  # already loaded by .extremal
+    return {"bbmlab": own, "numpy": np.__version__, "scipy": scipy.__version__,
             "python": sys.version.split()[0]}
 
 
@@ -642,8 +660,7 @@ def _read_complex_samples(path: str) -> np.ndarray:
 
 
 def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    failures: list = []
-    schedule: list = []
+    failures, schedule = [], []
     if cfg.input_csv:
         samples = _read_complex_samples(cfg.input_csv)
     else:
@@ -652,22 +669,21 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
             [cfg.rho])
         samples = np.array([complex(r[3], r[4]) for r in rows])
     radii = stats.isotropy_radii(samples)
-    statistic = stats.isotropy_statistic(samples, radii)
     control = stats.isotropic_resample(
         samples, stream_key(cfg.seed, CALIBRATION_STREAM))
-    calibration = stats.isotropy_statistic(control, radii)
-    rows = []
-    n_angles = stats.ISOTROPY_ANGLES
-    for label, data in (("sample", samples), ("calibration", control)):
-        for r in radii:
-            for j in range(n_angles):
-                theta = 2.0 * math.pi * j / n_angles
-                phi = stats.empirical_cf(data, r * complex(math.cos(theta),
-                                                           math.sin(theta)))
-                rows.append((label, r, theta, phi.real, phi.imag))
+    points = stats.polar_points(radii)
+    angles = [2.0 * math.pi * j / stats.ISOTROPY_ANGLES
+              for j in range(stats.ISOTROPY_ANGLES)]
+    tables = {"sample": stats.cf_table(samples, points),
+              "calibration": stats.cf_table(control, points)}
+    rows = [(source, r, theta, c.real, c.imag)
+            for source, phi in tables.items()
+            for r, row in zip(radii.tolist(), phi.tolist())
+            for theta, c in zip(angles, row)]
+    statistic, calibration = map(stats.cf_discrepancy, tables.values())
     summary = {
         "n": int(samples.size),
-        "radii": [float(r) for r in radii],
+        "radii": radii.tolist(),
         "statistic": statistic,
         "calibration": calibration,
         "ratio": statistic / calibration if calibration > 0 else math.inf,
@@ -849,14 +865,13 @@ def _run_cluster_bank(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
 
 
 def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    failures: list = []
-    schedule: list = []
+    failures, schedule = [], []
     if cfg.bank_path:
         clusters, _meta = load_cluster_bank(cfg.bank_path)
     else:
         results, failures, schedule = _sample_clusters(cfg, cfg.dist())
         clusters = [c for _, _, c in results]
-    model = LimitModel(cox_constant=cfg.cox_c, z_weight=cfg.cox_z,
+    model = LimitModel(cox_constant=COX_CONSTANT, z_weight=COX_Z_WEIGHT,
                        clusters=clusters)
     beta = cfg.betas()[0]
     a = float(cfg.a_list[0])
@@ -871,8 +886,8 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         "clusters": len(clusters),
         "threshold": a,
         "mean_atoms": mean_atoms,
-        "model_mean_atoms": cfg.cox_c * cfg.cox_z * math.exp(SQRT2 * a)
-        / SQRT2,
+        "model_mean_atoms": COX_CONSTANT * COX_Z_WEIGHT
+        * math.exp(SQRT2 * a) / SQRT2,
         "dispersion": dispersion,
         "alpha_target": SQRT2 / abs(beta.real) if beta.real else math.nan,
         "n_zero": int(np.count_nonzero(moduli == 0.0)),

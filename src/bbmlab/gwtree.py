@@ -21,7 +21,7 @@ keeps only each tree's max leaf x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class GwTree:
     split: np.ndarray         # float64 split times, NaN for leaves
     leaves: np.ndarray        # int64 leaf ids, ascending
     gen_offsets: np.ndarray   # int64 wave boundaries; [0]=0, [-1]=n_nodes
-    _children: tuple | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -70,26 +69,6 @@ class GwTree:
 
     def is_leaf(self, node: int) -> bool:
         return bool(np.isnan(self.split[node]))
-
-    def children_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, offsets): children of node i are order[offsets[i]:offsets[i+1]]."""
-        if self._children is None:
-            n = self.n_nodes
-            if n == 1:
-                order = np.empty(0, dtype=np.int64)
-                offsets = np.zeros(2, dtype=np.int64)
-            else:
-                # child ids are already grouped by parent in ascending order
-                order = np.arange(1, n, dtype=np.int64)
-                counts = np.bincount(self.parent[1:], minlength=n)
-                offsets = np.concatenate(
-                    ([0], np.cumsum(counts))).astype(np.int64)
-            object.__setattr__(self, "_children", (order, offsets))
-        return self._children
-
-    def children_of(self, node: int) -> np.ndarray:
-        order, offsets = self.children_csr()
-        return order[offsets[node]:offsets[node + 1]]
 
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on violation."""
@@ -396,19 +375,12 @@ def overlap_matrix(tree: GwTree,
     pos = _dfs_leaf_positions(tree, count)
     q = np.empty((n, n), dtype=np.float64)
     np.fill_diagonal(q, tree.t)
-    order, offsets = tree.children_csr()
-    internal = np.flatnonzero(~tree.leaf_mask())
-    for v in internal:
-        kids = order[offsets[v]:offsets[v + 1]]
-        s = tree.split[v]
-        for i in range(kids.size):
-            a = pos[kids[i]]
-            b = a + count[kids[i]]
-            for j in range(i + 1, kids.size):
-                c = pos[kids[j]]
-                d = c + count[kids[j]]
-                q[a:b, c:d] = s
-                q[c:d, a:b] = s
+    # siblings' leaf blocks are adjacent in depth-first order, so a node's
+    # leaves meet its later siblings' at its parent's split time
+    for i in range(1, tree.n_nodes):
+        v = tree.parent[i]
+        a, b, end = pos[i], pos[i] + count[i], pos[v] + count[v]
+        q[a:b, b:end] = q[b:end, a:b] = tree.split[v]
     rows = pos[tree.leaves]
     q = q[np.ix_(rows, rows)]
     return OverlapMatrix(t=tree.t, leaf_ids=tree.leaves.copy(), q=q)

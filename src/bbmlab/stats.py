@@ -68,25 +68,37 @@ def hill_estimator(moduli, k_fraction: float = 0.05) -> StableFit:
                      k_used=k, method="hill")
 
 
-def empirical_cf(samples, z: complex) -> complex:
-    """(1/n) sum_j exp(i Re(conj(z) Y_j)) for complex samples Y."""
-    y = np.asarray(samples, dtype=np.complex128)
+def polar_points(radii, n_angles: int = ISOTROPY_ANGLES) -> np.ndarray:
+    """r e^{i theta_j}, theta_j = 2 pi j / n_angles; one row per radius."""
+    angles = (2.0 * math.pi * j / n_angles for j in range(n_angles))
+    units = [complex(math.cos(a), math.sin(a)) for a in angles]
+    return np.multiply.outer(np.asarray(radii, dtype=np.float64), units)
+
+
+def cf_table(samples, points) -> np.ndarray:
+    """phi_hat(z) = (1/n) sum_j exp(i Re(conj(z) Y_j)) at every z of
+    ``points``, in their shape; the cos and sin means of one row of a
+    points x samples argument matrix are its real and imaginary parts."""
+    y = np.asarray(samples, dtype=np.complex128).ravel()
     if y.size == 0:
         raise ValueError("empty sample")
-    z = complex(z)
-    arg = y.real * z.real + y.imag * z.imag
-    return complex(np.mean(np.cos(arg)), np.mean(np.sin(arg)))
+    z = np.asarray(points, dtype=np.complex128)
+    arg = np.multiply.outer(z.real.ravel(), y.real)
+    arg += np.multiply.outer(z.imag.ravel(), y.imag)
+    phi = np.empty(arg.shape[0], dtype=np.complex128)
+    phi.real = np.cos(arg).mean(axis=1)
+    phi.imag = np.sin(arg).mean(axis=1)
+    return phi.reshape(z.shape)
 
 
-def _cf_table(samples, radii, n_angles: int) -> np.ndarray:
-    """phi_hat on the polar grid; shape (len(radii), n_angles)."""
-    y = np.asarray(samples, dtype=np.complex128)
-    r = np.asarray(radii, dtype=np.float64)
-    theta = 2.0 * math.pi * np.arange(n_angles) / n_angles
-    z = r[:, None] * np.exp(1j * theta)[None, :]
-    arg = np.outer(y.real, z.real.ravel()) + np.outer(y.imag, z.imag.ravel())
-    phi = np.exp(1j * arg).mean(axis=0)
-    return phi.reshape(r.size, n_angles)
+def empirical_cf(samples, z: complex) -> complex:
+    """(1/n) sum_j exp(i Re(conj(z) Y_j)) for complex samples Y."""
+    return complex(cf_table(samples, [z])[0])
+
+
+def cf_discrepancy(phi) -> float:
+    """Largest |phi[k, a] - phi[k, a']| over the rows k of a CF table."""
+    return float(np.abs(phi[:, :, None] - phi[:, None, :]).max())
 
 
 def isotropy_statistic(samples, radii) -> float:
@@ -100,9 +112,7 @@ def isotropy_statistic(samples, radii) -> float:
     r = np.asarray(radii, dtype=np.float64)
     if r.size == 0 or np.any(r <= 0.0):
         raise ValueError("radii must be positive and nonempty")
-    phi = _cf_table(samples, r, ISOTROPY_ANGLES)
-    diffs = np.abs(phi[:, :, None] - phi[:, None, :])
-    return float(diffs.max())
+    return cf_discrepancy(cf_table(samples, polar_points(r)))
 
 
 def isotropy_radii(samples) -> np.ndarray:
@@ -117,7 +127,7 @@ def isotropy_radii(samples) -> np.ndarray:
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ValueError("samples have degenerate modulus scale")
     grid = (1.0 / scale) * np.logspace(-3.0, 3.0, 181)
-    level = np.abs(_cf_table(y, grid, 8)).mean(axis=1)
+    level = np.abs(cf_table(y, polar_points(grid, 8))).mean(axis=1)
     targets = np.linspace(0.7, 0.3, 3)
     picked = sorted({int(np.argmin(np.abs(level - v))) for v in targets})
     return grid[picked]

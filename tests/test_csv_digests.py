@@ -7,9 +7,11 @@ row format or summary arithmetic that reaches a CSV shows up here; a
 deliberate change re-records the digest and says why in CHANGES.md.
 """
 
+import csv
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from bbmlab.experiments import ExperimentConfig, run
@@ -141,3 +143,26 @@ def test_isotropy_from_glassy_tail_csv_matches_memory(tmp_path):
     assert from_csv.ok and in_memory.ok
     assert body_digest(from_csv.outputs["isotropy.csv"]) == \
         body_digest(in_memory.outputs["isotropy.csv"])
+
+
+def test_isotropy_summary_is_the_statistic_of_its_rows(tmp_path):
+    # per radius, the largest |phi(a) - phi(a')| over the 16 directions of
+    # the CSV rows; the summary values are the maximum over radii
+    result = run(ExperimentConfig(**CONFIGS["isotropy"], threads=2,
+                                  output_dir=str(tmp_path)))
+    with open(result.outputs["isotropy.csv"], encoding="utf-8") as fh:
+        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    summary = result.summary
+    for source, key in (("sample", "statistic"),
+                        ("calibration", "calibration")):
+        tables = {}
+        for row in rows:
+            if row["source"] == source:
+                tables.setdefault(row["radius"], []).append(
+                    complex(float(row["cf_re"]), float(row["cf_im"])))
+        assert sorted(map(float, tables)) == summary["radii"]
+        assert all(len(phi) == 16 for phi in tables.values())
+        worst = max(float(np.abs(np.subtract.outer(phi, phi)).max())
+                    for phi in map(np.array, tables.values()))
+        assert worst == summary[key]
+    assert summary["ratio"] == summary["statistic"] / summary["calibration"]

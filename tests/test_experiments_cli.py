@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from bbmlab import (OffspringDistribution, additive_martingale, cli,
-                    experiments, gwtree, m_of_t, martingale_second_moment,
-                    sample_correlated_pair, sample_tree)
+                    experiments, gwtree, limiting_free_energy, m_of_t,
+                    martingale_second_moment, sample_correlated_pair,
+                    sample_tree)
 from bbmlab.experiments import (ConfigError, DEFAULT_SEED, ExperimentConfig,
                                 REQUIRED_KEYS, Replica, load_config,
                                 parse_complex, run, validate_config)
@@ -135,6 +136,30 @@ class TestLoadConfig:
         dict(experiment="tree_moments", replicas=5, t=-1.0),
         dict(experiment="truncation", replicas=5, t=2.0, rho=0.5,
              beta_list=["1.5"], a_list=[-1.0]),
+        dict(experiment="free_energy_scan", replicas=5, t=0.0, rho=0.5,
+             beta_list=["1.5+0.5i"]),
+        dict(experiment="glassy_tail", replicas=5, t=0.0, rho=0.5,
+             beta_list=["1.5+0.5i"]),
+        dict(experiment="truncation", replicas=5, t=0.0, rho=0.5,
+             beta_list=["1.5+0.5i"]),
+        dict(experiment="extremal_max", replicas=5, t_list=[0.0, 2.0]),
+        dict(experiment="isotropy", replicas=5, t=0.0, rho=0.5,
+             beta_list=["1.5+0.5i"]),
+        dict(experiment="cluster_bank", t_cond=0.0, min_clusters=5),
+        dict(experiment="limit_object", replicas=10, t_cond=-1.0,
+             min_clusters=5, beta_list=["1.5"]),
+        dict(experiment="cluster_bank", t_cond=3.0, min_clusters=0),
+        dict(experiment="limit_object", replicas=10, t_cond=3.0,
+             min_clusters=0, beta_list=["1.5"]),
+        dict(experiment="cluster_bank", t_cond=3.0, min_clusters=5,
+             max_attempts=0),
+        dict(experiment="tree_moments", replicas=5, t=1.0, max_nodes=0),
+        dict(experiment="truncation", replicas=5, t=2.0, rho=0.5,
+             beta_list=["1.5"], a_list=[]),
+        dict(experiment="limit_object", replicas=10, t_cond=3.0,
+             min_clusters=5, beta_list=["1.5"], a_list=[]),
+        dict(experiment="limit_object", replicas=10, t_cond=3.0,
+             min_clusters=5, beta_list=["1.5"], a_list=[0.0]),
     ])
     def test_bad_config_rejected_before_run_dir(self, tmp_path, bad):
         out = tmp_path / "runs"
@@ -169,6 +194,7 @@ class TestRunArtifacts:
         assert manifest["tasks"] == cfg.replicas
         assert manifest["config"]["replicas"] == 200
         assert "numpy" in manifest["versions"]
+        assert "scipy" in manifest["versions"]
 
     def test_csv_config_echo(self, tree_result):
         result, cfg = tree_result
@@ -362,6 +388,56 @@ class TestFreeEnergyScan:
                     bodies[threads] += [ln for ln in fh
                                         if not ln.startswith("#")]
         assert bodies[1] == bodies[2]
+
+    @pytest.mark.parametrize("grid,cells", [
+        (dict(sigma_range=[0.0, 2.0], tau_range=[0.0, 2.0], resolution=3), 9),
+        (dict(sigma_range=[-2.0, 2.0], tau_range=[0.0, 0.0], resolution=9),
+         81),
+        (dict(sigma_range=[0.0, 0.0], tau_range=[0.0, 0.0], resolution=1), 1),
+    ])
+    def test_grid_cells(self, tmp_path, grid, cells):
+        cfg = ExperimentConfig(experiment="free_energy_scan", replicas=20,
+                               t=3.0, rho=1.0, output_dir=str(tmp_path),
+                               **grid)
+        rows = read_rows(run(cfg).outputs["free_energy.csv"])
+        assert len(rows) == cells
+        keys = [(float(r["sigma"]), float(r["tau"])) for r in rows]
+        assert keys == sorted(keys)  # row-major in sigma then tau
+        for row, (sigma, tau) in zip(rows, keys):
+            assert float(row["p_limit"]) == \
+                limiting_free_energy(complex(sigma, tau))
+            assert math.isfinite(float(row["p_hat"]))
+            assert math.isfinite(float(row["stderr"]))
+            assert row["n_replicas"] == "20" and float(row["t"]) == 3.0
+            if tau == 0.0:  # no B3 cell on the sigma axis
+                assert row["phase"] != "B3"
+        if keys == [(0.0, 0.0)]:
+            assert float(rows[0]["p_limit"]) == 1.0
+
+    def test_beta_list_keeps_its_order_across_reruns(self, tmp_path):
+        betas = [complex(1.2, 0.9), complex(0.3, 0.3)]
+        runs = []
+        for k in range(2):
+            cfg = ExperimentConfig(experiment="free_energy_scan",
+                                   replicas=50, t=3.0, rho=1.0,
+                                   beta_list=betas,
+                                   output_dir=str(tmp_path / str(k)))
+            runs.append(read_rows(run(cfg).outputs["free_energy.csv"]))
+        assert runs[0] == runs[1]
+        assert [complex(float(r["sigma"]), float(r["tau"]))
+                for r in runs[0]] == betas
+
+    def test_over_budget_replicas_fail_as_resource_limit(self, tmp_path):
+        cfg = ExperimentConfig(experiment="free_energy_scan", replicas=5,
+                               t_list=[1.0, 3.0], rho=1.0,
+                               beta_list=["1.0+0.5i"], max_nodes=8,
+                               output_dir=str(tmp_path))
+        result = run(cfg)
+        assert not result.ok
+        assert all(f["error_type"] == "ResourceLimitError"
+                   for f in result.failures)
+        assert [f["replica"] for f in result.failures
+                if f["t"] == 3.0] == list(range(cfg.replicas))
 
 
 class TestReplica:

@@ -143,7 +143,7 @@ class TestOverlap:
     def test_sibling_overlap_is_split_time(self):
         tree = bushy_tree()
         # children of the root are siblings split at the root's split time
-        kids = tree.children_of(0)
+        kids = np.flatnonzero(tree.parent == 0)
         leaf_kids = [int(c) for c in kids if tree.is_leaf(int(c))]
         if len(leaf_kids) >= 2:
             got = overlap(tree, leaf_kids[0], leaf_kids[1])
