@@ -64,6 +64,8 @@ COX_CONSTANT = 1.0
 COX_Z_WEIGHT = 1.0
 # Time step of bridge_check's discretized Brownian bridges.
 BRIDGE_STEP = 0.01
+# truncation's summary: P(|discarded part| > TRUNCATION_DELTA) per A.
+TRUNCATION_DELTA = 0.1
 
 
 class ConfigError(ValueError):
@@ -87,7 +89,6 @@ class ExperimentConfig:
     offspring: list = field(default_factory=lambda: [(2, 1.0)])
     allow_general_offspring: bool = False
     r: float = 1.0
-    delta: float = 0.1
     output_dir: str = "runs"
     max_nodes: int = NODE_BUDGET
     sigma_range: list | None = None
@@ -442,15 +443,11 @@ def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
 
 
 def _versions() -> dict:
-    try:
-        from importlib.metadata import version
-        own = version("bbmlab")
-    except Exception:
-        own = "unknown"
     import sys
-    import scipy  # already loaded by .extremal
-    return {"bbmlab": own, "numpy": np.__version__, "scipy": scipy.__version__,
-            "python": sys.version.split()[0]}
+    import scipy  # the package only; its submodules load where used
+    from . import __version__
+    return {"bbmlab": __version__, "numpy": np.__version__,
+            "scipy": scipy.__version__, "python": sys.version.split()[0]}
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -491,7 +488,7 @@ class Replica:
         """(x, y) with correlation rho; |rho| < 1 needs z among the tags."""
         x = self.leaves.positions[0]
         z = None if abs(rho) == 1.0 else self.leaves.positions[1]
-        return correlate(self.leaves, x, z, rho, self.seed)
+        return correlate(self.leaves, x, z, rho)
 
 
 def _observe(observable, dist, tags, cfg: ExperimentConfig,
@@ -706,11 +703,11 @@ def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     rows, failures, schedule = _run_replicas(
         functools.partial(_truncation_rows, cfg.betas()[0]), cfg, [cfg.t],
         [cfg.rho])
-    summary = {"delta": cfg.delta}
+    summary = {"delta": TRUNCATION_DELTA}
     p_by_a = []
     for a in cfg.a_list:
         disc = np.array([r[6] for r in rows if r[3] == float(a)])
-        p_exc = float(np.mean(disc > cfg.delta)) if disc.size else math.nan
+        p_exc = float(np.mean(disc > TRUNCATION_DELTA)) if disc.size else math.nan
         se = math.sqrt(max(p_exc * (1 - p_exc), 0.0) / disc.size) \
             if disc.size else math.nan
         p_by_a.append(p_exc)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .gwtree import NODE_BUDGET, grow_leaves, over_budget, screen_maxima
 from .offspring import OffspringDistribution
@@ -60,15 +59,14 @@ class Cluster:
     """Relative cluster: nonpositive atoms with max pinned at 0.
 
     ``z_rel`` carries the secondary-field offsets of the conditioned run
-    (relative to the atom at 0), used to approximate circle decorations;
-    it is absent for clusters loaded from a v1 bank file.
+    (relative to the atom at 0), used to approximate circle decorations.
     """
 
     atoms: np.ndarray
     t_cond: float
     max_value: float
     attempts: int
-    z_rel: np.ndarray | None = None
+    z_rel: np.ndarray
 
 
 def sample_cluster(t_cond: float, dist: OffspringDistribution, seed: int,
@@ -191,7 +189,7 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
     exponential over sqrt2).  Each atom picks a bank cluster uniformly; at
     |rho| = 1 the draw is sum e^(beta (eta + Delta)); otherwise each atom
     carries an independent uniform circle mark and the cluster contributes
-    its harvested relative marks, so every cluster must carry ``z_rel``.
+    its harvested relative marks ``z_rel``.
 
     All atom counts come from one Poisson call.  The atoms are then drawn
     in blocks of whole draws of at most COX_BLOCK atoms (a larger draw is
@@ -208,9 +206,6 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
     full_phase = abs(rho) == 1.0
-    if not full_phase and any(cl.z_rel is None for cl in model.clusters):
-        raise ValueError("|rho| < 1 needs cluster decorations (z_rel); "
-                         "a v1 bank file has none")
     # lambda = sigma + i rho tau: the x-correlated part of the phase
     lam = complex(beta) if full_phase else complex(beta.real, rho * beta.imag)
 
@@ -258,8 +253,6 @@ class CoxFit:
 
     c_hat: float
     sse: float
-    n_max: int
-    n_z: int
 
 
 def estimate_cox_constants(max_shifts, z_samples) -> CoxFit:
@@ -269,6 +262,8 @@ def estimate_cox_constants(max_shifts, z_samples) -> CoxFit:
     2000 points of ``z_samples``; C minimizes the squared CDF discrepancy
     over a 50-point y-grid spanning the central 90 percent of the maxima.
     """
+    # scipy.optimize is slow to import, and only this fit needs it
+    from scipy.optimize import minimize_scalar
     mx = np.asarray(max_shifts, dtype=np.float64)
     zs = np.asarray(z_samples, dtype=np.float64)
     if mx.size < 500 or zs.size < 500:
@@ -292,15 +287,14 @@ def estimate_cox_constants(max_shifts, z_samples) -> CoxFit:
 
     res = minimize_scalar(sse, bounds=(-14.0, 14.0), method="bounded",
                           options={"xatol": 1e-8})
-    return CoxFit(c_hat=float(math.exp(res.x)), sse=float(res.fun),
-                  n_max=int(mx.size), n_z=int(z_prof.size))
+    return CoxFit(c_hat=float(math.exp(res.x)), sse=float(res.fun))
 
 
 def save_cluster_bank(path, clusters, dist: OffspringDistribution) -> None:
     """Write clusters as line-oriented text: header, one cluster per line.
 
-    A cluster line holds its atoms and, when the cluster has them, ``|``
-    and its z_rel decorations (bank format v2).
+    A cluster line holds its atoms, ``|`` and its z_rel decorations
+    (bank format v2).
     """
     if not clusters:
         raise ValueError("refusing to write an empty bank")
@@ -313,22 +307,22 @@ def save_cluster_bank(path, clusters, dist: OffspringDistribution) -> None:
         fh.write(f"# accepted={len(clusters)} attempts={attempts} "
                  f"acceptance_rate={len(clusters) / attempts!r}\n")
         for cl in clusters:
-            line = " ".join(repr(float(a)) for a in cl.atoms)
-            if cl.z_rel is not None:
-                line += " | " + " ".join(repr(float(z)) for z in cl.z_rel)
-            fh.write(line + "\n")
+            fh.write(" ".join(repr(float(a)) for a in cl.atoms) + " | "
+                     + " ".join(repr(float(z)) for z in cl.z_rel) + "\n")
 
 
 def load_cluster_bank(path) -> tuple[list, dict]:
-    """Read a v1 or v2 bank file; returns (clusters, header metadata).
+    """Read a v2 bank file; returns (clusters, header metadata).
 
-    Clusters from v1 lines (atoms only) have no decorations (z_rel is
-    None).
+    Every cluster line must carry its decorations: a v1 file (atoms only)
+    raises ValueError.
     """
     clusters = []
     meta: dict = {}
     t_cond = math.nan
     with open(path, "r", encoding="ascii") as fh:
+        if fh.readline().strip() != "# cluster-bank v2":
+            raise ValueError(f"{path!r} is not a v2 cluster bank file")
         for line in fh:
             line = line.strip()
             if not line:
@@ -339,19 +333,17 @@ def load_cluster_bank(path) -> tuple[list, dict]:
                         key, val = token.split("=", 1)
                         meta[key] = val
                 continue
-            atoms_text, bar, z_text = line.partition("|")
+            atoms_text, _, z_text = line.partition("|")
             atoms = np.array([float(v) for v in atoms_text.split()])
             if atoms.size == 0 or atoms[0] != 0.0 or np.any(atoms > 0.0):
                 raise ValueError(
                     f"malformed cluster line in {path!r}: atoms must be "
                     "nonpositive with the first pinned at 0")
-            z_rel = np.array([float(v) for v in z_text.split()]) \
-                if bar else None
-            if z_rel is not None and (z_rel.size != atoms.size
-                                      or z_rel[0] != 0.0):
+            z_rel = np.array([float(v) for v in z_text.split()])
+            if z_rel.size != atoms.size or z_rel[0] != 0.0:
                 raise ValueError(
-                    f"malformed cluster line in {path!r}: z_rel must match "
-                    "the atoms in length and start at 0")
+                    f"malformed cluster line in {path!r}: z_rel after "
+                    "'|' must match the atoms in length and start at 0")
             clusters.append(Cluster(atoms=atoms, t_cond=t_cond,
                                     max_value=math.nan, attempts=0,
                                     z_rel=z_rel))

@@ -46,7 +46,6 @@ class CorrelatedField:
 
     tree: GwTree | GrownLeaves
     rho: float
-    seed: int
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray | None
@@ -75,7 +74,7 @@ def sample_field(tree: GwTree, seed: int) -> BbmField:
 
 
 def correlate(tree: GwTree | GrownLeaves, x: np.ndarray,
-              z: np.ndarray | None, rho: float, seed: int) -> CorrelatedField:
+              z: np.ndarray | None, rho: float) -> CorrelatedField:
     """The pair view y = rho x + sqrt(1-rho^2) z of two leaf arrays.
 
     At |rho| = 1 z is not read (pass None) and y is exactly +-x.
@@ -83,10 +82,10 @@ def correlate(tree: GwTree | GrownLeaves, x: np.ndarray,
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho!r}")
     if abs(rho) == 1.0:
-        return CorrelatedField(tree=tree, rho=rho, seed=seed, x=x,
+        return CorrelatedField(tree=tree, rho=rho, x=x,
                                y=math.copysign(1.0, rho) * x, z=None)
     y = rho * x + math.sqrt(1.0 - rho * rho) * z
-    return CorrelatedField(tree=tree, rho=rho, seed=seed, x=x, y=y, z=z)
+    return CorrelatedField(tree=tree, rho=rho, x=x, y=y, z=z)
 
 
 def sample_correlated_pair(tree: GwTree, rho: float,
@@ -94,9 +93,9 @@ def sample_correlated_pair(tree: GwTree, rho: float,
     """Draw (x, y) with correlation rho on the tree."""
     x = sample_field(tree, stream_key(seed, TAG_PAIR_X)).x
     if abs(rho) == 1.0:
-        return correlate(tree, x, None, rho, seed)
+        return correlate(tree, x, None, rho)
     z = sample_field(tree, stream_key(seed, TAG_PAIR_Z)).x
-    return correlate(tree, x, z, rho, seed)
+    return correlate(tree, x, z, rho)
 
 
 def max_position(field) -> tuple[float, int]:

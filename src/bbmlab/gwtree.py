@@ -324,15 +324,6 @@ def overlap(tree: GwTree, k: int, l: int) -> float:
     return float(tree.split[a])
 
 
-@dataclass(eq=False)
-class OverlapMatrix:
-    """Dense leaf-by-leaf overlap table in ``leaf_ids`` order."""
-
-    t: float
-    leaf_ids: np.ndarray
-    q: np.ndarray
-
-
 def _subtree_leaf_counts(tree: GwTree) -> np.ndarray:
     count = np.where(tree.leaf_mask(), 1, 0).astype(np.int64)
     go = tree.gen_offsets
@@ -365,8 +356,8 @@ def _dfs_leaf_positions(tree: GwTree, count: np.ndarray) -> np.ndarray:
 
 
 def overlap_matrix(tree: GwTree,
-                   max_leaves: int = OVERLAP_LEAF_CAP) -> OverlapMatrix:
-    """All pairwise overlaps, rows/cols ordered like ``tree.leaves``."""
+                   max_leaves: int = OVERLAP_LEAF_CAP) -> np.ndarray:
+    """All pairwise overlaps q, rows/cols ordered like ``tree.leaves``."""
     n = tree.n_leaves
     if n > max_leaves:
         raise ResourceLimitError(
@@ -382,5 +373,4 @@ def overlap_matrix(tree: GwTree,
         a, b, end = pos[i], pos[i] + count[i], pos[v] + count[v]
         q[a:b, b:end] = q[b:end, a:b] = tree.split[v]
     rows = pos[tree.leaves]
-    q = q[np.ix_(rows, rows)]
-    return OverlapMatrix(t=tree.t, leaf_ids=tree.leaves.copy(), q=q)
+    return q[np.ix_(rows, rows)]

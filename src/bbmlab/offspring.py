@@ -27,7 +27,6 @@ class OffspringDistribution:
     """
 
     probabilities: np.ndarray
-    require_mean_two: bool = True
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
     _only_k: int = field(init=False, repr=False, compare=False)
 
@@ -53,7 +52,6 @@ class OffspringDistribution:
                 f"offspring mean {mean!r} != 2; pass require_mean_two=False "
                 "to allow a general supercritical law")
         object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "require_mean_two", require_mean_two)
         object.__setattr__(self, "_cdf", np.cumsum(p))
         support = np.flatnonzero(p)
         object.__setattr__(self, "_only_k",

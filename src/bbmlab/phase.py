@@ -172,11 +172,15 @@ def point_scan(betas, dist: OffspringDistribution, t: float, replicas: int,
 def grid_betas(sigma_range: tuple[float, float],
                tau_range: tuple[float, float],
                resolution: int) -> list[complex]:
-    """Rectangular grid of temperatures, row-major in sigma then tau."""
+    """Rectangular grid of temperatures, row-major in sigma then tau.
+
+    An axis keeps each of its linspace values once, in linspace order, so
+    a zero-width range is one value, not ``resolution`` copies.
+    """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    sig = np.linspace(sigma_range[0], sigma_range[1], resolution)
-    tau = np.linspace(tau_range[0], tau_range[1], resolution)
+    sig, tau = (dict.fromkeys(np.linspace(lo, hi, resolution).tolist())
+                for lo, hi in (sigma_range, tau_range))
     return [complex(s, u) for s in sig for u in tau]
 
 

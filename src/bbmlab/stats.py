@@ -22,12 +22,11 @@ HILL_MIN_SAMPLES = 100
 
 @dataclass(frozen=True)
 class StableFit:
-    """Tail-index fit; method names the estimator ('hill')."""
+    """Hill tail-index fit."""
 
     alpha_hat: float
     alpha_se: float
     k_used: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def hill_estimator(moduli, k_fraction: float = 0.05) -> StableFit:
         raise ValueError("degenerate upper order statistics (all equal)")
     alpha = 1.0 / mean_excess
     return StableFit(alpha_hat=alpha, alpha_se=alpha / math.sqrt(k),
-                     k_used=k, method="hill")
+                     k_used=k)
 
 
 def polar_points(radii, n_angles: int = ISOTROPY_ANGLES) -> np.ndarray:

@@ -102,7 +102,7 @@ def pairwise_sum(lam, damp, rho, t, i):
     rs = replica_seed(SEED, i)
     tree = sample_tree(BINARY, t, rs)
     fld = sample_correlated_pair(tree, rho, rs)
-    q = overlap_matrix(tree).q
+    q = overlap_matrix(tree)
     a = np.exp(lam * fld.x)
     w = np.exp(-damp * (t - q))
     return np.real(np.conj(a) @ (w @ a)) - np.sum(np.abs(a) ** 2)
@@ -289,7 +289,7 @@ def test_truncation_negligible(criteria, tmp_path_factory):
     cfg = ExperimentConfig(
         experiment="truncation", replicas=2000, t=12.0,
         beta_list=[complex(1.5, 0.5)], rho=1.0,
-        a_list=[2.0, 4.0, 6.0, 8.0], delta=0.1, seed=SEED, output_dir=out)
+        a_list=[2.0, 4.0, 6.0, 8.0], seed=SEED, output_dir=out)
     t0 = time.monotonic()
     result = run(cfg)
     elapsed = time.monotonic() - t0

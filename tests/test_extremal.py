@@ -187,28 +187,24 @@ class TestClusterBank:
         assert header["offspring"] == "2:1.0"
         assert float(header["acceptance_rate"]) > 0.0
 
-    def write_v1(self, path, lines):
-        path.write_text("# cluster-bank v1\n# t_cond=3.0\n"
+    def write_bank(self, path, lines, header="# cluster-bank v2"):
+        path.write_text(header + "\n# t_cond=3.0\n"
                         + "".join(ln + "\n" for ln in lines),
                         encoding="ascii")
 
-    def test_v1_bank_refuses_decorated_law(self, tmp_path):
+    def test_v1_bank_refused_at_load(self, tmp_path):
         path = tmp_path / "v1.txt"
-        self.write_v1(path, ["0.0 -0.5 -1.25", "0.0"])
-        loaded, _ = load_cluster_bank(path)
-        assert all(cl.z_rel is None for cl in loaded)
-        model = LimitModel(cox_constant=1.0, z_weight=1.0, clusters=loaded)
-        sample_limit_partition(model, complex(1.5, 0.5), 1.0, 2.0, 10,
-                               stream_key(SEED, 0x6C))
-        with pytest.raises(ValueError, match="z_rel"):
-            sample_limit_partition(model, complex(1.5, 0.5), 0.5, 2.0, 10,
-                                   stream_key(SEED, 0x6C))
+        self.write_bank(path, ["0.0 -0.5 -1.25", "0.0"],
+                        header="# cluster-bank v1")
+        with pytest.raises(ValueError, match="v2"):
+            load_cluster_bank(path)
 
     @pytest.mark.parametrize("line", ["0.0 -0.5 | 0.0",
-                                      "0.0 -0.5 | 0.1 0.2"])
+                                      "0.0 -0.5 | 0.1 0.2",
+                                      "0.0 -0.5"])
     def test_malformed_decorations_rejected(self, tmp_path, line):
         path = tmp_path / "bad.txt"
-        self.write_v1(path, [line])
+        self.write_bank(path, [line])
         with pytest.raises(ValueError, match="z_rel"):
             load_cluster_bank(path)
 

@@ -34,7 +34,7 @@ class TestSampleField:
         # matrix entrywise within 3 standard errors
         tree = sample_tree(BINARY, 2.0, stream_key(SEED, 0xC0, 2))
         assert 3 <= tree.n_leaves <= 8
-        q = overlap_matrix(tree).q
+        q = overlap_matrix(tree)
         reps = 4000
         xs = np.empty((reps, tree.n_leaves))
         for i in range(reps):

@@ -171,7 +171,7 @@ class TestOverlap:
                 node = int(tree.parent[node])
             return float(tree.split[node])
 
-        mat = overlap_matrix(tree).q
+        mat = overlap_matrix(tree)
         leaves = [int(x) for x in tree.leaves]
         for a, k in enumerate(leaves):
             for b, l in enumerate(leaves):
@@ -181,7 +181,7 @@ class TestOverlap:
 
     def test_matrix_is_ultrametric(self):
         tree = bushy_tree()
-        q = overlap_matrix(tree).q
+        q = overlap_matrix(tree)
         n = q.shape[0]
         assert np.allclose(q, q.T)
         assert np.allclose(np.diag(q), tree.t)
@@ -192,9 +192,9 @@ class TestOverlap:
                     assert q[k, l] >= min(q[k, m], q[m, l]) - 1e-12
 
     def test_single_lineage_matrix(self):
-        mat = overlap_matrix(single_lineage(5.0))
-        assert mat.q.shape == (1, 1)
-        assert mat.q[0, 0] == 5.0
+        q = overlap_matrix(single_lineage(5.0))
+        assert q.shape == (1, 1)
+        assert q[0, 0] == 5.0
 
     def test_leaf_cap(self):
         tree = bushy_tree()

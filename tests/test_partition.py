@@ -26,7 +26,7 @@ def pinned_field(t, x, y, rho=1.0):
     tree = single_lineage(t)
     xs = np.asarray(x, dtype=np.float64)
     ys = np.asarray(y, dtype=np.float64)
-    return CorrelatedField(tree=tree, rho=rho, seed=0, x=xs, y=ys, z=None)
+    return CorrelatedField(tree=tree, rho=rho, x=xs, y=ys, z=None)
 
 
 def sampled_field(t=4.0, rho=0.5, tag=0x51):

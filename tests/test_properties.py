@@ -67,7 +67,7 @@ def test_truncation_reconstitutes_partition(seed, t, rho, sigma, tau,
 @given(seed=seeds, t=st.floats(0.0, 3.5))
 def test_overlaps_are_ultrametric(seed, t):
     tree = sample_tree(BINARY, t, seed)
-    q = overlap_matrix(tree).q
+    q = overlap_matrix(tree)
     assert np.array_equal(q, q.T)
     assert np.all(np.diag(q) == tree.t) and np.all(q <= tree.t)
     # q(i, j) >= min(q(i, k), q(k, j)) for every triple, indexed [i, k, j]

@@ -1,5 +1,6 @@
 """Names other code reaches by string: the package's ``__all__`` and the
-library names that perfbench's ``--trace 1`` tracer rebinds.
+library names that perfbench's ``--trace 1`` tracer rebinds; plus what an
+import costs and the version string it reports.
 
 The tracer ``getattr``s each ``(module, name)`` of ``perfbench/spans.py``
 ``BINDINGS``, so deleting or renaming one of those names breaks traced
@@ -10,11 +11,14 @@ here.  ``spans.py`` is loaded by file path and only read.
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
+import tomllib
 
 import bbmlab
 
-SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                     "spans.py")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SPANS = os.path.join(ROOT, "perfbench", "spans.py")
 
 
 def load_spans():
@@ -36,3 +40,19 @@ def test_tracer_bindings_resolve():
 def test_all_names_resolve():
     missing = [name for name in bbmlab.__all__ if not hasattr(bbmlab, name)]
     assert missing == []
+
+
+def test_version_matches_pyproject():
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        assert bbmlab.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # every pool worker imports bbmlab.experiments; only the Cox fit
+    # needs scipy.optimize, whose import costs far more than the package
+    code = ("import sys, bbmlab.experiments; "
+            "print('scipy.optimize' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -42,7 +42,6 @@ class TestHill:
         assert fit.k_used == max(10, math.ceil(0.05 * 4000))
         assert fit.alpha_se == pytest.approx(
             fit.alpha_hat / math.sqrt(fit.k_used), rel=1e-12)
-        assert fit.method == "hill"
 
     def test_degenerate_sample_rejected(self):
         with pytest.raises(ValueError):
