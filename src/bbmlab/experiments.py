@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .extremal import (AcceptanceError, Cluster, LimitModel,
                        sample_clusters, sample_limit_partition,
                        save_cluster_bank)
 from .field import CorrelatedField, correlate
-from .gwtree import NODE_BUDGET, grow_leaves
+from .gwtree import NODE_BUDGET, forest_size, grow_forest, grow_leaves
 from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
                       martingale_second_moment)
@@ -339,6 +340,7 @@ def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
         size = max(1, len(tasks) // (threads * 8))
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         results = []
+        import numpy.random  # noqa: F401  (the workers inherit it)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(call, chunk) for chunk in chunks]
             for future in futures:
@@ -467,18 +469,17 @@ class Replica:
     tree on [0, t] and draws the fields named by ``tags`` on it in one
     pass (grow_leaves), x from the seed's TAG_PAIR_X stream and z from
     its TAG_PAIR_Z stream, the streams of sample_correlated_pair, and
-    keeps only the counts and the leaves.  Every pair(rho) view of one
-    replica shares its one x and one z.
+    keeps only the counts and the leaves, unless it is handed ``leaves``
+    grown so already.  Every pair(rho) view shares one x and one z.
     """
 
     def __init__(self, cfg: ExperimentConfig, dist: OffspringDistribution,
-                 task: tuple, tags: tuple):
+                 task: tuple, tags: tuple, leaves=None):
         self.t, self.index = task
         self.seed = replica_seed(cfg.seed, self.index)
-        self.leaves = grow_leaves(
+        self.leaves = leaves if leaves is not None else grow_leaves(
             dist, self.t, self.seed,
-            [stream_key(self.seed, tag) for tag in tags],
-            max_nodes=cfg.max_nodes)
+            [stream_key(self.seed, tag) for tag in tags], cfg.max_nodes)
 
     @property
     def n_leaves(self) -> int:
@@ -491,9 +492,32 @@ class Replica:
         return correlate(self.leaves, x, z, rho)
 
 
-def _observe(observable, dist, tags, cfg: ExperimentConfig,
-             task: tuple) -> list:
-    return observable(cfg, Replica(cfg, dist, task, tags))
+def _replica_chunk(observable, dist, tags, cfg: ExperimentConfig,
+                   chunk: list) -> list:
+    """_run_replicas' chunk worker: each run of tasks at one t grows in
+    lockstep groups of up to forest_size(dist, t) trees (grow_forest; one
+    alone on grow_leaves), and a failed tree or observable fails its task."""
+    outcomes = []
+    for t, at_t in itertools.groupby(chunk, key=lambda task: task[0]):
+        at_t, size = list(at_t), forest_size(dist, t)
+        for group in [at_t[lo:lo + size] for lo in range(0, len(at_t), size)]:
+            seeds = [replica_seed(cfg.seed, i) for _, i in group]
+            keys = [[stream_key(s, tag) for tag in tags] for s in seeds]
+            try:
+                grown = (grow_forest(dist, t, seeds, keys, cfg.max_nodes)
+                         if len(group) > 1 else [grow_leaves(
+                             dist, t, seeds[0], keys[0], cfg.max_nodes)])
+            except Exception as exc:  # the horizon's error, or the tree's
+                grown = [exc] * len(group)
+            for task, leaves in zip(group, grown):
+                try:
+                    if isinstance(leaves, Exception):
+                        raise leaves
+                    outcomes.append((True, observable(
+                        cfg, Replica(cfg, dist, task, tags, leaves))))
+                except Exception as exc:  # contained: counted as failures
+                    outcomes.append(_failure(exc))
+    return outcomes
 
 
 def _run_replicas(observable, cfg: ExperimentConfig, ts: list,
@@ -512,9 +536,9 @@ def _run_replicas(observable, cfg: ExperimentConfig, ts: list,
     else:
         tags = (TAG_PAIR_X, TAG_PAIR_Z)
     tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
-    worker = functools.partial(_observe, observable, cfg.dist(), tags)
-    payloads, failures = _collect(functools.partial(_guarded_chunk, worker),
-                                  cfg, tasks, _replica_record)
+    payloads, failures = _collect(
+        functools.partial(_replica_chunk, observable, cfg.dist(), tags),
+        cfg, tasks, _replica_record)
     rows = [row for p in payloads if p is not None for row in p]
     return rows, failures, [_task_range("replica", "t", t, cfg.replicas)
                             for t in ts]

@@ -13,9 +13,9 @@ The draw order (one exponential block per wave, one uniform block for the
 splitting subset) is frozen: a given (law, t, seed) triple reproduces the
 identical tree on any machine.  The loop has two consumers: sample_tree
 keeps every node, and grow_leaves lays fields on the waves as they come
-and keeps only the frontier and the finished leaves.  screen_maxima grows
-many small trees in the same draw order, one forest wave at a time, and
-keeps only each tree's max leaf x.
+and keeps only the frontier and the finished leaves.  A forest loop grows
+many small trees a wave at a time in the same draw order for screen_maxima
+(each tree's max leaf x) and grow_forest (each tree's GrownLeaves).
 """
 
 from __future__ import annotations
@@ -26,10 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .offspring import OffspringDistribution
-from .streams import TAG_FIELD, TAG_TREE, make_rng
+from .streams import TAG_FIELD, TAG_TREE, make_rng, rekey
 
 NODE_BUDGET = 1 << 27
 OVERLAP_LEAF_CAP = 4096
+FOREST_LEAVES = 1 << 9  # projected leaves of one lockstep group of trees
+POOL_CAP = 256  # generators grow_forest keeps to re-key (207 at t = 2)
+_POOL = []
 
 
 class ResourceLimitError(RuntimeError):
@@ -223,6 +226,64 @@ def grow_leaves(dist: OffspringDistribution, t: float, seed: int,
         positions=tuple(np.concatenate(c) for c in chunks))
 
 
+def forest_size(dist: OffspringDistribution, t: float) -> int:
+    """Trees per lockstep group: FOREST_LEAVES over e^((m-1)t), at least 1."""
+    return max(1, int(FOREST_LEAVES * math.exp((1 - dist.mean_children) * t)))
+
+
+def _forest(dist: OffspringDistribution, t: float, streams, max_nodes: int):
+    """The forest loop: grow a tree per (tree_rng, *field_rngs) in
+    ``streams`` in lockstep, each making the calls of _waves and grow_leaves
+    on its streams.  Per wave yield, read-only, the tree of each frontier
+    node (by tree, then node id), which of them split, each field at them
+    and each tree's node count (past max_nodes once the tree is dropped)."""
+    _check_horizon(dist, t, max_nodes)
+    tree_rngs, *field_rngs = zip(*streams)
+    n = len(streams)
+    sizes = np.ones(n, dtype=np.int64)  # frontier nodes, per tree
+    total = sizes.copy()
+    tree = np.arange(n)                 # the tree of each frontier node
+    birth, starts = np.zeros(n), ()     # starts: parents' positions
+    while True:
+        live = sizes.nonzero()[0]
+        ends = np.cumsum(sizes[live]).tolist()
+        blocks = list(zip(live.tolist(), [0] + ends, ends))
+        split_at = np.empty(tree.size)
+        for j, lo, hi in blocks:
+            tree_rngs[j].standard_exponential(out=split_at[lo:hi])
+        pos = [np.empty(tree.size) for _ in field_rngs]
+        for rngs, p in zip(field_rngs, pos):
+            for j, lo, hi in blocks:
+                rngs[j].standard_normal(out=p[lo:hi])
+        split_at += birth
+        splits = split_at < t
+        scale = np.sqrt(np.minimum(split_at, t) - birth)
+        for p in pos:
+            p *= scale
+        for p, start in zip(pos, starts):
+            p += start
+        yield tree, splits, pos, total
+        splitters = splits.nonzero()[0]
+        if splitters.size == 0:
+            return
+        per_tree = np.bincount(tree.take(splitters), minlength=n)
+        uniforms = np.empty(splitters.size)
+        counts, lo = per_tree.tolist(), 0
+        for j in per_tree.nonzero()[0].tolist():
+            tree_rngs[j].random(out=uniforms[lo:lo + counts[j]])
+            lo += counts[j]
+        child_of = np.repeat(splitters, dist.sample_counts(uniforms))
+        tree = tree.take(child_of)
+        sizes = np.bincount(tree, minlength=n)
+        total += sizes
+        if total.max() > max_nodes:  # drop the trees over budget
+            sizes[total > max_nodes] = 0
+            keep = sizes.take(tree).nonzero()[0]
+            child_of, tree = child_of.take(keep), tree.take(keep)
+        birth = split_at.take(child_of)
+        starts = [p.take(child_of) for p in pos]
+
+
 def screen_maxima(dist: OffspringDistribution, t: float, streams,
                   max_nodes: int = NODE_BUDGET) -> np.ndarray:
     """The max leaf x of many trees on [0, t], grown together as one forest.
@@ -233,64 +294,39 @@ def screen_maxima(dist: OffspringDistribution, t: float, streams,
     make_rng(key, TAG_FIELD) stream of sample_field(tree, key).  Entry j
     is then np.max(sample_field(sample_tree(dist, t, seed_j), key_j).x),
     or NaN when tree j grows past max_nodes, which stops that tree alone.
-
-    Per wave each live tree makes the calls _waves and grow_leaves make on
-    its streams (an exponential block, a uniform block when it has
-    splitters, a normal block), so every stream sees their draw order.
-    The rest of the wave runs once over the whole frontier, which stays
-    grouped by tree and, within a tree, in node-id order.
     """
-    _check_horizon(dist, t, max_nodes)
-    n = len(streams)
-    maxima = np.full(n, -np.inf)
-    sizes = np.ones(n, dtype=np.int64)  # frontier nodes, per tree
-    total = sizes.copy()                # nodes grown so far, per tree
-    tree = np.arange(n)                 # the tree of each frontier node
-    birth = np.zeros(n)
-    start = None                        # parents' x, per frontier node
-    while tree.size:
-        live = sizes.nonzero()[0]
-        split_at = np.empty(tree.size)
-        pos = np.empty(tree.size)
-        lo = 0
-        for j, hi in zip(live.tolist(), np.cumsum(sizes[live]).tolist()):
-            tree_rng, x_rng = streams[j]
-            tree_rng.standard_exponential(out=split_at[lo:hi])
-            x_rng.standard_normal(out=pos[lo:hi])
-            lo = hi
-        split_at += birth
-        splits = split_at < t
-        scale = np.minimum(split_at, t)
-        scale -= birth
-        np.sqrt(scale, out=scale)
-        pos *= scale
-        if start is not None:
-            pos += start
-        np.maximum.at(maxima, tree, np.where(splits, -np.inf, pos))
-        splitters = splits.nonzero()[0]
-        if splitters.size == 0:
-            break
-        per_tree = np.bincount(tree.take(splitters), minlength=n)
-        uniforms = np.empty(splitters.size)
-        lo = 0
-        for j in per_tree.nonzero()[0].tolist():
-            hi = lo + int(per_tree[j])
-            streams[j][0].random(out=uniforms[lo:hi])
-            lo = hi
-        child_of = np.repeat(splitters, dist.sample_counts(uniforms))
-        tree = tree.take(child_of)
-        sizes = np.bincount(tree, minlength=n)
-        total += sizes
-        over = total > max_nodes
-        if over.any():
-            maxima[over] = np.nan
-            sizes[over] = 0
-            keep = ~over.take(tree)
-            child_of = child_of[keep]
-            tree = tree[keep]
-        birth = split_at.take(child_of)
-        start = pos.take(child_of)
+    maxima = np.full(len(streams), -np.inf)
+    for tree, splits, (x,), total in _forest(dist, t, streams, max_nodes):
+        np.maximum.at(maxima, tree, np.where(splits, -np.inf, x))
+    maxima[total > max_nodes] = np.nan
     return maxima
+
+
+def grow_forest(dist: OffspringDistribution, t: float, seeds, field_keys,
+                max_nodes: int = NODE_BUDGET) -> list:
+    """Entry j is grow_leaves(dist, t, seeds[j], field_keys[j], max_nodes),
+    or the error it raises for tree j past max_nodes, the trees grown as one
+    forest; a horizon error is raised.  Every seed has as many field keys."""
+    need = len(seeds) * (1 + len(field_keys[0]))
+    _POOL.extend(make_rng(0) for _ in range(min(need, POOL_CAP) - len(_POOL)))
+    pool = iter(_POOL[:need] + [make_rng(0) for _ in range(need - POOL_CAP)])
+    streams = [[rekey(next(pool), seed, TAG_TREE)]
+               + [rekey(next(pool), key, TAG_FIELD) for key in keys]
+               for seed, keys in zip(seeds, field_keys)]
+    trees, positions = [], []
+    for tree, splits, pos, total in _forest(dist, t, streams, max_nodes):
+        trees.append(tree[~splits])  # by wave, then tree, then node id
+        positions.append([p[~splits] for p in pos])
+    leaf_tree = np.concatenate(trees)
+    order = np.argsort(leaf_tree, kind="stable")  # by tree, then node id
+    positions = [np.concatenate(c).take(order) for c in zip(*positions)]
+    ends = np.cumsum(np.bincount(leaf_tree, minlength=len(seeds))).tolist()
+    return [over_budget(max_nodes, t, seed) if n_nodes > max_nodes
+            else GrownLeaves(t=float(t), seed=seed, n_nodes=n_nodes,
+                             n_leaves=hi - lo,
+                             positions=tuple(p[lo:hi] for p in positions))
+            for seed, n_nodes, lo, hi in zip(seeds, total.tolist(),
+                                             [0] + ends, ends)]
 
 
 def _require_leaf(tree: GwTree, node: int) -> None:

@@ -18,17 +18,18 @@ _PROB_TOL = 1e-12
 _MEAN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OffspringDistribution:
     """Distribution of children counts at a split.
 
     ``probabilities[i]`` is the probability of ``i + 1`` children; the
     support therefore starts at 1 and extends to at most ``MAX_SUPPORT``.
+    Laws compare by identity, as GwTree and GrownLeaves do.
     """
 
     probabilities: np.ndarray
-    _cdf: np.ndarray = field(init=False, repr=False, compare=False)
-    _only_k: int = field(init=False, repr=False, compare=False)
+    _cdf: np.ndarray = field(init=False, repr=False)
+    _only_k: int = field(init=False, repr=False)
 
     def __init__(self, probabilities, require_mean_two: bool = True):
         p = np.asarray(probabilities, dtype=np.float64)

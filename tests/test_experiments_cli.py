@@ -17,6 +17,7 @@ from bbmlab import (OffspringDistribution, additive_martingale, cli,
 from bbmlab.experiments import (ConfigError, DEFAULT_SEED, ExperimentConfig,
                                 REQUIRED_KEYS, Replica, load_config,
                                 parse_complex, run, validate_config)
+from bbmlab.gwtree import ResourceLimitError, forest_size, grow_leaves
 from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, replica_seed,
                             stream_key)
 
@@ -468,14 +469,22 @@ class TestReplica:
 
     def test_fields_drawn_once_per_replica(self, tmp_path, monkeypatch):
         streams = []
-        original = gwtree.make_rng
+        make_rng, rekey = gwtree.make_rng, gwtree.rekey
 
         def counting(seed, *tags):
             if tags == (TAG_FIELD,):
                 streams.append(seed)
-            return original(seed, *tags)
+            return make_rng(seed, *tags)
 
+        def counting_rekey(rng, seed, *tags):
+            if tags == (TAG_FIELD,):
+                streams.append(seed)
+            return rekey(rng, seed, *tags)
+
+        # a replica grown alone builds its field streams; a lockstep group
+        # re-keys pooled ones
         monkeypatch.setattr(gwtree, "make_rng", counting)
+        monkeypatch.setattr(gwtree, "rekey", counting_rekey)
         # x and z when some |rho| < 1, x alone at rho = 1, no field for
         # tree_moments
         for experiment, rhos, tags in [
@@ -489,6 +498,76 @@ class TestReplica:
             assert run(cfg).ok
             assert streams == [stream_key(replica_seed(cfg.seed, i), tag)
                                for i in range(cfg.replicas) for tag in tags]
+
+    def test_deep_trees_grow_alone(self, tmp_path, monkeypatch):
+        # lockstep groups are for shallow trees: for the binary law from t
+        # of about 5.5 on, so at every t of the deep workloads and the
+        # acceptance runs, each replica grows alone on grow_leaves
+        assert [forest_size(BINARY, t) for t in (8.0, 10.0, 12.0)] == [1] * 3
+        assert forest_size(BINARY, 2.0) > 1
+
+        def no_forest(*args):
+            raise AssertionError("grow_forest called for a group of one")
+
+        monkeypatch.setattr(experiments, "grow_forest", no_forest)
+        cfg = ExperimentConfig(experiment="tree_moments", replicas=3, t=8.0,
+                               threads=1, output_dir=str(tmp_path))
+        assert not run(cfg).failures
+
+
+def test_lockstep_failures_match_grow_leaves(tmp_path):
+    # at t = 3 replicas grow in forests of forest_size(BINARY, 3.0) = 25
+    # trees with one chunk, of 2 trees with two workers; a tree over budget
+    # fails its own replica only, and the rows and failures do not depend
+    # on the grouping
+    runs = []
+    for threads in (1, 2):
+        cfg = ExperimentConfig(experiment="martingale", replicas=40, t=3.0,
+                               rho_list=[0.0, 1.0], max_nodes=60,
+                               threads=threads,
+                               output_dir=str(tmp_path / str(threads)))
+        result = run(cfg)
+        with open(result.outputs["martingale.csv"], encoding="utf-8") as fh:
+            body = [line for line in fh if not line.startswith("#")]
+        runs.append((body, result.failures))
+    assert runs[0] == runs[1]
+    body, failures = runs[0]
+    want = []
+    for i in range(cfg.replicas):
+        seed = replica_seed(cfg.seed, i)
+        try:
+            grow_leaves(BINARY, cfg.t, seed, max_nodes=cfg.max_nodes)
+        except ResourceLimitError as exc:
+            want.append({"t": cfg.t, "replica": i, "seed": seed,
+                         "error_type": "ResourceLimitError",
+                         "error": f"ResourceLimitError: {exc}"})
+    assert failures == want
+    assert 0 < len(want) < cfg.replicas
+    rows_per_replica = 2 * len(cfg.beta_list)
+    assert len(body) == 1 + rows_per_replica * (cfg.replicas - len(want))
+
+
+def test_lockstep_groups_follow_task_order(tmp_path, monkeypatch):
+    # a t_list whose repeats are not next to each other: every task is
+    # grown once, at its own t, and the CSV body is the one that growing
+    # each task alone, in task order, writes
+    def body(name):
+        cfg = ExperimentConfig(experiment="extremal_max", replicas=4,
+                               t_list=[2.0, 3.0, 2.0], threads=1,
+                               output_dir=str(tmp_path / name))
+        result = run(cfg)
+        assert not result.failures
+        with open(result.outputs["extremal_max.csv"],
+                  encoding="utf-8") as fh:
+            return [row for row in csv.reader(fh) if not row[0].startswith("#")]
+
+    lockstep = body("lockstep")
+    monkeypatch.setattr(experiments, "forest_size", lambda dist, t: 1)
+    assert lockstep == body("alone")
+    assert lockstep[0][:2] == ["t", "replica"]
+    assert [(float(t), int(i)) for t, i, *_ in lockstep[1:]] == [
+        (t, i) for t in (2.0, 3.0, 2.0) for i in range(4)]
+
 
 
 def _exit_on_replica_7(cfg, rep):

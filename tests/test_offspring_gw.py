@@ -37,6 +37,15 @@ class TestOffspringValidation:
         # K = sum k(k-1) p_k = 0.5 * 3 * 2
         assert d.second_factorial_moment == pytest.approx(3.0, abs=1e-12)
 
+    def test_laws_compare_by_identity(self):
+        # the generated __eq__ compared the probability arrays inside a
+        # tuple and raised "truth value of an array is ambiguous"
+        other = OffspringDistribution.binary()
+        assert (BINARY == other) is False
+        assert (BINARY != other) is True
+        assert (BINARY == BINARY) is True
+        assert BINARY in [other, BINARY]
+
     def test_roundtrip(self):
         pairs = [(1, 0.25), (2, 0.5), (3, 0.25)]
         d = OffspringDistribution.from_pairs(pairs)

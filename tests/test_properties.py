@@ -1,8 +1,8 @@
 """Property tests: invariants of the accumulator, truncation, overlaps and
 sampled trees over generated inputs, and bit-exactness of the exact small
-sum, of the shared-table sweeps, of the tree sampler's wave loop and of
+sum, of the shared-table sweeps, of the tree sampler's wave loop, of
 the leaf grower and the forest screen against the tree and field
-samplers.
+samplers, and of the forest grower against the leaf grower.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -19,7 +19,9 @@ from bbmlab import (OffspringDistribution, ResourceLimitError,
                     compensated_sum, log_partition, overlap_matrix,
                     rescaled_partition, sample_correlated_pair, sample_field,
                     sample_tree, scaled_exp_sum, truncated_partition)
-from bbmlab.gwtree import NODE_BUDGET, grow_leaves, screen_maxima
+from bbmlab import gwtree
+from bbmlab.gwtree import (NODE_BUDGET, grow_forest, grow_leaves,
+                           screen_maxima)
 from bbmlab.partition import log_partitions, m_of_t, truncation_sweep
 from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE,
                             make_rng, rekey, stream_key)
@@ -188,6 +190,50 @@ def test_screen_maxima_match_tree_and_field(keys, t, law, max_nodes):
                      for seed, x_key in keys])
     # bytes: the -0.0 maxima of t = 0 and the NaN of a tree over budget
     assert got.tobytes() == want.tobytes()
+
+
+def _grown_outcome(grown):
+    if isinstance(grown, Exception):
+        return type(grown), str(grown)
+    # bytes, so that the -0.0 leaves of t = 0 count as well
+    return (grown.n_nodes, grown.n_leaves,
+            [(p.dtype, p.tobytes()) for p in grown.positions])
+
+
+@PROPERTY
+@given(tree_seeds=st.lists(seeds, min_size=1, max_size=40),
+       t=st.just(0.0) | st.floats(0.0, 4.0), law=st.sampled_from(LAWS),
+       n_fields=st.integers(0, 2),
+       max_nodes=st.just(NODE_BUDGET) | st.integers(1, 300))
+def test_grow_forest_matches_grow_leaves(tree_seeds, t, law, n_fields,
+                                         max_nodes):
+    keys = [_pair_keys(seed)[:n_fields] for seed in tree_seeds]
+    try:
+        got = grow_forest(law, t, tree_seeds, keys, max_nodes)
+    except ResourceLimitError as exc:  # the horizon's, raised for all
+        got = [exc] * len(tree_seeds)
+    assert len(got) == len(tree_seeds)
+    for seed, seed_keys, grown in zip(tree_seeds, keys, got):
+        try:
+            want = grow_leaves(law, t, seed, seed_keys, max_nodes)
+        except ResourceLimitError as exc:
+            want = exc
+        assert _grown_outcome(grown) == _grown_outcome(want)
+
+
+def test_grow_forest_past_pool_cap(monkeypatch):
+    # generators past the kept POOL_CAP are built for the call alone, and
+    # kept ones re-keyed on the next call draw as fresh ones do
+    monkeypatch.setattr(gwtree, "POOL_CAP", 5)
+    monkeypatch.setattr(gwtree, "_POOL", [])
+    law = OffspringDistribution.binary()
+    for tree_seeds in ([3, 1, 4, 1], [5, 9, 2, 6, 5]):
+        keys = [_pair_keys(seed) for seed in tree_seeds]
+        got = grow_forest(law, 2.5, tree_seeds, keys)
+        assert len(gwtree._POOL) == 5
+        for seed, seed_keys, grown in zip(tree_seeds, keys, got):
+            want = grow_leaves(law, 2.5, seed, seed_keys)
+            assert _grown_outcome(grown) == _grown_outcome(want)
 
 
 @PROPERTY
