@@ -36,7 +36,7 @@ from .gwtree import NODE_BUDGET, forest_size, grow_forest, grow_leaves
 from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
                       martingale_second_moment)
-from .partition import (SQRT2, additive_martingale, derivative_martingale,
+from .partition import (SQRT2, additive_martingales, derivative_martingale,
                         log_partitions, m_of_t, rescaled_partition,
                         truncation_sweep)
 from .phase import grid_betas, scan_cells
@@ -48,7 +48,7 @@ from .extremal import sample_cluster  # noqa: F401
 from .field import sample_correlated_pair, sample_field  # noqa: F401
 from .gwtree import sample_tree  # noqa: F401
 from .phase import classify, grid_scan, limiting_free_energy  # noqa: F401
-from .partition import truncated_partition  # noqa: F401
+from .partition import additive_martingale, truncated_partition  # noqa: F401
 
 FAILURE_BUDGET = 0.10
 DEFAULT_SEED = 20260825
@@ -487,16 +487,24 @@ class Replica:
 
     def pair(self, rho: float) -> CorrelatedField:
         """(x, y) with correlation rho; |rho| < 1 needs z among the tags."""
-        x = self.leaves.positions[0]
-        z = None if abs(rho) == 1.0 else self.leaves.positions[1]
-        return correlate(self.leaves, x, z, rho)
+        return _pair(self.leaves, self.leaves.positions, rho)
+
+
+def _pair(tree, positions, rho: float) -> CorrelatedField:
+    """The pair view of x = positions[0] and, for |rho| < 1, z =
+    positions[1]; ``tree`` gives the view its horizon."""
+    z = None if abs(rho) == 1.0 else positions[1]
+    return correlate(tree, positions[0], z, rho)
 
 
 def _replica_chunk(observable, dist, tags, cfg: ExperimentConfig,
                    chunk: list) -> list:
     """_run_replicas' chunk worker: each run of tasks at one t grows in
     lockstep groups of up to forest_size(dist, t) trees (grow_forest; one
-    alone on grow_leaves), and a failed tree or observable fails its task."""
+    alone on grow_leaves), and observable(cfg, replicas) reduces a group's
+    grown replicas at once.  It returns one entry per replica, its rows or
+    the exception that failed it; a tree that failed to grow fails only
+    its own task, and an observable that raises fails its whole group."""
     outcomes = []
     for t, at_t in itertools.groupby(chunk, key=lambda task: task[0]):
         at_t, size = list(at_t), forest_size(dist, t)
@@ -509,25 +517,43 @@ def _replica_chunk(observable, dist, tags, cfg: ExperimentConfig,
                              dist, t, seeds[0], keys[0], cfg.max_nodes)])
             except Exception as exc:  # the horizon's error, or the tree's
                 grown = [exc] * len(group)
-            for task, leaves in zip(group, grown):
-                try:
-                    if isinstance(leaves, Exception):
-                        raise leaves
-                    outcomes.append((True, observable(
-                        cfg, Replica(cfg, dist, task, tags, leaves))))
-                except Exception as exc:  # contained: counted as failures
-                    outcomes.append(_failure(exc))
+            reps = [Replica(cfg, dist, task, tags, leaves)
+                    for task, leaves in zip(group, grown)
+                    if not isinstance(leaves, Exception)]
+            try:
+                results = iter(observable(cfg, reps) if reps else ())
+            except Exception as exc:  # contained: counted as failures
+                results = itertools.repeat(exc)
+            for leaves in grown:
+                out = (leaves if isinstance(leaves, Exception)
+                       else next(results))
+                outcomes.append(_failure(out) if isinstance(out, Exception)
+                                else (True, out))
     return outcomes
+
+
+def _each_replica(observable, cfg: ExperimentConfig, reps: list) -> list:
+    """A per-replica observable(cfg, replica) -> rows as a group
+    observable: each replica's rows, or the exception that failed it."""
+    results = []
+    for rep in reps:
+        try:
+            results.append(observable(cfg, rep))
+        except Exception as exc:  # contained: counted as failures
+            results.append(exc)
+    return results
 
 
 def _run_replicas(observable, cfg: ExperimentConfig, ts: list,
                   rhos: list) -> tuple[list, list, int]:
-    """observable(cfg, replica) for replicas 0..replicas-1 at each t in ts.
+    """observable(cfg, replicas) over replicas 0..replicas-1 at each t in ts.
 
-    ``rhos`` are the correlations the observable reads: the replicas draw
-    no field when it is empty, x alone when every |rho| = 1, else x and z.
-    Each observable returns a list of rows; the result is (rows in task
-    order, t-major; failure records; seed-schedule entries).
+    The observable takes a lockstep group of replicas at one t and
+    returns one entry per replica (see _replica_chunk); _each_replica
+    lifts a per-replica one.  ``rhos`` are the correlations it reads: the
+    replicas draw no field when it is empty, x alone when every |rho| = 1,
+    else x and z.  The result is (rows in task order, t-major; failure
+    records; seed-schedule entries).
     """
     if not rhos:
         tags = ()
@@ -549,7 +575,8 @@ def _tree_rows(cfg: ExperimentConfig, rep: Replica) -> list:
 
 
 def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, schedule = _run_replicas(_tree_rows, cfg, cfg.ts(), [])
+    rows, failures, schedule = _run_replicas(
+        functools.partial(_each_replica, _tree_rows), cfg, cfg.ts(), [])
     growth = cfg.dist().mean_children - 1.0  # E[n_leaves] = e^(growth t)
     summary = {}
     for t in cfg.ts():
@@ -568,14 +595,23 @@ def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
 
 
 def _martingale_rows(betas: list, cfg: ExperimentConfig,
-                     rep: Replica) -> list:
-    rows = []
+                     reps: list) -> list:
+    """Each replica's rows, (rho, beta) in config order; the group's leaves
+    are laid end to end once and each (rho, beta) reduces them in one
+    additive_martingales pass."""
+    positions = [np.concatenate(p)
+                 for p in zip(*(rep.leaves.positions for rep in reps))]
+    ends = np.cumsum([rep.n_leaves for rep in reps])
+    rows = [[] for _ in reps]
     for rho in cfg.rhos():
-        fld = rep.pair(rho)
+        # the view reads only its tree's horizon, which the group shares
+        fld = _pair(reps[0].leaves, positions, rho)
         for beta in betas:
-            m = additive_martingale(fld, beta)
-            rows.append((rep.t, beta.real, beta.imag, rho, rep.index,
-                         rep.seed, rep.n_leaves, m.real, m.imag, abs(m) ** 2))
+            for rep, out, m in zip(reps, rows,
+                                   additive_martingales(fld, beta, ends)):
+                out.append((rep.t, beta.real, beta.imag, rho, rep.index,
+                            rep.seed, rep.n_leaves, m.real, m.imag,
+                            abs(m) ** 2))
     return rows
 
 
@@ -584,13 +620,15 @@ def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     rows, failures, schedule = _run_replicas(
         functools.partial(_martingale_rows, betas), cfg, [cfg.t], cfg.rhos())
     k_fac = cfg.dist().second_factorial_moment
+    cells: dict = {}  # (sigma, tau, rho) -> its rows, in task order
+    for r in rows:
+        cells.setdefault(r[1:4], []).append(r)
     summary = {}
     for beta in betas:
         oracle = martingale_second_moment(beta, cfg.t, k_fac,
                                           allow_unbounded=True)
         for rho in cfg.rhos():
-            sel = [r for r in rows if r[1] == beta.real
-                   and r[2] == beta.imag and r[3] == rho]
+            sel = cells.get((beta.real, beta.imag, rho), [])
             re = np.array([r[7] for r in sel])
             im = np.array([r[8] for r in sel])
             a2 = np.array([r[9] for r in sel])
@@ -621,7 +659,8 @@ def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         betas = grid_betas(cfg.sigma_range, cfg.tau_range, cfg.resolution)
     else:
         betas = cfg.betas()
-    observable = functools.partial(_free_energy_rows, betas)
+    observable = functools.partial(_each_replica, functools.partial(
+        _free_energy_rows, betas))
     samples, failures, schedule = _run_replicas(observable, cfg, cfg.ts(),
                                                 [cfg.rho])
     cells = [cell for t in cfg.ts() for cell in
@@ -650,7 +689,8 @@ def _glassy_rows(beta: complex, cfg: ExperimentConfig, rep: Replica) -> list:
 def _run_glassy_tail(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     beta = cfg.betas()[0]
     rows, failures, schedule = _run_replicas(
-        functools.partial(_glassy_rows, beta), cfg, [cfg.t], [cfg.rho])
+        functools.partial(_each_replica, functools.partial(
+            _glassy_rows, beta)), cfg, [cfg.t], [cfg.rho])
     moduli = np.array([r[5] for r in rows])
     target = SQRT2 / abs(beta.real) if beta.real else math.nan
     summary = {"alpha_target": target, "n": int(moduli.size)}
@@ -686,8 +726,8 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         samples = _read_complex_samples(cfg.input_csv)
     else:
         rows, failures, schedule = _run_replicas(
-            functools.partial(_glassy_rows, cfg.betas()[0]), cfg, [cfg.t],
-            [cfg.rho])
+            functools.partial(_each_replica, functools.partial(
+                _glassy_rows, cfg.betas()[0])), cfg, [cfg.t], [cfg.rho])
         samples = np.array([complex(r[3], r[4]) for r in rows])
     radii = stats.isotropy_radii(samples)
     control = stats.isotropic_resample(
@@ -725,8 +765,8 @@ def _truncation_rows(beta: complex, cfg: ExperimentConfig,
 
 def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     rows, failures, schedule = _run_replicas(
-        functools.partial(_truncation_rows, cfg.betas()[0]), cfg, [cfg.t],
-        [cfg.rho])
+        functools.partial(_each_replica, functools.partial(
+            _truncation_rows, cfg.betas()[0])), cfg, [cfg.t], [cfg.rho])
     summary = {"delta": TRUNCATION_DELTA}
     p_by_a = []
     for a in cfg.a_list:
@@ -756,7 +796,8 @@ def _extremal_rows(cfg: ExperimentConfig, rep: Replica) -> list:
 
 def _run_extremal_max(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     ts = cfg.ts()
-    rows, failures, schedule = _run_replicas(_extremal_rows, cfg, ts, [1.0])
+    rows, failures, schedule = _run_replicas(
+        functools.partial(_each_replica, _extremal_rows), cfg, ts, [1.0])
     summary = {}
     shifts = {}
     zvals = {}

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .accum import (ScaledComplex, compensated_sum, scaled_exp_sum,
-                    scaled_trig_sum)
+                    scaled_exp_sums, scaled_trig_sum)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -108,11 +108,23 @@ def additive_martingale(field, beta) -> complex:
     psi = 1 + (sigma^2 - tau^2)/2 + i sigma rho tau with the field's rho,
     which compensates both the expected population growth and the full
     complex moment of one leaf's energy pair, so E[M] = 1 at every horizon.
+    The one-segment call of additive_martingales.
+    """
+    return additive_martingales(field, beta, [field.x.size])[0]
+
+
+def additive_martingales(field, beta, ends) -> list[complex]:
+    """additive_martingale of each tree whose leaves the field lays end to
+    end: tree j holds leaves ends[j-1]:ends[j] (from 0 for j = 0), and
+    every tree has the field's horizon and rho.  One scaled_exp_sums pass
+    reduces them all, and each entry has the bits of a call on its tree's
+    leaves alone.
     """
     t = field.t
     log_norm = -t * (1.0 + 0.5 * (beta.real ** 2 - beta.imag ** 2))
     angle = -t * beta.real * field.rho * beta.imag
-    return scaled_partition(field, beta).shifted(log_norm).rotated(angle).value
+    sums = scaled_exp_sums(beta.real * field.x, beta.imag * field.y, ends)
+    return [s.shifted(log_norm).rotated(angle).value for s in sums]
 
 
 def derivative_martingale(field) -> float:

@@ -52,6 +52,16 @@ def make_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *tags)))
 
 
+# The Philox state rekey sets: a fresh stream's counter and buffer, with
+# the key written in per call.  The state setter copies it.
+_FRESH_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": np.zeros(4, dtype=np.uint64),
+              "key": np.zeros(2, dtype=np.uint64)},
+    "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+    "has_uint32": 0, "uinteger": 0}
+
+
 def rekey(rng: np.random.Generator, seed: int,
           *tags: int) -> np.random.Generator:
     """Point a Philox generator at the start of the (seed, tags) stream.
@@ -59,13 +69,8 @@ def rekey(rng: np.random.Generator, seed: int,
     It then draws what make_rng(seed, *tags) draws, and costs a fraction
     of building a new generator.
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([stream_key(seed, *tags), 0],
-                                  dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
+    _FRESH_STATE["state"]["key"][0] = stream_key(seed, *tags)
+    rng.bit_generator.state = _FRESH_STATE
     return rng
 
 

@@ -22,6 +22,11 @@ CONFIGS = {
     "martingale": dict(experiment="martingale", replicas=30, t=2.0,
                        beta_list=["0.5", "0.4+0.6i"],
                        rho_list=[0.0, 0.8, 1.0]),
+    # chunks of 25 tasks on two workers, so the replicas grow and reduce
+    # in lockstep groups (the martingale config's chunks hold one task)
+    "martingale_lockstep": dict(experiment="martingale", replicas=400, t=2.0,
+                                beta_list=["0.5", "0.4+0.6i", "0.6i"],
+                                rho_list=[-1.0, 0.0, 0.8, 1.0]),
     "free_energy_grid": dict(experiment="free_energy_scan", replicas=20,
                              t_list=[2.0, 3.0], rho=0.5,
                              sigma_range=[0.2, 2.0], tau_range=[0.0, 1.5],
@@ -88,6 +93,10 @@ DIGESTS = {
     "martingale": {
         "martingale.csv":
             "13f17076bd3bd6ba3cc26ddb813176db01670f273c8fb43f9f427b79f3c20fc0",
+    },
+    "martingale_lockstep": {
+        "martingale.csv":
+            "543c68cb36ebe13f1919472350558877e84f404a1f24fab079b5a3b4c87654a2",
     },
     "tree_moments": {
         "tree_moments.csv":

@@ -569,6 +569,30 @@ def test_lockstep_groups_follow_task_order(tmp_path, monkeypatch):
         (t, i) for t in (2.0, 3.0, 2.0) for i in range(4)]
 
 
+def _raise_on_replica_7(cfg, rep):
+    """A tree_moments observable that fails on replica 7."""
+    if rep.index == 7:
+        raise ValueError("replica 7")
+    return [(rep.t, rep.index, rep.seed, rep.n_leaves)]
+
+
+def test_observable_failure_fails_its_task_only(tmp_path, monkeypatch):
+    # at t = 1 the 12 replicas are one lockstep group; the per-replica
+    # observable's error fails replica 7 alone
+    monkeypatch.setattr(experiments, "_tree_rows", _raise_on_replica_7)
+    cfg = ExperimentConfig(experiment="tree_moments", replicas=12, t=1.0,
+                           threads=1, output_dir=str(tmp_path))
+    assert forest_size(BINARY, cfg.t) >= cfg.replicas
+    result = run(cfg)
+    assert result.failures == [{"t": 1.0, "replica": 7,
+                                "seed": replica_seed(cfg.seed, 7),
+                                "error_type": "ValueError",
+                                "error": "ValueError: replica 7"}]
+    rows = read_rows(result.outputs["tree_moments.csv"])
+    assert [int(r["replica"]) for r in rows] == [
+        i for i in range(cfg.replicas) if i != 7]
+
+
 
 def _exit_on_replica_7(cfg, rep):
     """A tree_moments observable whose worker dies on replica 7."""

@@ -1,8 +1,9 @@
 """Property tests: invariants of the accumulator, truncation, overlaps and
 sampled trees over generated inputs, and bit-exactness of the exact small
-sum, of the shared-table sweeps, of the tree sampler's wave loop, of
-the leaf grower and the forest screen against the tree and field
-samplers, and of the forest grower against the leaf grower.
+sum, of the segmented reductions against one-segment calls, of the
+shared-table sweeps, of the tree sampler's wave loop, of the leaf grower
+and the forest screen against the tree and field samplers, and of the
+forest grower against the leaf grower.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -16,13 +17,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bbmlab import (OffspringDistribution, ResourceLimitError,
-                    compensated_sum, log_partition, overlap_matrix,
-                    rescaled_partition, sample_correlated_pair, sample_field,
-                    sample_tree, scaled_exp_sum, truncated_partition)
+                    additive_martingale, compensated_sum, log_partition,
+                    overlap_matrix, rescaled_partition, sample_correlated_pair,
+                    sample_field, sample_tree, scaled_exp_sum,
+                    truncated_partition)
 from bbmlab import gwtree
-from bbmlab.gwtree import (NODE_BUDGET, grow_forest, grow_leaves,
-                           screen_maxima)
-from bbmlab.partition import log_partitions, m_of_t, truncation_sweep
+from bbmlab.accum import scaled_exp_sums
+from bbmlab.field import correlate
+from bbmlab.gwtree import (NODE_BUDGET, GrownLeaves, grow_forest,
+                           grow_leaves, screen_maxima)
+from bbmlab.partition import (additive_martingales, log_partitions, m_of_t,
+                              truncation_sweep)
 from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE,
                             make_rng, rekey, stream_key)
 
@@ -240,10 +245,11 @@ def test_grow_forest_past_pool_cap(monkeypatch):
 @given(seed=seeds, used=seeds, tags=st.lists(st.integers(0, 255),
                                              max_size=3))
 def test_rekey_draws_like_make_rng(seed, used, tags):
-    rng = make_rng(used)
+    rng, other = make_rng(used), make_rng(used)
     rng.standard_normal(3)
     rng.random(1)
     rekey(rng, seed, *tags)
+    rekey(other, used, 0x55)  # re-keying another leaves rng's stream as is
     fresh = make_rng(seed, *tags)
     for draw in ("standard_normal", "standard_exponential", "random"):
         assert np.array_equal(getattr(rng, draw)(7), getattr(fresh, draw)(7))
@@ -324,6 +330,88 @@ def test_compensated_sum_is_fsum_up_to_4096_terms(v):
     assert got == expected
     if isinstance(expected, float):
         assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+# Segment sizes on both sides of the list-fsum (700) and exact binned
+# (4096) limits of compensated_sum.
+segment_sizes = (st.integers(1, 12) | st.sampled_from([699, 700, 4096, 4097])
+                 | st.integers(1, 5000))
+# 0.0 and negative values among the parts of beta
+beta_parts = st.sampled_from([0.0, -0.0, -1.3]) | st.floats(-3.0, 3.0)
+
+
+def _segments(sizes):
+    ends = np.cumsum(sizes).tolist()
+    return list(zip([0] + ends, ends)), ends
+
+
+def _signed_normals(rng, n):
+    """Normals with about a tenth of them 0.0 or -0.0."""
+    v = rng.standard_normal(n)
+    zero = rng.random(n) < 0.1
+    v[zero] = rng.choice([0.0, -0.0], int(zero.sum()))
+    return v
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+@PROPERTY
+@given(sizes=st.lists(segment_sizes, min_size=1, max_size=5), seed=seeds,
+       sigma=beta_parts, tau=beta_parts,
+       dead=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_scaled_exp_sums_match_one_segment_calls(sizes, seed, sigma, tau,
+                                                 dead):
+    # a dead segment has only -inf weights; elsewhere one term in ten is
+    # -inf
+    rng = np.random.default_rng(seed)
+    segments, ends = _segments(sizes)
+    lw = sigma * 30.0 * _signed_normals(rng, ends[-1])
+    lw[rng.random(lw.size) < 0.1] = -np.inf
+    for (lo, hi), gone in zip(segments, dead):
+        if gone:
+            lw[lo:hi] = -np.inf
+    ph = tau * _signed_normals(rng, lw.size)
+    for (lo, hi), got in zip(segments, scaled_exp_sums(lw, ph, ends)):
+        want = scaled_exp_sum(lw[lo:hi], ph[lo:hi])
+        assert _bits(got.log_scale, got.mantissa.real, got.mantissa.imag) \
+            == _bits(want.log_scale, want.mantissa.real, want.mantissa.imag)
+
+
+@PROPERTY
+@given(sizes=st.lists(segment_sizes, min_size=1, max_size=5), seed=seeds,
+       t=st.just(0.0) | st.floats(0.0, 4.0), sigma=beta_parts,
+       tau=beta_parts, rho=st.sampled_from([-1.0, 0.0, 0.8, 1.0]))
+def test_additive_martingales_match_one_tree_calls(sizes, seed, t, sigma,
+                                                   tau, rho):
+    rng = np.random.default_rng(seed)
+    segments, ends = _segments(sizes)
+    x, z = (2.0 * _signed_normals(rng, ends[-1]) for _ in range(2))
+    beta = complex(sigma, tau)
+
+    def view(lo, hi):
+        leaves = GrownLeaves(t=t, seed=seed, n_nodes=hi - lo,
+                             n_leaves=hi - lo, positions=(x[lo:hi], z[lo:hi]))
+        return correlate(leaves, x[lo:hi], z[lo:hi], rho)
+
+    got = additive_martingales(view(0, ends[-1]), beta, ends)
+    for (lo, hi), m in zip(segments, got):
+        want = additive_martingale(view(lo, hi), beta)
+        assert _bits(m.real, m.imag) == _bits(want.real, want.imag)
+
+
+def test_scaled_exp_sums_ends():
+    lw, ph = np.array([1.0, -np.inf, 2.0]), np.zeros(3)
+    # an empty segment sums to zero, as an empty scaled_exp_sum does
+    ends = [0, 2, 2, 3]
+    assert scaled_exp_sums(lw, ph, ends) == [
+        scaled_exp_sum(lw[lo:hi], ph[lo:hi])
+        for lo, hi in zip([0] + ends, ends)]
+    assert scaled_exp_sums(lw[:0], ph[:0], []) == []
+    for ends in ([2], [2, 1, 3], [4]):
+        with pytest.raises(ValueError):
+            scaled_exp_sums(lw, ph, ends)
 
 
 def _truncation_one_at_a_time(fld, beta, threshold):
