@@ -121,60 +121,70 @@ def _peeled(log_weights) -> tuple[float, np.ndarray | None]:
 def scaled_exp_sum(log_weights, phases=None) -> ScaledComplex:
     """sum_k e^(log_weights[k] + i phases[k]) in log-scale representation.
 
-    The one-segment call of scaled_exp_sums; without phases the sum is
-    real (scaled_trig_sum without tables).
+    The one-segment call of scaled_exp_sums; a sum with no finite weight
+    is (-inf, 1).  Without phases the sum is real (scaled_trig_sum
+    without tables).
     """
     if phases is None:
         return scaled_trig_sum(log_weights)
-    return scaled_exp_sums(log_weights, phases, [np.size(log_weights)])[0]
+    peaks, re, im = scaled_exp_sums(log_weights, phases,
+                                    [np.size(log_weights)])
+    peak = float(peaks[0])
+    if peak == -math.inf:
+        return ScaledComplex(-math.inf, complex(1.0, 0.0))
+    return ScaledComplex(peak, complex(re[0], im[0]))
 
 
-def scaled_exp_sums(log_weights, phases, ends) -> list[ScaledComplex]:
-    """scaled_exp_sum of each segment of one pair of 1-D term arrays.
+def scaled_exp_sums(log_weights, phases,
+                    ends) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """scaled_exp_sum of each segment of one pair of 1-D term arrays, as
+    arrays: (peaks, re, im), where segment j sums to
+    e^(peaks[j]) * (re[j] + i im[j]).
 
     Segment j holds terms ends[j-1]:ends[j] (from 0 for j = 0), and
     ends[-1] is the term count.  Each segment's largest weight is peeled
-    off before exponentiation, so its result is finite whenever its
+    off before exponentiation, so its parts are finite whenever its
     log-weights are; entries of -inf contribute zero, and a segment with
-    no finite weight gives (-inf, 1).  exp, cos and sin each run once over
-    all the terms; each segment's parts are summed by compensated_sum on
-    its own slice (math.fsum over slices of one list when every segment
-    is under _FSUM_LIST terms), so every entry has the bits of a call on
-    its segment alone.  The cos product is reduced before sin is
-    computed, so at most two arrays of the term count are alive besides
-    the inputs.
+    no finite weight has peak -inf and zero parts.  exp, cos and sin each
+    run once over all the terms; each segment's parts are summed by
+    compensated_sum on its own slice (math.fsum over slices of one list
+    when every segment is under _FSUM_LIST terms), so every segment has
+    the bits of a call on it alone.  The cos product is reduced before
+    sin is computed, so at most two arrays of the term count are alive
+    besides the inputs.
     """
     lw = np.ascontiguousarray(log_weights, dtype=np.float64)
     ph = np.ascontiguousarray(phases, dtype=np.float64)
     if ph.shape != lw.shape or lw.ndim != 1:
         raise ValueError("phases must align with 1-D log_weights")
     bounds = [0] + [int(end) for end in ends]
-    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-    if bounds[-1] != lw.size or any(n < 0 for n in sizes):
+    sizes = np.diff(bounds)
+    if bounds[-1] != lw.size or (sizes < 0).any():
         raise ValueError("ends must be nondecreasing and end at the term "
                          "count")
-    starts = [lo for lo, n in zip(bounds, sizes) if n]
-    maxima = iter(np.maximum.reduceat(lw, starts).tolist() if starts else ())
-    peaks = [next(maxima) if n else -math.inf for n in sizes]
-    w = np.repeat([0.0 if p == -math.inf else p for p in peaks], sizes)
+    peaks = np.full(sizes.size, -np.inf)
+    live = sizes > 0
+    if live.any():
+        peaks[live] = np.maximum.reduceat(lw, np.array(bounds[:-1])[live])
+    w = np.repeat(np.where(peaks == -np.inf, 0.0, peaks), sizes)
     np.subtract(lw, w, out=w)
     w = np.exp(w)
-    largest = max(sizes, default=0)
+    largest = int(sizes.max(initial=0))
     re = _segment_sums(w * np.cos(ph), bounds, largest)
     im = _segment_sums(w * np.sin(ph), bounds, largest)
-    return [ScaledComplex(-math.inf, complex(1.0, 0.0)) if p == -math.inf
-            else ScaledComplex(p, complex(r, i))
-            for p, r, i in zip(peaks, re, im)]
+    return peaks, re, im
 
 
-def _segment_sums(v: np.ndarray, bounds: list, largest: int) -> list:
+def _segment_sums(v: np.ndarray, bounds: list, largest: int) -> np.ndarray:
     """compensated_sum of v[bounds[j]:bounds[j + 1]] for each segment j,
     the largest of which has ``largest`` terms."""
     segments = zip(bounds, bounds[1:])
     if largest < _FSUM_LIST:
         terms = v.tolist()
-        return [math.fsum(terms[lo:hi]) for lo, hi in segments]
-    return [compensated_sum(v[lo:hi]) for lo, hi in segments]
+        sums = [math.fsum(terms[lo:hi]) for lo, hi in segments]
+    else:
+        sums = [compensated_sum(v[lo:hi]) for lo, hi in segments]
+    return np.array(sums, dtype=np.float64)
 
 
 def scaled_trig_sum(log_weights, cos=None, sin=None,

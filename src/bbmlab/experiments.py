@@ -608,7 +608,8 @@ def _martingale_rows(betas: list, cfg: ExperimentConfig,
         fld = _pair(reps[0].leaves, positions, rho)
         for beta in betas:
             for rep, out, m in zip(reps, rows,
-                                   additive_martingales(fld, beta, ends)):
+                                   additive_martingales(fld, beta,
+                                                        ends).tolist()):
                 out.append((rep.t, beta.real, beta.imag, rho, rep.index,
                             rep.seed, rep.n_leaves, m.real, m.imag,
                             abs(m) ** 2))

@@ -110,21 +110,36 @@ def additive_martingale(field, beta) -> complex:
     complex moment of one leaf's energy pair, so E[M] = 1 at every horizon.
     The one-segment call of additive_martingales.
     """
-    return additive_martingales(field, beta, [field.x.size])[0]
+    return complex(additive_martingales(field, beta, [field.x.size])[0])
 
 
-def additive_martingales(field, beta, ends) -> list[complex]:
+def additive_martingales(field, beta, ends) -> np.ndarray:
     """additive_martingale of each tree whose leaves the field lays end to
-    end: tree j holds leaves ends[j-1]:ends[j] (from 0 for j = 0), and
-    every tree has the field's horizon and rho.  One scaled_exp_sums pass
-    reduces them all, and each entry has the bits of a call on its tree's
-    leaves alone.
+    end, as a complex array: tree j holds leaves ends[j-1]:ends[j] (from 0
+    for j = 0), and every tree has the field's horizon and rho.
+
+    One scaled_exp_sums pass reduces them all, and the trees are finished
+    together with the float operations of ScaledComplex.shifted, .rotated
+    and .value (Python's complex product written out, signed-zero terms
+    included), so each entry has the bits of
+    scaled_exp_sum(...).shifted(log_norm).rotated(angle).value on its
+    tree's leaves alone; a tree with no finite weight gives 0j.
     """
     t = field.t
     log_norm = -t * (1.0 + 0.5 * (beta.real ** 2 - beta.imag ** 2))
     angle = -t * beta.real * field.rho * beta.imag
-    sums = scaled_exp_sums(beta.real * field.x, beta.imag * field.y, ends)
-    return [s.shifted(log_norm).rotated(angle).value for s in sums]
+    peaks, mr, mi = scaled_exp_sums(beta.real * field.x, beta.imag * field.y,
+                                    ends)
+    c, s = math.cos(angle), math.sin(angle)
+    rr = mr * c - mi * s
+    ri = mr * s + mi * c
+    log_scale = peaks + log_norm
+    e = np.exp(log_scale)
+    m = np.empty(peaks.size, dtype=np.complex128)
+    m.real = e * rr - 0.0 * ri
+    m.imag = e * ri + 0.0 * rr
+    m[(peaks == -np.inf) | (log_scale == -np.inf)] = 0.0
+    return m
 
 
 def derivative_martingale(field) -> float:

@@ -1,7 +1,8 @@
 """Property tests: invariants of the accumulator, truncation, overlaps and
 sampled trees over generated inputs, and bit-exactness of the exact small
 sum, of the segmented reductions against one-segment calls, of the
-shared-table sweeps, of the tree sampler's wave loop, of the leaf grower
+group martingales against the ScaledComplex chain, of the shared-table
+sweeps, of the tree sampler's wave loop, of the leaf grower
 and the forest screen against the tree and field samplers, and of the
 forest grower against the leaf grower.
 
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bbmlab import (OffspringDistribution, ResourceLimitError,
@@ -373,10 +374,21 @@ def test_scaled_exp_sums_match_one_segment_calls(sizes, seed, sigma, tau,
         if gone:
             lw[lo:hi] = -np.inf
     ph = tau * _signed_normals(rng, lw.size)
-    for (lo, hi), got in zip(segments, scaled_exp_sums(lw, ph, ends)):
+    peaks, re, im = scaled_exp_sums(lw, ph, ends)
+    for j, (lo, hi) in enumerate(segments):
         want = scaled_exp_sum(lw[lo:hi], ph[lo:hi])
-        assert _bits(got.log_scale, got.mantissa.real, got.mantissa.imag) \
-            == _bits(want.log_scale, want.mantissa.real, want.mantissa.imag)
+        if want.log_scale == -math.inf:
+            # (-inf, 1) for the one-segment call, zero parts in the arrays
+            assert peaks[j] == -math.inf and re[j] == im[j] == 0.0
+        else:
+            assert _bits(peaks[j], re[j], im[j]) == _bits(
+                want.log_scale, want.mantissa.real, want.mantissa.imag)
+
+
+def _tree_view(x, z, t, seed, rho):
+    leaves = GrownLeaves(t=t, seed=seed, n_nodes=x.size, n_leaves=x.size,
+                         positions=(x, z))
+    return correlate(leaves, x, z, rho)
 
 
 @PROPERTY
@@ -389,26 +401,76 @@ def test_additive_martingales_match_one_tree_calls(sizes, seed, t, sigma,
     segments, ends = _segments(sizes)
     x, z = (2.0 * _signed_normals(rng, ends[-1]) for _ in range(2))
     beta = complex(sigma, tau)
-
-    def view(lo, hi):
-        leaves = GrownLeaves(t=t, seed=seed, n_nodes=hi - lo,
-                             n_leaves=hi - lo, positions=(x[lo:hi], z[lo:hi]))
-        return correlate(leaves, x[lo:hi], z[lo:hi], rho)
-
-    got = additive_martingales(view(0, ends[-1]), beta, ends)
+    got = additive_martingales(_tree_view(x, z, t, seed, rho), beta, ends)
     for (lo, hi), m in zip(segments, got):
-        want = additive_martingale(view(lo, hi), beta)
+        want = additive_martingale(
+            _tree_view(x[lo:hi], z[lo:hi], t, seed, rho), beta)
+        assert _bits(m.real, m.imag) == _bits(want.real, want.imag)
+
+
+# up to 1e154, whose square times a horizon near 4 overflows, so that
+# log_norm is +-inf
+huge_beta_parts = (beta_parts | st.floats(-40.0, 40.0)
+                   | st.sampled_from([1e154, -1e154]))
+
+
+@settings(PROPERTY, max_examples=120)
+@given(sizes=st.lists(st.just(0) | segment_sizes, min_size=1, max_size=5),
+       seed=seeds, t=st.just(0.0) | st.floats(0.0, 4.0),
+       reach=st.none() | st.floats(600.0, 1100.0),
+       sigma=huge_beta_parts, tau=huge_beta_parts,
+       rho=st.sampled_from([-1.0, 0.0, 0.8, 1.0]),
+       dead=st.lists(st.booleans(), min_size=5, max_size=5))
+# log_norm = -inf with finite peaks, and +inf beside dead trees
+@example(sizes=[5, 3, 4, 2], seed=1, t=4.0, reach=None, sigma=1e154,
+         tau=1.0, rho=0.8, dead=[False] * 5)
+@example(sizes=[3, 2, 0], seed=1, t=4.0, reach=None, sigma=1.0, tau=1e154,
+         rho=0.0, dead=[False, True, False, False, False])
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_additive_martingales_match_scaled_complex_chain(sizes, seed, t,
+                                                         reach, sigma, tau,
+                                                         rho, dead):
+    """Every tree of a group has the bits of the ScaledComplex chain on its
+    own leaves, also where e^(peak + log_norm) overflows or underflows and
+    the signed-zero terms of the complex product decide the result."""
+    growth = 1.0 + 0.5 * (sigma ** 2 - tau ** 2)
+    if reach is not None and growth != 0.0:
+        # the horizon at which |log_norm| = reach, past the overflow (709.8)
+        # or underflow (-745.1) limit of exp
+        t = reach / abs(growth)
+    rng = np.random.default_rng(seed)
+    segments, ends = _segments(sizes)
+    x, z = (2.0 * _signed_normals(rng, ends[-1]) for _ in range(2))
+    for (lo, hi), gone in zip(segments, dead):
+        if gone:  # every weight sigma * x is -inf (nan at sigma = 0)
+            x[lo:hi] = -math.copysign(math.inf, sigma)
+    beta = complex(sigma, tau)
+    log_norm = -t * growth
+    angle = -t * sigma * rho * tau
+    assume(math.isfinite(angle))  # rotated raises on an infinite angle
+    got = additive_martingales(_tree_view(x, z, t, seed, rho), beta, ends)
+    assert got.shape == (len(segments),)
+    for (lo, hi), m in zip(segments, got.tolist()):
+        fld = _tree_view(x[lo:hi], z[lo:hi], t, seed, rho)
+        want = scaled_exp_sum(sigma * fld.x, tau * fld.y).shifted(
+            log_norm).rotated(angle).value
         assert _bits(m.real, m.imag) == _bits(want.real, want.imag)
 
 
 def test_scaled_exp_sums_ends():
     lw, ph = np.array([1.0, -np.inf, 2.0]), np.zeros(3)
-    # an empty segment sums to zero, as an empty scaled_exp_sum does
+    # an empty segment has peak -inf, as an empty scaled_exp_sum has, and
+    # zero parts
     ends = [0, 2, 2, 3]
-    assert scaled_exp_sums(lw, ph, ends) == [
-        scaled_exp_sum(lw[lo:hi], ph[lo:hi])
-        for lo, hi in zip([0] + ends, ends)]
-    assert scaled_exp_sums(lw[:0], ph[:0], []) == []
+    peaks, re, im = scaled_exp_sums(lw, ph, ends)
+    assert peaks.tolist() == [
+        scaled_exp_sum(lw[lo:hi], ph[lo:hi]).log_scale
+        for lo, hi in zip([0] + ends, ends)] == [-math.inf, 1.0, -math.inf,
+                                                 2.0]
+    assert re.tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert im.tolist() == [0.0] * 4
+    assert [a.size for a in scaled_exp_sums(lw[:0], ph[:0], [])] == [0] * 3
     for ends in ([2], [2, 1, 3], [4]):
         with pytest.raises(ValueError):
             scaled_exp_sums(lw, ph, ends)
