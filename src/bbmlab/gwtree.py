@@ -14,8 +14,9 @@ splitting subset) is frozen: a given (law, t, seed) triple reproduces the
 identical tree on any machine.  The loop has two consumers: sample_tree
 keeps every node, and grow_leaves lays fields on the waves as they come
 and keeps only the frontier and the finished leaves.  A forest loop grows
-many small trees a wave at a time in the same draw order for screen_maxima
-(each tree's max leaf x) and grow_forest (each tree's GrownLeaves).
+many shallow or mid-depth trees a wave at a time in the same draw order
+for screen_maxima (each tree's max leaf x) and grow_forest (each tree's
+GrownLeaves); forest_size says how many trees of a horizon grow together.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ from .streams import TAG_FIELD, TAG_TREE, make_rng, rekey
 
 NODE_BUDGET = 1 << 27
 OVERLAP_LEAF_CAP = 4096
-FOREST_LEAVES = 1 << 9  # projected leaves of one lockstep group of trees
-POOL_CAP = 256  # generators grow_forest keeps to re-key (207 at t = 2)
+# forest_size's constants, set from the ns per node in BENCH_midgroups.json
+GROUP_LEAVES = 1 << 17
+GROUP_TREES = 128
+ALONE_GROWTH = 8.5
+POOL_CAP = 3 * GROUP_TREES  # generators grow_forest keeps: tree, x, z
 _POOL = []
 
 
@@ -227,8 +231,13 @@ def grow_leaves(dist: OffspringDistribution, t: float, seed: int,
 
 
 def forest_size(dist: OffspringDistribution, t: float) -> int:
-    """Trees per lockstep group: FOREST_LEAVES over e^((m-1)t), at least 1."""
-    return max(1, int(FOREST_LEAVES * math.exp((1 - dist.mean_children) * t)))
+    """Trees per lockstep group: GROUP_LEAVES over the projected leaves
+    e^((m-1)t) of one tree, at most GROUP_TREES; 1 past e^ALONE_GROWTH
+    projected leaves, where a tree grows faster alone."""
+    growth = (dist.mean_children - 1.0) * t
+    if growth > ALONE_GROWTH:
+        return 1
+    return min(GROUP_TREES, int(GROUP_LEAVES * math.exp(-growth)))
 
 
 def _forest(dist: OffspringDistribution, t: float, streams, max_nodes: int):

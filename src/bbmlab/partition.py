@@ -157,8 +157,10 @@ def log_partitions(field, betas) -> list[float]:
     """log_partition at each beta, computing cos and sin once per tau.
 
     Betas are grouped by tau and one tau's tables are held at a time, so
-    memory does not grow with the number of betas; every entry has the
-    bits of a one-beta call.
+    memory does not grow with the number of betas.  A real beta (tau 0.0
+    or -0.0) builds no tables: its table would hold cos(±0 y) = 1 exactly
+    and an imaginary sum of ±0, which leaves |X| as it is, so the real sum
+    alone has its bits.  Every entry has the bits of a one-beta call.
     """
     t = field.t
     if t <= 0.0:
@@ -168,9 +170,9 @@ def log_partitions(field, betas) -> list[float]:
         by_tau.setdefault(beta.imag, []).append(j)
     p = [0.0] * len(betas)
     for tau, js in by_tau.items():
-        cos, sin = _phase_tables(tau, field.y)
+        tables = () if tau == 0.0 else _phase_tables(tau, field.y)
         for j in js:
-            p[j] = scaled_trig_sum(betas[j].real * field.x, cos,
-                                   sin).abs_log / t
-        del cos, sin  # free before the next tau's tables are built
+            p[j] = scaled_trig_sum(betas[j].real * field.x,
+                                   *tables).abs_log / t
+        del tables  # free before the next tau's tables are built
     return p

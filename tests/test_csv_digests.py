@@ -31,6 +31,12 @@ CONFIGS = {
                              t_list=[2.0, 3.0], rho=0.5,
                              sigma_range=[0.2, 2.0], tau_range=[0.0, 1.5],
                              resolution=3),
+    # chunks of 12 tasks on two workers, so the replicas at t = 4, 6 and 8
+    # grow in lockstep groups (mid-depth trees)
+    "free_energy_midgroups": dict(experiment="free_energy_scan", replicas=64,
+                                  t_list=[4.0, 6.0, 8.0], rho=1.0,
+                                  sigma_range=[0.2, 2.0],
+                                  tau_range=[0.0, 1.5], resolution=3),
     "free_energy_list": dict(experiment="free_energy_scan", replicas=20,
                              t_list=[2.0, 3.0], rho=0.5,
                              beta_list=["0.5", "1.5+0.5i"]),
@@ -71,6 +77,12 @@ DIGESTS = {
             "9e0fcf9565c5d716daf4ef052bc3af64ffbc5b026147b17fd4eb8f09de7f842b",
         "phase_grid.csv":
             "6d3a90350ede937af2f9a4e92f336b020ce1b1b863d9095039d09acbe7eaf188",
+    },
+    "free_energy_midgroups": {
+        "free_energy.csv":
+            "c8c3334eee3acdd291fa14158822b50042b28319f7c6ab85a824b1bfe398db1b",
+        "phase_grid.csv":
+            "cf57aab0fff261caf1fa3ae60a56e2176bb74472f8e9dc50177fce2004a09678",
     },
     "free_energy_list": {
         "free_energy.csv":

@@ -500,26 +500,56 @@ class TestReplica:
                                for i in range(cfg.replicas) for tag in tags]
 
     def test_deep_trees_grow_alone(self, tmp_path, monkeypatch):
-        # lockstep groups are for shallow trees: for the binary law from t
-        # of about 5.5 on, so at every t of the deep workloads and the
-        # acceptance runs, each replica grows alone on grow_leaves
-        assert [forest_size(BINARY, t) for t in (8.0, 10.0, 12.0)] == [1] * 3
-        assert forest_size(BINARY, 2.0) > 1
+        # lockstep groups are for shallow and mid-depth trees: a tree of
+        # more than e^8.5 projected leaves grows alone, so at every t of
+        # the deep workloads and the acceptance runs each replica grows
+        # alone on grow_leaves
+        assert [forest_size(BINARY, t)
+                for t in (9.0, 10.0, 12.0, 13.0)] == [1] * 4
+        assert all(forest_size(BINARY, t) > 1 for t in (4.0, 6.0, 8.0))
+        assert forest_size(BINARY, 2.0) >= 69
 
         def no_forest(*args):
             raise AssertionError("grow_forest called for a group of one")
 
         monkeypatch.setattr(experiments, "grow_forest", no_forest)
-        cfg = ExperimentConfig(experiment="tree_moments", replicas=3, t=8.0,
-                               threads=1, output_dir=str(tmp_path))
+        cfg = ExperimentConfig(experiment="tree_moments", replicas=3,
+                               t=10.0, threads=1, output_dir=str(tmp_path))
         assert not run(cfg).failures
+
+    def test_largest_group_only_rekeys_pooled_generators(self, tmp_path,
+                                                          monkeypatch):
+        # the rule's largest group, with x and z, fits the generator pool:
+        # once the pool is filled, growing the group builds no generator
+        largest = max(forest_size(BINARY, t) for t in np.arange(0.0, 13.5,
+                                                                 0.25))
+        assert forest_size(BINARY, 2.0) == largest
+        assert 3 * largest <= gwtree.POOL_CAP
+        built = []
+        make_rng = gwtree.make_rng
+
+        def counting(*args):
+            built.append(args)
+            return make_rng(*args)
+
+        monkeypatch.setattr(gwtree, "_POOL", [])
+        monkeypatch.setattr(gwtree, "make_rng", counting)
+        cfg = ExperimentConfig(experiment="martingale", replicas=largest,
+                               t=2.0, threads=1, rho_list=[0.0],
+                               output_dir=str(tmp_path))
+        assert run(cfg).ok  # one group, which fills the pool
+        assert len(built) == len(gwtree._POOL) == 3 * largest
+        built.clear()
+        assert run(cfg).ok
+        assert built == []
 
 
 def test_lockstep_failures_match_grow_leaves(tmp_path):
-    # at t = 3 replicas grow in forests of forest_size(BINARY, 3.0) = 25
-    # trees with one chunk, of 2 trees with two workers; a tree over budget
+    # at t = 3 the 40 replicas grow in one lockstep group with one chunk,
+    # in groups of 2 trees with two workers; a tree over budget
     # fails its own replica only, and the rows and failures do not depend
     # on the grouping
+    assert forest_size(BINARY, 3.0) >= 40
     runs = []
     for threads in (1, 2):
         cfg = ExperimentConfig(experiment="martingale", replicas=40, t=3.0,

@@ -23,7 +23,7 @@ from bbmlab import (OffspringDistribution, ResourceLimitError,
                     sample_field, sample_tree, scaled_exp_sum,
                     truncated_partition)
 from bbmlab import gwtree
-from bbmlab.accum import scaled_exp_sums
+from bbmlab.accum import scaled_exp_sums, scaled_trig_sum
 from bbmlab.field import correlate
 from bbmlab.gwtree import (NODE_BUDGET, GrownLeaves, grow_forest,
                            grow_leaves, screen_maxima)
@@ -512,3 +512,43 @@ def test_log_partitions_is_exact(seed, t, rho, betas):
         one = scaled_exp_sum(beta.real * fld.x, beta.imag * fld.y)
         assert p == one.abs_log / fld.tree.t
         assert p == log_partition(fld, beta)
+
+
+def _table_path_log_partition(fld, beta):
+    """log_partition written out on the cos and sin tables of beta.imag."""
+    phases = beta.imag * fld.y
+    return scaled_trig_sum(beta.real * fld.x, np.cos(phases),
+                           np.sin(phases)).abs_log / fld.t
+
+
+@PROPERTY
+@given(size=st.integers(1, 5000) | st.sampled_from([699, 700, 4096, 4097]),
+       seed=seeds, t=st.floats(0.5, 12.0),
+       rho=st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+       weights=st.sampled_from(["normal", "normal", "underflow", "dead"]),
+       betas=st.lists(st.tuples(beta_parts,
+                                st.sampled_from([0.0, -0.0, 0.7, -1.3])),
+                      min_size=1, max_size=6))
+@example(size=3, seed=1, t=2.0, rho=0.5, weights="dead",
+         betas=[(1.3, 0.0), (-1.3, -0.0), (1.3, 0.7)])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_real_beta_log_partitions_skip_the_tables(size, seed, t, rho,
+                                                  weights, betas):
+    """A real beta (tau 0.0 or -0.0) reduces without phase tables and
+    keeps the bits of the table path; mixed lists keep one-beta bits."""
+    rng = np.random.default_rng(seed)
+    x, z = (3.0 * _signed_normals(rng, size) for _ in range(2))
+    if weights == "underflow":  # at sigma > 0.4 every e^(sigma x) is 0.0
+        x -= 2000.0
+    elif weights == "dead":     # at sigma > 0 every weight sigma x is -inf
+        x[:] = -np.inf
+    fld = _tree_view(x, z, t, seed, rho)
+    betas = [complex(s, u) for s, u in betas]
+    ps = log_partitions(fld, betas)
+    for beta, p in zip(betas, ps):
+        assert _bits(p) == _bits(log_partition(fld, beta))
+        if beta.imag == 0.0:
+            assert _bits(p) == _bits(_table_path_log_partition(fld, beta))
+        else:
+            one = scaled_exp_sum(beta.real * fld.x, beta.imag * fld.y)
+            assert _bits(p) == _bits(one.abs_log / t)
