@@ -320,7 +320,7 @@ def _rerun_alone(call, chunk: list) -> list:
 
 
 def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
-             record=_task_record) -> tuple[list, list]:
+             record=_task_record, least: int = 1) -> tuple[list, list]:
     """Run the tasks in chunks; results come back in task order.
 
     chunk_worker(cfg, chunk) returns one (ok, payload) per task of the
@@ -330,14 +330,16 @@ def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
     which names the task and its seed, plus the error.  When a pool
     worker dies, the pool loses every pending chunk; each chunk without a
     result is rerun on its own (_rerun_alone), so only a chunk that kills
-    its worker again fails.  Without a pool, all tasks are one chunk.
+    its worker again fails.  A pool run cuts chunks of len(tasks) //
+    (threads * 8) tasks, and of at least ``least``; without a pool, all
+    tasks are one chunk.
     """
     call = functools.partial(chunk_worker, cfg)
     threads = cfg.effective_threads()
     if threads <= 1 or len(tasks) <= 1:
         outcomes = call(tasks)
     else:
-        size = max(1, len(tasks) // (threads * 8))
+        size = max(1, least, len(tasks) // (threads * 8))
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         results = []
         import numpy.random  # noqa: F401  (the workers inherit it)
@@ -500,8 +502,8 @@ def _pair(tree, positions, rho: float) -> CorrelatedField:
 def _replica_chunk(observable, dist, tags, cfg: ExperimentConfig,
                    chunk: list) -> list:
     """_run_replicas' chunk worker: each run of tasks at one t grows in
-    lockstep groups of up to forest_size(dist, t) trees (grow_forest; one
-    alone on grow_leaves), and observable(cfg, replicas) reduces a group's
+    lockstep groups of up to forest_size(dist, t) trees, one grow_forest
+    call per group, and observable(cfg, replicas) reduces a group's
     grown replicas at once.  It returns one entry per replica, its rows or
     the exception that failed it; a tree that failed to grow fails only
     its own task, and an observable that raises fails its whole group."""
@@ -512,10 +514,8 @@ def _replica_chunk(observable, dist, tags, cfg: ExperimentConfig,
             seeds = [replica_seed(cfg.seed, i) for _, i in group]
             keys = [[stream_key(s, tag) for tag in tags] for s in seeds]
             try:
-                grown = (grow_forest(dist, t, seeds, keys, cfg.max_nodes)
-                         if len(group) > 1 else [grow_leaves(
-                             dist, t, seeds[0], keys[0], cfg.max_nodes)])
-            except Exception as exc:  # the horizon's error, or the tree's
+                grown = grow_forest(dist, t, seeds, keys, cfg.max_nodes)
+            except Exception as exc:  # the horizon's error
                 grown = [exc] * len(group)
             reps = [Replica(cfg, dist, task, tags, leaves)
                     for task, leaves in zip(group, grown)
@@ -562,9 +562,15 @@ def _run_replicas(observable, cfg: ExperimentConfig, ts: list,
     else:
         tags = (TAG_PAIR_X, TAG_PAIR_Z)
     tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
+    dist, n, threads = cfg.dist(), cfg.replicas, cfg.effective_threads()
+    # chunks that hold whole lockstep groups: the size that cuts a t's n
+    # tasks into threads * ceil(n / (threads * forest_size)) equal chunks,
+    # the smallest over ts
+    least = min(math.ceil(n / (threads * math.ceil(
+        n / (threads * forest_size(dist, t))))) for t in ts)
     payloads, failures = _collect(
-        functools.partial(_replica_chunk, observable, cfg.dist(), tags),
-        cfg, tasks, _replica_record)
+        functools.partial(_replica_chunk, observable, dist, tags),
+        cfg, tasks, _replica_record, least)
     rows = [row for p in payloads if p is not None for row in p]
     return rows, failures, [_task_range("replica", "t", t, cfg.replicas)
                             for t in ts]

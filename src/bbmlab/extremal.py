@@ -30,8 +30,8 @@ import numpy as np
 from .gwtree import NODE_BUDGET, grow_leaves, over_budget, screen_maxima
 from .offspring import OffspringDistribution
 from .partition import SQRT2
-from .streams import (TAG_CLUSTER, TAG_COX, TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z,
-                      TAG_TREE, make_rng, rekey, stream_key)
+from .streams import (TAG_CLUSTER, TAG_COX, TAG_PAIR_X, TAG_PAIR_Z, make_rng,
+                      stream_key)
 
 # No longer called here.  perfbench/spans.py rebinds these names in this
 # module to time them, so they stay imported until its BINDINGS move.
@@ -101,30 +101,23 @@ def sample_clusters(t_cond: float, dist: OffspringDistribution, seeds,
     forest that draws trees and x only.  A seed's first attempt in
     attempt order whose max reaches sqrt(2) t_cond is accepted and grown
     again with its x and z (grow_leaves), which gives the same x; the
-    attempts screened after it are dropped.  The round's generators are
-    built once per call and re-keyed to each round's streams.
+    attempts screened after it are dropped.
     """
     if t_cond <= 0.0:
         raise ValueError("t_cond must be positive")
     threshold = SQRT2 * t_cond
     drawn = [None] * len(seeds)
     tried = [0] * len(seeds)
-    streams = []  # (tree, x) generator pairs, re-keyed before each round
     pending = list(range(len(seeds)))
     while pending:
         per_seed = -(-SCREEN_BATCH // len(pending))
         batch = [(i, a) for i in pending
                  for a in range(tried[i], min(tried[i] + per_seed,
                                               max_attempts))]
-        while len(streams) < len(batch):
-            streams.append((make_rng(0), make_rng(0)))
-        subs = []
-        for (i, a), (tree_rng, x_rng) in zip(batch, streams):
-            sub = stream_key(seeds[i], TAG_CLUSTER, a)
-            rekey(tree_rng, sub, TAG_TREE)
-            rekey(x_rng, stream_key(sub, TAG_PAIR_X), TAG_FIELD)
-            subs.append(sub)
-        maxima = screen_maxima(dist, t_cond, streams[:len(batch)], max_nodes)
+        subs = [stream_key(seeds[i], TAG_CLUSTER, a) for i, a in batch]
+        maxima = screen_maxima(dist, t_cond, subs,
+                               [[stream_key(sub, TAG_PAIR_X)] for sub in subs],
+                               max_nodes)
         for (i, a), sub, top in zip(batch, subs, maxima.tolist()):
             if drawn[i] is not None:
                 continue

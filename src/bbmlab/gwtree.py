@@ -7,16 +7,17 @@ parent in ascending parent order.  Lifetimes are unit-rate exponentials;
 a particle alive at the horizon ``t`` becomes a leaf and its split slot
 holds NaN.
 
-One growth loop advances one wave of the population at a time with
-vectorized draws, so the node budget can be enforced as the wave grows.
-The draw order (one exponential block per wave, one uniform block for the
-splitting subset) is frozen: a given (law, t, seed) triple reproduces the
-identical tree on any machine.  The loop has two consumers: sample_tree
-keeps every node, and grow_leaves lays fields on the waves as they come
-and keeps only the frontier and the finished leaves.  A forest loop grows
-many shallow or mid-depth trees a wave at a time in the same draw order
-for screen_maxima (each tree's max leaf x) and grow_forest (each tree's
-GrownLeaves); forest_size says how many trees of a horizon grow together.
+One growth loop, the forest loop, grows any number of trees in lockstep,
+one wave at a time, with vectorized draws, so the node budget is enforced
+as each tree grows.  The draw order (per tree and wave one exponential
+block, one normal block per field and one uniform block for the splitting
+subset) is frozen: a given (law, t, seed) triple reproduces the identical
+tree on any machine, alone or in a forest.  The loop keeps the frontier in
+per-tree blocks and its bookkeeping in arrays as long as the live trees.
+It has three consumers: sample_tree keeps every node, grow_forest keeps
+each tree's finished leaves with the fields laid on them wave by wave
+(grow_leaves is its one-tree call), and screen_maxima keeps each tree's
+max leaf x; forest_size says how many trees of a horizon grow together.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .offspring import OffspringDistribution
-from .streams import TAG_FIELD, TAG_TREE, make_rng, rekey
+from .streams import (MASK64, TAG_FIELD, TAG_TREE, make_rng, rekey,
+                      stream_key)
 
 NODE_BUDGET = 1 << 27
 OVERLAP_LEAF_CAP = 4096
@@ -113,37 +115,102 @@ def over_budget(max_nodes: int, t: float, seed: int) -> ResourceLimitError:
         f"tree grew past the node budget {max_nodes} (t={t}, seed={seed})")
 
 
-def _waves(dist: OffspringDistribution, t: float, seed: int,
-           max_nodes: int):
-    """The growth loop: yield (birth, split_at, child_of) for each wave.
+def _streams(seeds, field_keys) -> list:
+    """A [tree_rng, *field_rngs] row per seed: the make_rng(seed, TAG_TREE)
+    stream and a make_rng(key, TAG_FIELD) stream per key of the seed.
 
-    ``birth`` holds the birth times of the wave's nodes, which take the
-    next contiguous block of ids; ``split_at`` is birth plus a unit-rate
-    lifetime, and the nodes with split_at < t split.  ``child_of`` gives,
-    for each node of the next wave in id order, the wave-local index of
-    its parent; it is empty at the last wave.  Per wave the loop draws one
-    exponential block and, when some node splits, one uniform per splitter.
-    It reads nothing of a wave after yielding it, so a consumer may write
-    into the yielded arrays.
+    The keys of all streams are derived at once, each column with its
+    tag.  The generators are pooled: up to POOL_CAP are kept and re-keyed
+    on the next call, the rest built for this call alone, so a caller may
+    use them only until its next growth call.
+    """
+    rows = [[v & MASK64 for v in (seed, *keys)]
+            for seed, keys in zip(seeds, field_keys)]
+    tags = [TAG_TREE] + [TAG_FIELD] * (len(rows[0]) - 1)
+    keys = stream_key(np.array(rows, np.uint64), np.array(tags, np.uint64))
+    need = keys.size
+    _POOL.extend(make_rng(0) for _ in range(min(need, POOL_CAP) - len(_POOL)))
+    pool = iter(_POOL[:need] + [make_rng(0) for _ in range(need - POOL_CAP)])
+    return [[rekey(next(pool), key) for key in row] for row in keys.tolist()]
+
+
+def _forest(dist: OffspringDistribution, t: float, seeds, field_keys,
+            max_nodes: int):
+    """The growth loop: grow the tree of each seed, and the fields of its
+    keys on it, in lockstep, one wave at a time.
+
+    Per wave a live tree makes one exponential call for its nodes'
+    lifetimes, one normal call per field for their increments and, when
+    some of them split, one uniform call for the children counts: the
+    calls it makes grown alone.  A node splits when its birth plus its
+    lifetime is below t; its position is its parent's (0 at the root) plus
+    its increment times sqrt(min(split, t) - birth).  The frontier is kept
+    in per-tree blocks, by tree, then node id; all bookkeeping runs on
+    arrays as long as the live trees.
+
+    Per wave it yields, read-only, (live, bounds, cuts, birth, split_at,
+    pos, child_of, total): the live trees, ascending, and their block
+    bounds; the count of splitting nodes before each bound; the nodes'
+    birth and split times (split_at >= t at a leaf) and the fields at
+    them, a row per field; each node's parent as an index into the previous wave (-1 at a
+    root); and each tree's node count, set as the tree leaves the loop, so
+    complete once the loop ends: past max_nodes for a tree that grew past
+    it and was stopped there.
     """
     _check_horizon(dist, t, max_nodes)
-    rng = make_rng(seed, TAG_TREE)
-    birth = np.zeros(1, dtype=np.float64)
-    n_total = 1
-    while True:
-        split_at = birth + rng.standard_exponential(birth.size)
-        splitters = np.flatnonzero(split_at < t)
-        if splitters.size == 0:
-            yield birth, split_at, splitters
+    tree_rngs, *field_rngs = zip(*_streams(seeds, field_keys))
+    n = len(seeds)
+    live, bounds, total = np.arange(n), np.arange(n + 1), np.ones(n, np.int64)
+    acc = bounds.copy()  # the live trees' node counts, cumulated like bounds
+    birth, child_of, starts = np.zeros(n), np.full(n, -1), None
+    while live.size:
+        trees, b = live.tolist(), bounds.tolist()
+        blocks = list(zip(trees, b, b[1:]))
+        split_at = np.empty(birth.size)
+        for j, lo, hi in blocks:
+            tree_rngs[j].standard_exponential(out=split_at[lo:hi])
+        pos = np.empty((len(field_rngs), birth.size))
+        for rngs, p in zip(field_rngs, pos):
+            for j, lo, hi in blocks:
+                rngs[j].standard_normal(out=p[lo:hi])
+        split_at += birth
+        if len(pos):
+            scale = np.minimum(split_at, t)
+            scale -= birth
+            np.sqrt(scale, out=scale)
+            pos *= scale
+            if starts is not None:
+                pos += starts
+        splitters = (split_at < t).nonzero()[0]
+        cuts = splitters.searchsorted(bounds)
+        yield live, bounds, cuts, birth, split_at, pos, child_of, total
+        if not splitters.size:  # every tree ends
+            total[live] = acc[1:] - acc[:-1]
             return
-        child_of = np.repeat(
-            splitters, dist.sample_counts(rng.random(splitters.size)))
-        n_total += child_of.size
-        if n_total > max_nodes:
-            raise over_budget(max_nodes, t, seed)
-        next_birth = split_at.take(child_of)
-        yield birth, split_at, child_of
-        birth = next_birth
+        uniforms, c, ended = np.empty(splitters.size), cuts.tolist(), False
+        for j, lo, hi in zip(trees, c, c[1:]):
+            if lo < hi:
+                tree_rngs[j].random(out=uniforms[lo:hi])
+            else:
+                ended = True
+        counts = dist.sample_counts(uniforms)
+        child_of = splitters.repeat(counts)
+        bounds = (cuts * counts if isinstance(counts, int)
+                  else np.append(0, counts.cumsum())[cuts])
+        acc += bounds
+        over = acc[-1] > max_nodes  # the live trees' nodes: one may be past
+        if ended or over:  # trees leave: ended, or past the budget
+            sizes, nodes = bounds[1:] - bounds[:-1], acc[1:] - acc[:-1]
+            total[live] = nodes
+            keep = sizes > 0
+            if over:  # stop the trees past it
+                keep &= nodes <= max_nodes
+                child_of = child_of[keep.repeat(sizes)]
+            live, sizes, nodes = live[keep], sizes[keep], nodes[keep]
+            bounds = np.concatenate(([0], sizes.cumsum()))
+            acc = np.concatenate(([0], nodes.cumsum()))
+        birth = split_at.take(child_of)
+        starts = pos.take(child_of, axis=1)
 
 
 def sample_tree(dist: OffspringDistribution, t: float, seed: int,
@@ -153,28 +220,26 @@ def sample_tree(dist: OffspringDistribution, t: float, seed: int,
     Raises ResourceLimitError if the projected population (e^((m-1)t) for
     offspring mean m) or the realized node count would exceed ``max_nodes``.
     """
-    parent_chunks = [np.full(1, -1, dtype=np.int64)]
-    birth_chunks = []
-    split_chunks = []
-    gen_offsets = [0]
-    n_total = 0
-    for birth, split_at, child_of in _waves(dist, t, seed, max_nodes):
-        split_at[split_at >= t] = np.nan
-        birth_chunks.append(birth)
-        split_chunks.append(split_at)
-        parent_chunks.append(n_total + child_of)
-        n_total += birth.size
-        gen_offsets.append(n_total)
-
-    split = np.concatenate(split_chunks)
+    parents, births, splits, offsets = [], [], [], [0]
+    first = 0  # the previous wave's first id
+    for *_, birth, split_at, _, child_of, total in _forest(
+            dist, t, [seed], [()], max_nodes):
+        parents.append(first + child_of)
+        first = offsets[-1]
+        births.append(birth)
+        splits.append(np.where(split_at < t, split_at, np.nan))
+        offsets.append(first + birth.size)
+    if total[0] > max_nodes:
+        raise over_budget(max_nodes, t, seed)
+    split = np.concatenate(splits)
     return GwTree(
         t=float(t),
         seed=seed,
-        parent=np.concatenate(parent_chunks),
-        birth=np.concatenate(birth_chunks),
+        parent=np.concatenate(parents),
+        birth=np.concatenate(births),
         split=split,
         leaves=np.flatnonzero(np.isnan(split)),
-        gen_offsets=np.asarray(gen_offsets, dtype=np.int64),
+        gen_offsets=np.asarray(offsets, dtype=np.int64),
     )
 
 
@@ -182,7 +247,7 @@ def sample_tree(dist: OffspringDistribution, t: float, seed: int,
 class GrownLeaves:
     """A tree reduced to its size and the leaf positions of its fields.
 
-    ``positions`` holds one array per field key handed to grow_leaves, in
+    ``positions`` holds one array per field key handed to grow_forest, in
     ascending leaf-id order: the ``x`` that sample_field(tree, key) gives
     on the tree that sample_tree grows from the same (law, t, seed).
     """
@@ -192,42 +257,6 @@ class GrownLeaves:
     n_nodes: int
     n_leaves: int
     positions: tuple
-
-
-def grow_leaves(dist: OffspringDistribution, t: float, seed: int,
-                field_keys=(), max_nodes: int = NODE_BUDGET) -> GrownLeaves:
-    """Grow the tree of sample_tree(dist, t, seed) and the leaves of its
-    fields in one pass, keeping only the frontier and the finished leaves.
-
-    Each wave draws its increments from every field's make_rng(key,
-    TAG_FIELD) stream in node-id order, as sample_field draws them all at
-    once, and a node's position is its increment plus its parent's (the
-    root's is its increment alone), so the leaves have sample_field's bits.
-    Raises ResourceLimitError where sample_tree does.
-    """
-    rngs = [make_rng(key, TAG_FIELD) for key in field_keys]
-    chunks = [[] for _ in rngs]
-    starts = [None] * len(rngs)  # parents' positions, one per frontier node
-    n_nodes = n_leaves = 0
-    for birth, split_at, child_of in _waves(dist, t, seed, max_nodes):
-        n_nodes += birth.size
-        leaves = np.flatnonzero(split_at >= t)
-        n_leaves += leaves.size
-        if not rngs:
-            continue
-        scale = np.minimum(split_at, t)
-        scale -= birth
-        np.sqrt(scale, out=scale)
-        for j, rng in enumerate(rngs):
-            pos = rng.standard_normal(birth.size)
-            pos *= scale
-            if starts[j] is not None:
-                pos += starts[j]
-            chunks[j].append(pos.take(leaves))
-            starts[j] = pos.take(child_of)
-    return GrownLeaves(
-        t=float(t), seed=seed, n_nodes=n_nodes, n_leaves=n_leaves,
-        positions=tuple(np.concatenate(c) for c in chunks))
 
 
 def forest_size(dist: OffspringDistribution, t: float) -> int:
@@ -240,102 +269,71 @@ def forest_size(dist: OffspringDistribution, t: float) -> int:
     return min(GROUP_TREES, int(GROUP_LEAVES * math.exp(-growth)))
 
 
-def _forest(dist: OffspringDistribution, t: float, streams, max_nodes: int):
-    """The forest loop: grow a tree per (tree_rng, *field_rngs) in
-    ``streams`` in lockstep, each making the calls of _waves and grow_leaves
-    on its streams.  Per wave yield, read-only, the tree of each frontier
-    node (by tree, then node id), which of them split, each field at them
-    and each tree's node count (past max_nodes once the tree is dropped)."""
-    _check_horizon(dist, t, max_nodes)
-    tree_rngs, *field_rngs = zip(*streams)
-    n = len(streams)
-    sizes = np.ones(n, dtype=np.int64)  # frontier nodes, per tree
-    total = sizes.copy()
-    tree = np.arange(n)                 # the tree of each frontier node
-    birth, starts = np.zeros(n), ()     # starts: parents' positions
-    while True:
-        live = sizes.nonzero()[0]
-        ends = np.cumsum(sizes[live]).tolist()
-        blocks = list(zip(live.tolist(), [0] + ends, ends))
-        split_at = np.empty(tree.size)
-        for j, lo, hi in blocks:
-            tree_rngs[j].standard_exponential(out=split_at[lo:hi])
-        pos = [np.empty(tree.size) for _ in field_rngs]
-        for rngs, p in zip(field_rngs, pos):
-            for j, lo, hi in blocks:
-                rngs[j].standard_normal(out=p[lo:hi])
-        split_at += birth
-        splits = split_at < t
-        scale = np.sqrt(np.minimum(split_at, t) - birth)
-        for p in pos:
-            p *= scale
-        for p, start in zip(pos, starts):
-            p += start
-        yield tree, splits, pos, total
-        splitters = splits.nonzero()[0]
-        if splitters.size == 0:
-            return
-        per_tree = np.bincount(tree.take(splitters), minlength=n)
-        uniforms = np.empty(splitters.size)
-        counts, lo = per_tree.tolist(), 0
-        for j in per_tree.nonzero()[0].tolist():
-            tree_rngs[j].random(out=uniforms[lo:lo + counts[j]])
-            lo += counts[j]
-        child_of = np.repeat(splitters, dist.sample_counts(uniforms))
-        tree = tree.take(child_of)
-        sizes = np.bincount(tree, minlength=n)
-        total += sizes
-        if total.max() > max_nodes:  # drop the trees over budget
-            sizes[total > max_nodes] = 0
-            keep = sizes.take(tree).nonzero()[0]
-            child_of, tree = child_of.take(keep), tree.take(keep)
-        birth = split_at.take(child_of)
-        starts = [p.take(child_of) for p in pos]
-
-
-def screen_maxima(dist: OffspringDistribution, t: float, streams,
+def screen_maxima(dist: OffspringDistribution, t: float, seeds, field_keys,
                   max_nodes: int = NODE_BUDGET) -> np.ndarray:
     """The max leaf x of many trees on [0, t], grown together as one forest.
 
-    ``streams`` holds one (tree_rng, x_rng) generator pair per tree:
-    tree_rng at the start of the make_rng(seed, TAG_TREE) stream that
-    sample_tree(dist, t, seed) reads, x_rng at the start of the
-    make_rng(key, TAG_FIELD) stream of sample_field(tree, key).  Entry j
-    is then np.max(sample_field(sample_tree(dist, t, seed_j), key_j).x),
-    or NaN when tree j grows past max_nodes, which stops that tree alone.
+    Entry j is np.max(sample_field(sample_tree(dist, t, seeds[j]), x).x)
+    for the one key x in field_keys[j], or NaN when tree j grows past
+    max_nodes, which stops that tree alone.
     """
-    maxima = np.full(len(streams), -np.inf)
-    for tree, splits, (x,), total in _forest(dist, t, streams, max_nodes):
-        np.maximum.at(maxima, tree, np.where(splits, -np.inf, x))
+    maxima = np.full(len(seeds), -np.inf)
+    for live, bounds, _, _, split_at, (x,), _, total in _forest(
+            dist, t, seeds, field_keys, max_nodes):
+        tops = np.maximum.reduceat(np.where(split_at < t, -np.inf, x),
+                                   bounds[:-1])
+        maxima[live] = np.maximum(maxima[live], tops)
     maxima[total > max_nodes] = np.nan
     return maxima
 
 
 def grow_forest(dist: OffspringDistribution, t: float, seeds, field_keys,
                 max_nodes: int = NODE_BUDGET) -> list:
-    """Entry j is grow_leaves(dist, t, seeds[j], field_keys[j], max_nodes),
-    or the error it raises for tree j past max_nodes, the trees grown as one
-    forest; a horizon error is raised.  Every seed has as many field keys."""
-    need = len(seeds) * (1 + len(field_keys[0]))
-    _POOL.extend(make_rng(0) for _ in range(min(need, POOL_CAP) - len(_POOL)))
-    pool = iter(_POOL[:need] + [make_rng(0) for _ in range(need - POOL_CAP)])
-    streams = [[rekey(next(pool), seed, TAG_TREE)]
-               + [rekey(next(pool), key, TAG_FIELD) for key in keys]
-               for seed, keys in zip(seeds, field_keys)]
-    trees, positions = [], []
-    for tree, splits, pos, total in _forest(dist, t, streams, max_nodes):
-        trees.append(tree[~splits])  # by wave, then tree, then node id
-        positions.append([p[~splits] for p in pos])
-    leaf_tree = np.concatenate(trees)
-    order = np.argsort(leaf_tree, kind="stable")  # by tree, then node id
-    positions = [np.concatenate(c).take(order) for c in zip(*positions)]
-    ends = np.cumsum(np.bincount(leaf_tree, minlength=len(seeds))).tolist()
+    """Grow the tree of each seed and the leaves of its fields in one pass,
+    the trees as one forest, keeping only the frontier and the leaves.
+
+    Entry j is the GrownLeaves of seeds[j]: its tree is the one
+    sample_tree(dist, t, seeds[j]) grows, and its positions are the leaf
+    x of sample_field(tree, key) for each key in field_keys[j] (every
+    seed has as many keys), bit for bit.  A tree past max_nodes gives the
+    error sample_tree raises for it instead; a horizon error is raised.
+    """
+    waves, chunks = [], []
+    for live, bounds, cuts, _, split_at, pos, _, total in _forest(
+            dist, t, seeds, field_keys, max_nodes):
+        waves.append((live, bounds, cuts))
+        chunks.append(pos.take((split_at >= t).nonzero()[0], axis=1))
+    positions = np.concatenate(chunks, axis=1)  # a row per field
+    n_leaves = [positions.shape[1]]
+    if len(seeds) > 1:  # from wave, tree, node order to tree, wave, node
+        trees, bounds, cuts = map(np.concatenate, zip(*waves))
+        sizes = bounds[1:] - bounds[:-1]  # > 0 in a wave, < 0 between two
+        counts = (sizes - cuts[1:] + cuts[:-1])[sizes > 0]  # per wave, tree
+        n_leaves = np.bincount(trees, counts, len(seeds)).astype(np.int64)
+        order = np.argsort(trees, kind="stable")
+        src = np.cumsum(counts) - counts
+        sorted_counts = counts.take(order)
+        shift = src.take(order) - (np.cumsum(sorted_counts) - sorted_counts)
+        gather = np.repeat(shift, sorted_counts)
+        gather += np.arange(gather.size)
+        positions = positions.take(gather, axis=1)
+    hi, positions = np.cumsum(n_leaves).tolist(), list(positions)
     return [over_budget(max_nodes, t, seed) if n_nodes > max_nodes
             else GrownLeaves(t=float(t), seed=seed, n_nodes=n_nodes,
-                             n_leaves=hi - lo,
-                             positions=tuple(p[lo:hi] for p in positions))
-            for seed, n_nodes, lo, hi in zip(seeds, total.tolist(),
-                                             [0] + ends, ends)]
+                             n_leaves=b - a,
+                             positions=tuple(p[a:b] for p in positions))
+            for seed, n_nodes, a, b in zip(seeds, total.tolist(),
+                                           [0] + hi, hi)]
+
+
+def grow_leaves(dist: OffspringDistribution, t: float, seed: int,
+                field_keys=(), max_nodes: int = NODE_BUDGET) -> GrownLeaves:
+    """grow_forest for one seed; the error of a tree past max_nodes is
+    raised, as sample_tree raises it."""
+    (grown,) = grow_forest(dist, t, [seed], [field_keys], max_nodes)
+    if isinstance(grown, Exception):
+        raise grown
+    return grown
 
 
 def _require_leaf(tree: GwTree, node: int) -> None:

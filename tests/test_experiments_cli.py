@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from bbmlab import (OffspringDistribution, additive_martingale, cli,
 from bbmlab.experiments import (ConfigError, DEFAULT_SEED, ExperimentConfig,
                                 REQUIRED_KEYS, Replica, load_config,
                                 parse_complex, run, validate_config)
-from bbmlab.gwtree import ResourceLimitError, forest_size, grow_leaves
-from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, replica_seed,
-                            stream_key)
+from bbmlab.gwtree import ResourceLimitError, forest_size
+from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE,
+                            replica_seed, stream_key)
 
 BINARY = OffspringDistribution.binary()
 
@@ -469,22 +470,15 @@ class TestReplica:
 
     def test_fields_drawn_once_per_replica(self, tmp_path, monkeypatch):
         streams = []
-        make_rng, rekey = gwtree.make_rng, gwtree.rekey
+        rekey = gwtree.rekey
 
-        def counting(seed, *tags):
-            if tags == (TAG_FIELD,):
-                streams.append(seed)
-            return make_rng(seed, *tags)
-
-        def counting_rekey(rng, seed, *tags):
-            if tags == (TAG_FIELD,):
-                streams.append(seed)
+        def recording(rng, seed, *tags):
+            streams.append(stream_key(seed, *tags))
             return rekey(rng, seed, *tags)
 
-        # a replica grown alone builds its field streams; a lockstep group
-        # re-keys pooled ones
-        monkeypatch.setattr(gwtree, "make_rng", counting)
-        monkeypatch.setattr(gwtree, "rekey", counting_rekey)
+        # every grower re-keys pooled generators: per replica its tree
+        # stream, then one stream per field
+        monkeypatch.setattr(gwtree, "rekey", recording)
         # x and z when some |rho| < 1, x alone at rho = 1, no field for
         # tree_moments
         for experiment, rhos, tags in [
@@ -496,26 +490,34 @@ class TestReplica:
                                    threads=1, rho_list=rhos,
                                    output_dir=str(tmp_path))
             assert run(cfg).ok
-            assert streams == [stream_key(replica_seed(cfg.seed, i), tag)
-                               for i in range(cfg.replicas) for tag in tags]
+            want = []
+            for i in range(cfg.replicas):
+                rs = replica_seed(cfg.seed, i)
+                want += [stream_key(rs, TAG_TREE)] + [
+                    stream_key(stream_key(rs, tag), TAG_FIELD) for tag in tags]
+            assert streams == want
 
     def test_deep_trees_grow_alone(self, tmp_path, monkeypatch):
         # lockstep groups are for shallow and mid-depth trees: a tree of
         # more than e^8.5 projected leaves grows alone, so at every t of
-        # the deep workloads and the acceptance runs each replica grows
-        # alone on grow_leaves
+        # the deep workloads and the acceptance runs each group holds one
+        # tree
         assert [forest_size(BINARY, t)
                 for t in (9.0, 10.0, 12.0, 13.0)] == [1] * 4
         assert all(forest_size(BINARY, t) > 1 for t in (4.0, 6.0, 8.0))
         assert forest_size(BINARY, 2.0) >= 69
+        groups = []
+        grow_forest = experiments.grow_forest
 
-        def no_forest(*args):
-            raise AssertionError("grow_forest called for a group of one")
+        def recording(dist, t, seeds, *args):
+            groups.append((t, len(seeds)))
+            return grow_forest(dist, t, seeds, *args)
 
-        monkeypatch.setattr(experiments, "grow_forest", no_forest)
+        monkeypatch.setattr(experiments, "grow_forest", recording)
         cfg = ExperimentConfig(experiment="tree_moments", replicas=3,
                                t=10.0, threads=1, output_dir=str(tmp_path))
         assert not run(cfg).failures
+        assert groups == [(10.0, 1)] * 3
 
     def test_largest_group_only_rekeys_pooled_generators(self, tmp_path,
                                                           monkeypatch):
@@ -566,7 +568,7 @@ def test_lockstep_failures_match_grow_leaves(tmp_path):
     for i in range(cfg.replicas):
         seed = replica_seed(cfg.seed, i)
         try:
-            grow_leaves(BINARY, cfg.t, seed, max_nodes=cfg.max_nodes)
+            sample_tree(BINARY, cfg.t, seed, max_nodes=cfg.max_nodes)
         except ResourceLimitError as exc:
             want.append({"t": cfg.t, "replica": i, "seed": seed,
                          "error_type": "ResourceLimitError",
@@ -597,6 +599,47 @@ def test_lockstep_groups_follow_task_order(tmp_path, monkeypatch):
     assert lockstep[0][:2] == ["t", "replica"]
     assert [(float(t), int(i)) for t, i, *_ in lockstep[1:]] == [
         (t, i) for t in (2.0, 3.0, 2.0) for i in range(4)]
+
+
+class _SerialPool:
+    """A process pool stand-in that runs each chunk in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, call, chunk):
+        future = Future()
+        future.set_result(call(chunk))
+        return future
+
+
+def test_chunks_hold_whole_lockstep_groups(tmp_path, monkeypatch):
+    # phase_grid's shape: 200 replicas at t = 8 on two workers, where a
+    # group may hold forest_size = 43 trees.  Chunks of 200 // 16 = 12
+    # tasks would cap every group at 12; the run is cut into 2 * ceil(200 /
+    # 86) = 6 chunks of 34 instead, each grown as one group
+    assert forest_size(BINARY, 8.0) == 43
+    groups = []
+    grow_forest = experiments.grow_forest
+
+    def recording(dist, t, seeds, *args):
+        groups.append(len(seeds))
+        return grow_forest(dist, t, seeds, *args)
+
+    monkeypatch.setattr(experiments, "grow_forest", recording)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+    cfg = ExperimentConfig(experiment="free_energy_scan", replicas=200,
+                           t=8.0, rho=1.0, sigma_range=[0.5, 1.5],
+                           tau_range=[0.0, 1.0], resolution=1, threads=2,
+                           output_dir=str(tmp_path))
+    assert not run(cfg).failures
+    assert groups == [34] * 5 + [30]
 
 
 def _raise_on_replica_7(cfg, rep):
@@ -634,16 +677,18 @@ def _exit_on_replica_7(cfg, rep):
 def test_dead_worker_fails_its_tasks_only(tmp_path, monkeypatch):
     # the pool forks, so its workers see the patched observable
     monkeypatch.setattr(experiments, "_tree_rows", _exit_on_replica_7)
-    cfg = ExperimentConfig(experiment="tree_moments", replicas=40, t=1.0,
+    cfg = ExperimentConfig(experiment="tree_moments", replicas=40, t=9.0,
                            threads=2, output_dir=str(tmp_path))
     result = run(cfg)
-    # chunks of max(1, 40 // (2 * 8)) = 2 tasks: only the chunk holding
-    # replica 7 kills its worker again when rerun on its own
+    # at t = 9 each tree grows alone, so chunks hold max(1, 40 // (2 * 8))
+    # = 2 tasks: only the chunk holding replica 7 kills its worker again
+    # when rerun on its own
+    assert forest_size(BINARY, cfg.t) == 1
     failed = [f["replica"] for f in result.failures]
     assert failed == [6, 7]
     for f in result.failures:
         assert f["error_type"] == "BrokenProcessPool"
-        assert f["t"] == 1.0
+        assert f["t"] == 9.0
         assert f["seed"] == replica_seed(cfg.seed, f["replica"])
     rows = read_rows(result.outputs["tree_moments.csv"])
     assert [int(r["replica"]) for r in rows] == [

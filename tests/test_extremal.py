@@ -59,32 +59,27 @@ class TestSampleCluster:
         assert cl.attempts == attempt + 1
 
     def test_z_field_drawn_only_when_accepted(self, monkeypatch):
-        # field streams are opened by make_rng in gwtree (the accepted
-        # attempt's regrowth) and re-keyed in extremal (the screen)
-        field_keys = []
+        # the screen and the accepted attempt's regrowth both key pooled
+        # generators in gwtree
+        keyed = []
+        rekey = bbmlab.gwtree.rekey
 
-        def recording(open_stream):
-            def wrapped(*args):
-                *_, seed, tag = args
-                if tag == TAG_FIELD:
-                    field_keys.append(seed)
-                return open_stream(*args)
-            return wrapped
+        def recording(rng, seed, *tags):
+            keyed.append(stream_key(seed, *tags))
+            return rekey(rng, seed, *tags)
 
-        monkeypatch.setattr(bbmlab.gwtree, "make_rng",
-                            recording(bbmlab.gwtree.make_rng))
-        monkeypatch.setattr(bbmlab.extremal, "rekey",
-                            recording(bbmlab.extremal.rekey))
+        monkeypatch.setattr(bbmlab.gwtree, "rekey", recording)
         seed = stream_key(SEED, 0x6D, 0)
         cl = sample_cluster(4.0, BINARY, seed)
         assert cl.attempts > 1
         # every attempt screened, the accepted one's round included
         subs = [stream_key(seed, TAG_CLUSTER, a)
                 for a in range(cl.attempts + SCREEN_BATCH)]
-        z_keys = [k for k in field_keys
-                  if k in {stream_key(sub, TAG_PAIR_Z) for sub in subs}]
-        assert z_keys == [stream_key(subs[cl.attempts - 1], TAG_PAIR_Z)]
-        assert stream_key(subs[0], TAG_PAIR_X) in field_keys
+        z_streams = {stream_key(stream_key(sub, TAG_PAIR_Z), TAG_FIELD): sub
+                     for sub in subs}
+        assert [z_streams[k] for k in keyed if k in z_streams] == [
+            subs[cl.attempts - 1]]
+        assert stream_key(stream_key(subs[0], TAG_PAIR_X), TAG_FIELD) in keyed
 
     def test_rejection_exhausted(self):
         with pytest.raises(AcceptanceError, match="1 attempts"):

@@ -2,9 +2,8 @@
 sampled trees over generated inputs, and bit-exactness of the exact small
 sum, of the segmented reductions against one-segment calls, of the
 group martingales against the ScaledComplex chain, of the shared-table
-sweeps, of the tree sampler's wave loop, of the leaf grower
-and the forest screen against the tree and field samplers, and of the
-forest grower against the leaf grower.
+sweeps, of the tree sampler's wave loop, and of the forest grower, the
+leaf grower and the forest screen against the tree and field samplers.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -29,8 +28,8 @@ from bbmlab.gwtree import (NODE_BUDGET, GrownLeaves, grow_forest,
                            grow_leaves, screen_maxima)
 from bbmlab.partition import (additive_martingales, log_partitions, m_of_t,
                               truncation_sweep)
-from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE,
-                            make_rng, rekey, stream_key)
+from bbmlab.streams import (TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE, make_rng,
+                            rekey, stream_key)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
                     deadline=None)
@@ -189,9 +188,8 @@ def _screened_max(law, t, seed, x_key, max_nodes):
        max_nodes=st.just(NODE_BUDGET) | st.integers(1, 300))
 def test_screen_maxima_match_tree_and_field(keys, t, law, max_nodes):
     assume((law.mean_children - 1.0) * t <= math.log(max_nodes))
-    streams = [(make_rng(seed, TAG_TREE), make_rng(x_key, TAG_FIELD))
-               for seed, x_key in keys]
-    got = screen_maxima(law, t, streams, max_nodes)
+    got = screen_maxima(law, t, [seed for seed, _ in keys],
+                        [[x_key] for _, x_key in keys], max_nodes)
     want = np.array([_screened_max(law, t, seed, x_key, max_nodes)
                      for seed, x_key in keys])
     # bytes: the -0.0 maxima of t = 0 and the NaN of a tree over budget
@@ -206,25 +204,35 @@ def _grown_outcome(grown):
             [(p.dtype, p.tobytes()) for p in grown.positions])
 
 
+def _tree_and_fields(law, t, seed, keys, max_nodes=NODE_BUDGET):
+    """What grow_forest gives for one seed, from sample_tree and
+    sample_field: an independent reference."""
+    try:
+        tree = sample_tree(law, t, seed, max_nodes=max_nodes)
+    except ResourceLimitError as exc:
+        return type(exc), str(exc)
+    return (tree.n_nodes, tree.n_leaves,
+            [(np.dtype(np.float64), sample_field(tree, key).x.tobytes())
+             for key in keys])
+
+
 @PROPERTY
 @given(tree_seeds=st.lists(seeds, min_size=1, max_size=40),
        t=st.just(0.0) | st.floats(0.0, 4.0), law=st.sampled_from(LAWS),
        n_fields=st.integers(0, 2),
        max_nodes=st.just(NODE_BUDGET) | st.integers(1, 300))
-def test_grow_forest_matches_grow_leaves(tree_seeds, t, law, n_fields,
-                                         max_nodes):
+def test_grow_forest_matches_tree_and_fields(tree_seeds, t, law, n_fields,
+                                             max_nodes):
     keys = [_pair_keys(seed)[:n_fields] for seed in tree_seeds]
     try:
         got = grow_forest(law, t, tree_seeds, keys, max_nodes)
     except ResourceLimitError as exc:  # the horizon's, raised for all
         got = [exc] * len(tree_seeds)
+        assert (law.mean_children - 1.0) * t > math.log(max_nodes)
     assert len(got) == len(tree_seeds)
     for seed, seed_keys, grown in zip(tree_seeds, keys, got):
-        try:
-            want = grow_leaves(law, t, seed, seed_keys, max_nodes)
-        except ResourceLimitError as exc:
-            want = exc
-        assert _grown_outcome(grown) == _grown_outcome(want)
+        assert _grown_outcome(grown) == _tree_and_fields(
+            law, t, seed, seed_keys, max_nodes)
 
 
 def test_grow_forest_past_pool_cap(monkeypatch):
@@ -238,8 +246,8 @@ def test_grow_forest_past_pool_cap(monkeypatch):
         got = grow_forest(law, 2.5, tree_seeds, keys)
         assert len(gwtree._POOL) == 5
         for seed, seed_keys, grown in zip(tree_seeds, keys, got):
-            want = grow_leaves(law, 2.5, seed, seed_keys)
-            assert _grown_outcome(grown) == _grown_outcome(want)
+            assert _grown_outcome(grown) == _tree_and_fields(
+                law, 2.5, seed, seed_keys)
 
 
 @PROPERTY
