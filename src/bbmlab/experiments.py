@@ -328,33 +328,30 @@ def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
     (_guarded_chunk makes one from a per-task worker).  A failed task
     leaves None in its slot and adds a failure record: record(cfg, task),
     which names the task and its seed, plus the error.  When a pool
-    worker dies, the pool loses every pending chunk; each chunk without a
-    result is rerun on its own (_rerun_alone), so only a chunk that kills
-    its worker again fails.  A pool run cuts chunks of len(tasks) //
-    (threads * 8) tasks, and of at least ``least``; without a pool, all
-    tasks are one chunk.
+    worker dies, the pool loses every pending chunk.  A pool run cuts
+    pieces of len(tasks) // (threads * 8) tasks and chunks of at least
+    ``least``; each chunk without a result is rerun piece by piece on its
+    own (_rerun_alone), so only a piece that kills its worker again fails.
+    Without a pool, all tasks are one chunk.
     """
     call = functools.partial(chunk_worker, cfg)
     threads = cfg.effective_threads()
     if threads <= 1 or len(tasks) <= 1:
         outcomes = call(tasks)
     else:
-        size = max(1, least, len(tasks) // (threads * 8))
+        piece = max(1, len(tasks) // (threads * 8))
+        size = max(piece, least)
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-        results = []
         import numpy.random  # noqa: F401  (the workers inherit it)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(call, chunk) for chunk in chunks]
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool:
-                    results.append(None)
         outcomes = []
-        for chunk, result in zip(chunks, results):
-            if result is None:
-                result = _rerun_alone(call, chunk)
-            outcomes += result
+        for chunk, future in zip(chunks, futures):
+            try:
+                outcomes += future.result()
+            except BrokenProcessPool:
+                outcomes += [o for i in range(0, len(chunk), piece)
+                             for o in _rerun_alone(call, chunk[i:i + piece])]
     payloads, failures = [], []
     for task, (ok, val) in zip(tasks, outcomes):
         payloads.append(val if ok else None)

@@ -152,10 +152,10 @@ def _forest(dist: OffspringDistribution, t: float, seeds, field_keys,
     pos, child_of, total): the live trees, ascending, and their block
     bounds; the count of splitting nodes before each bound; the nodes'
     birth and split times (split_at >= t at a leaf) and the fields at
-    them, a row per field; each node's parent as an index into the previous wave (-1 at a
-    root); and each tree's node count, set as the tree leaves the loop, so
-    complete once the loop ends: past max_nodes for a tree that grew past
-    it and was stopped there.
+    them, a row per field; each node's parent as an index into the
+    previous wave (-1 at a root); and each tree's node count, set as the
+    tree leaves the loop, so complete once the loop ends: past max_nodes
+    for a tree that grew past it and was stopped there.
     """
     _check_horizon(dist, t, max_nodes)
     tree_rngs, *field_rngs = zip(*_streams(seeds, field_keys))
@@ -305,6 +305,8 @@ def grow_forest(dist: OffspringDistribution, t: float, seeds, field_keys,
         chunks.append(pos.take((split_at >= t).nonzero()[0], axis=1))
     positions = np.concatenate(chunks, axis=1)  # a row per field
     n_leaves = [positions.shape[1]]
+    # a lone tree's leaves are in order; the gather would cost it 8-10%
+    # per node at t = 10 and 12 (BENCH_oneloop.json)
     if len(seeds) > 1:  # from wave, tree, node order to tree, wave, node
         trees, bounds, cuts = map(np.concatenate, zip(*waves))
         sizes = bounds[1:] - bounds[:-1]  # > 0 in a wave, < 0 between two

@@ -677,18 +677,17 @@ def _exit_on_replica_7(cfg, rep):
 def test_dead_worker_fails_its_tasks_only(tmp_path, monkeypatch):
     # the pool forks, so its workers see the patched observable
     monkeypatch.setattr(experiments, "_tree_rows", _exit_on_replica_7)
-    cfg = ExperimentConfig(experiment="tree_moments", replicas=40, t=9.0,
+    cfg = ExperimentConfig(experiment="tree_moments", replicas=40, t=1.0,
                            threads=2, output_dir=str(tmp_path))
     result = run(cfg)
-    # at t = 9 each tree grows alone, so chunks hold max(1, 40 // (2 * 8))
-    # = 2 tasks: only the chunk holding replica 7 kills its worker again
-    # when rerun on its own
-    assert forest_size(BINARY, cfg.t) == 1
+    # chunks of 20 tasks hold whole lockstep groups; a lost chunk is rerun
+    # in pieces of max(1, 40 // (2 * 8)) = 2 tasks, and only the piece
+    # holding replica 7 kills its worker again
     failed = [f["replica"] for f in result.failures]
     assert failed == [6, 7]
     for f in result.failures:
         assert f["error_type"] == "BrokenProcessPool"
-        assert f["t"] == 9.0
+        assert f["t"] == 1.0
         assert f["seed"] == replica_seed(cfg.seed, f["replica"])
     rows = read_rows(result.outputs["tree_moments.csv"])
     assert [int(r["replica"]) for r in rows] == [
