@@ -3,9 +3,12 @@
 Partition-type sums combine up to ~10^6 terms e^{w_k + i phi_k} whose
 weights span hundreds of e-folds.  Everything here works on a log-scale
 representation (peeled maximum exponent plus a complex mantissa) so the
-intermediate arithmetic never overflows, and mantissa sums use chunked
-exactly-rounded accumulation with a frozen term order, so results are
-reproducible bit for bit.
+intermediate arithmetic never overflows.  Mantissa sums of up to 4096
+terms are exactly rounded, the float math.fsum gives: math.fsum over a
+list for small sums, and above that a certified error-free extraction
+kernel that falls back to math.fsum on the rare sum it cannot certify.
+Larger sums are reduced in fixed chunks with a frozen term order.  Every
+result is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -17,57 +20,76 @@ import numpy as np
 
 _CHUNK = 1024
 _FSUM_DIRECT = 4096
-# Below this many terms math.fsum over a list beats the binned kernel,
-# whose cost is mostly the fixed overhead of a dozen numpy calls.
-_FSUM_LIST = 700
-# The binned kernel hands inputs with a term of magnitude 2^1000 or more,
-# or a non-finite one, to math.fsum, which keeps fsum's inf, nan and
-# OverflowError results and keeps every scaled bin sum finite.
-_BINNED_LIMIT = 2.0 ** 1000
+# Below this many terms math.fsum over a list beats the extraction kernel,
+# whose cost is mostly the fixed overhead of its numpy calls; the two cross
+# between 200 and 300 terms (BENCH_exactsum.json).  Both give the same
+# float, so the limit moves no bit.
+_FSUM_LIST = 256
+# The extraction kernel declines inputs whose largest magnitude lies
+# outside (2^-900, 2^900): there no extraction constant overflows, and
+# each round's error bound stays far above the subnormal range.
+_EXTRACT_LOW, _EXTRACT_HIGH = 2.0 ** -900, 2.0 ** 900
 
 
-def _binned_fsum(v: np.ndarray) -> float:
-    """math.fsum(v) for 1 <= v.size <= 2^26, in a dozen numpy calls.
+def _extracted_fsum(v: np.ndarray) -> float | None:
+    """math.fsum(v) for 1 <= v.size <= 4096 in a few numpy calls, or None.
 
-    Each term is m 2^e with 0.5 <= |m| < 1, and m 2^27 splits exactly into
-    an integer part of at most 27 bits and a fraction of at most 26.  Both
-    parts are summed per exponent e with bincount; each bin sum needs at
-    most 53 bits, so it is exact, and so is its scaling by 2^(e - 27) (in
-    the subnormal range every term, so every scaled bin sum, is a multiple
-    of 2^-1074).  The scaled bin sums add up to the exact total of v, and
-    math.fsum over them rounds that total correctly, as math.fsum(v) does;
-    a zero total gives 0.0 either way, never -0.0.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I: faithful rounding", 2008): with sigma = 2^m >=
+    2 (n + 1) max|v|, q = (v + sigma) - sigma and r = v - q split each
+    term exactly.  Every q lies on the 2^(m - 53) grid and every partial
+    sum of them is below 2^(m - 1), so Q = q.sum() is exact in any order,
+    and R = r.sum(), in any order, is off the exact sum of r by at most
+    gamma_(n-1) sum|r| <= n u * n 2^(m - 53) = n^2 2^(m - 106).
+    c = fsum((Q, R)) is the correctly rounded total when the residual
+    fsum((Q, R, -c)), widened to the next float, plus that bound lies
+    strictly inside c's half-ulp rounding interval (the smaller half when
+    |c| is a power of two).  A second round extracts again from r.  None
+    when neither round certifies its sum, for a zero sum, and when max|v|
+    lies outside (2^-900, 2^900), which also keeps every sum finite.
     """
-    if not np.abs(v).max() < _BINNED_LIMIT:
-        return math.fsum(v.tolist())
-    mant, expo = np.frexp(v)
-    low = int(expo.min())
-    scaled = mant * 134217728.0  # 2^27
-    whole = np.trunc(scaled)
-    idx = expo - low
-    bins = np.array((np.bincount(idx, whole),
-                     np.bincount(idx, scaled - whole)))
-    parts = np.ldexp(bins, np.arange(low - 27, low - 27 + bins.shape[1]))
-    return math.fsum(parts[parts != 0.0].tolist())
+    parts = []
+    pad = (2 * v.size + 1).bit_length()  # 2^pad >= 2 (n + 1)
+    r = v
+    for _ in range(2):
+        top = float(np.maximum.reduce(np.abs(r)))
+        if not _EXTRACT_LOW < top < _EXTRACT_HIGH:
+            return None
+        m = math.frexp(top)[1] + pad
+        sigma = math.ldexp(1.0, m)
+        q = r + sigma
+        q -= sigma
+        r = r - q
+        parts.append(float(np.add.reduce(q)))
+        tail = float(np.add.reduce(r))
+        c = math.fsum(parts + [tail])
+        if c == 0.0:  # the sign of a zero sum is math.fsum's to choose
+            return None
+        residual = abs(math.fsum(parts + [tail, -c]))
+        bound = math.ldexp(v.size * v.size, m - 106)
+        half = math.ulp(c) / (4.0 if abs(math.frexp(c)[0]) == 0.5 else 2.0)
+        if math.nextafter(residual, math.inf) + bound < half:
+            return c
+    return None
 
 
 def compensated_sum(values) -> float:
     """Sum floats with exactly-rounded combining, reproducible bit for bit.
 
     Up to 4096 terms the result is the exact sum correctly rounded, the
-    float math.fsum gives: math.fsum over a list below 700 terms, the
-    binned kernel _binned_fsum above.  Larger arrays are reduced in fixed
-    1024-term chunks in array order whose partial sums are then
-    fsum-combined, which keeps the cost near numpy speed; the result is
-    deterministic but no longer exactly rounded.
+    float math.fsum gives: math.fsum over a list below _FSUM_LIST terms,
+    the certified extraction kernel _extracted_fsum above, and math.fsum
+    over a list again where the kernel declines.  Larger arrays are
+    reduced in fixed 1024-term chunks in array order whose partial sums
+    are then fsum-combined, which keeps the cost near numpy speed; the
+    result is deterministic but no longer exactly rounded.
     """
     v = np.ascontiguousarray(values, dtype=np.float64)
     if v.size == 0:
         return 0.0
-    if v.size < _FSUM_LIST:
-        return math.fsum(v.tolist())
     if v.size <= _FSUM_DIRECT:
-        return _binned_fsum(v)
+        total = None if v.size < _FSUM_LIST else _extracted_fsum(v)
+        return math.fsum(v.tolist()) if total is None else total
     partials = np.add.reduceat(v, np.arange(0, v.size, _CHUNK))
     return math.fsum(partials)
 
@@ -199,7 +221,14 @@ def scaled_trig_sum(log_weights, cos=None, sin=None,
     weights, so no caller holds a copy of a table subset.  Without tables
     the sum is real.
     """
-    peak, w = _peeled(log_weights)
+    return peeled_trig_sum(*_peeled(log_weights), cos, sin, where)
+
+
+def peeled_trig_sum(peak: float, w: np.ndarray | None, cos=None, sin=None,
+                    where=...) -> ScaledComplex:
+    """scaled_trig_sum of log-weights already peeled by _peeled into
+    (peak, w), so callers that pair one set of weights with many tables
+    exponentiate it once."""
     if w is None:
         return ScaledComplex(-math.inf, complex(1.0, 0.0))
     if cos is None:

@@ -19,8 +19,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -312,6 +310,8 @@ def _rerun_alone(call, chunk: list) -> list:
     If the chunk's worker dies again, each of its tasks fails with
     BrokenProcessPool.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     with ProcessPoolExecutor(max_workers=1) as pool:
         try:
             return pool.submit(call, chunk).result()
@@ -339,6 +339,11 @@ def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
     if threads <= 1 or len(tasks) <= 1:
         outcomes = call(tasks)
     else:
+        # imported here, not at the top: the pool's modules
+        # (multiprocessing, socket, subprocess, logging) are a large share
+        # of this module's import time, which a serial run need not pay
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         piece = max(1, len(tasks) // (threads * 8))
         size = max(piece, least)
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]

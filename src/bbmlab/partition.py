@@ -22,8 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .accum import (ScaledComplex, compensated_sum, scaled_exp_sum,
-                    scaled_exp_sums, scaled_trig_sum)
+from .accum import (ScaledComplex, _peeled, compensated_sum,
+                    peeled_trig_sum, scaled_exp_sum, scaled_exp_sums,
+                    scaled_trig_sum)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -154,25 +155,33 @@ def log_partition(field, beta) -> float:
 
 
 def log_partitions(field, betas) -> list[float]:
-    """log_partition at each beta, computing cos and sin once per tau.
+    """log_partition at each beta, exponentiating once per sigma and
+    computing cos and sin once per tau.
 
-    Betas are grouped by tau and one tau's tables are held at a time, so
-    memory does not grow with the number of betas.  A real beta (tau 0.0
-    or -0.0) builds no tables: its table would hold cos(±0 y) = 1 exactly
-    and an imaginary sum of ±0, which leaves |X| as it is, so the real sum
-    alone has its bits.  Every entry has the bits of a one-beta call.
+    The weights e^(sigma x_k - peak) of each distinct sigma (signed zeros
+    told apart) are peeled once and held for the whole call; betas are
+    grouped by tau and one tau's tables are held at a time, so memory is
+    one weight array per distinct sigma plus one tau's tables.  A real
+    beta (tau 0.0 or -0.0) builds no tables: its table would hold
+    cos(±0 y) = 1 exactly and an imaginary sum of ±0, which leaves |X| as
+    it is, so the real sum alone has its bits.  Every entry has the bits
+    of a one-beta call.
     """
     t = field.t
     if t <= 0.0:
         raise ValueError("log_partition needs a horizon t > 0")
+    weights: dict = {}
     by_tau: dict = {}
     for j, beta in enumerate(betas):
-        by_tau.setdefault(beta.imag, []).append(j)
+        sigma = beta.real
+        key = (sigma, math.copysign(1.0, sigma))
+        if key not in weights:
+            weights[key] = _peeled(sigma * field.x)
+        by_tau.setdefault(beta.imag, []).append((j, weights[key]))
     p = [0.0] * len(betas)
-    for tau, js in by_tau.items():
+    for tau, entries in by_tau.items():
         tables = () if tau == 0.0 else _phase_tables(tau, field.y)
-        for j in js:
-            p[j] = scaled_trig_sum(betas[j].real * field.x,
-                                   *tables).abs_log / t
+        for j, peeled in entries:
+            p[j] = peeled_trig_sum(*peeled, *tables).abs_log / t
         del tables  # free before the next tau's tables are built
     return p

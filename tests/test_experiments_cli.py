@@ -1,5 +1,6 @@
 """Experiment orchestration, artifact layout, and the command line."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -633,7 +634,7 @@ def test_chunks_hold_whole_lockstep_groups(tmp_path, monkeypatch):
         return grow_forest(dist, t, seeds, *args)
 
     monkeypatch.setattr(experiments, "grow_forest", recording)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     cfg = ExperimentConfig(experiment="free_energy_scan", replicas=200,
                            t=8.0, rho=1.0, sigma_range=[0.5, 1.5],
                            tau_range=[0.0, 1.0], resolution=1, threads=2,

@@ -1,9 +1,10 @@
 """Property tests: invariants of the accumulator, truncation, overlaps and
 sampled trees over generated inputs, and bit-exactness of the exact small
-sum, of the segmented reductions against one-segment calls, of the
-group martingales against the ScaledComplex chain, of the shared-table
-sweeps, of the tree sampler's wave loop, and of the forest grower, the
-leaf grower and the forest screen against the tree and field samplers.
+sum and its extraction kernel, of the segmented reductions against
+one-segment calls, of the group martingales against the ScaledComplex
+chain, of the shared-table sweeps, of the tree sampler's wave loop, and of
+the forest grower, the leaf grower and the forest screen against the tree
+and field samplers.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -22,12 +23,14 @@ from bbmlab import (OffspringDistribution, ResourceLimitError,
                     sample_field, sample_tree, scaled_exp_sum,
                     truncated_partition)
 from bbmlab import gwtree
-from bbmlab.accum import scaled_exp_sums, scaled_trig_sum
+from bbmlab.accum import (_FSUM_LIST, _extracted_fsum, scaled_exp_sums,
+                          scaled_trig_sum)
 from bbmlab.field import correlate
 from bbmlab.gwtree import (NODE_BUDGET, GrownLeaves, grow_forest,
                            grow_leaves, screen_maxima)
 from bbmlab.partition import (additive_martingales, log_partitions, m_of_t,
                               truncation_sweep)
+from bbmlab.phase import grid_betas
 from bbmlab.streams import (TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE, make_rng,
                             rekey, stream_key)
 
@@ -341,9 +344,81 @@ def test_compensated_sum_is_fsum_up_to_4096_terms(v):
         assert math.copysign(1.0, got) == math.copysign(1.0, expected)
 
 
-# Segment sizes on both sides of the list-fsum (700) and exact binned
-# (4096) limits of compensated_sum.
-segment_sizes = (st.integers(1, 12) | st.sampled_from([699, 700, 4096, 4097])
+@st.composite
+def extraction_arrays(draw):
+    """Arrays of 1, 199, 200 or 4096 terms built to be hard to certify.
+
+    "midpoint" sums exactly to the midpoint between two adjacent floats,
+    and "off_midpoint" to one ulp of the half-ulp off it: a big term, its
+    half ulp and pairs x, -x.  "cancel" pairs terms of 80 binades with
+    their negations and leaves one small term.  "subnormal" holds
+    subnormals, at times with one term just above 2^-900; "near_2_900"
+    has exponents from 2^890 to 2^901.  Some pairs, or terms, are 0.0 or
+    -0.0.
+    """
+    n = draw(st.sampled_from([1, 199, 200, 4096]))
+    kind = draw(st.sampled_from(["midpoint", "off_midpoint", "cancel",
+                                 "subnormal", "near_2_900"]))
+    rng = np.random.default_rng(draw(seeds))
+    zeros = draw(st.sampled_from([0.0, 0.1]))
+    sign = rng.choice([-1.0, 1.0], n)
+    if kind in ("midpoint", "off_midpoint", "cancel"):
+        e = int(rng.integers(-880, 880))
+        if kind == "cancel":
+            head = []
+            last = math.ldexp(sign[-1], e - int(rng.integers(60, 120)))
+        else:  # big on [2^e, 2^(e+1)) and its half ulp, of one sign
+            head = [math.ldexp(sign[-1] * float(rng.integers(2 ** 52,
+                                                             2 ** 53)),
+                               e - 52)]
+            last = 1.0 + (0.0 if kind == "midpoint"
+                          else float(rng.choice([-1.0, 1.0])) * 2.0 ** -52)
+            last = math.ldexp(sign[-1] * last, e - 53)
+        tail = [last] if n > len(head) else []
+        k = (n - len(head) - len(tail)) // 2
+        body = sign[:k] * np.ldexp(rng.uniform(0.5, 1.0, k),
+                                   e - rng.integers(1, 80, k))
+        body[rng.random(k) < zeros] = 0.0
+        pad = np.zeros(n - len(head) - len(tail) - 2 * k)
+        v = np.concatenate([head, body, -body, pad, tail])
+    else:
+        low, high = (-1074, -1022) if kind == "subnormal" else (890, 901)
+        v = sign * np.ldexp(rng.uniform(0.5, 1.0, n),
+                            rng.integers(low, high, n, endpoint=True))
+        if kind == "subnormal" and draw(st.booleans()):
+            v[0] = math.ldexp(sign[0], int(rng.integers(-899, -890)))
+        v[rng.random(n) < zeros] = draw(st.sampled_from([0.0, -0.0]))
+    rng.shuffle(v)
+    return v
+
+
+@settings(PROPERTY, max_examples=200)
+@given(extraction_arrays())
+def test_extracted_fsum_is_fsum_or_declines(v):
+    got = _extracted_fsum(v)
+    if got is not None:
+        assert float(got).hex() == math.fsum(v.tolist()).hex()
+
+
+def test_grid_sums_of_a_field_certify():
+    # every sum phase_grid's grid takes of a t = 6 field goes through the
+    # extraction kernel and is certified there, with no math.fsum fallback
+    fld = sample_correlated_pair(sample_tree(BINARY, 6.0, 1), 1.0, 1)
+    assert fld.x.size >= _FSUM_LIST
+    for beta in grid_betas((0.2, 2.0), (0.0, 1.5), 4):
+        lw = beta.real * fld.x
+        w = np.exp(lw - lw.max())
+        sums = ([w] if beta.imag == 0.0 else
+                [w * np.cos(beta.imag * fld.y), w * np.sin(beta.imag * fld.y)])
+        for v in sums:
+            assert _extracted_fsum(v) is not None, beta
+
+
+# Segment sizes on both sides of the list-fsum (256) and exactly rounded
+# (4096) limits of compensated_sum, and 699 and 700 inside the extraction
+# kernel's range.
+segment_sizes = (st.integers(1, 12)
+                 | st.sampled_from([255, 256, 699, 700, 4096, 4097])
                  | st.integers(1, 5000))
 # 0.0 and negative values among the parts of beta
 beta_parts = st.sampled_from([0.0, -0.0, -1.3]) | st.floats(-3.0, 3.0)
