@@ -144,11 +144,11 @@ def scaled_exp_sum(log_weights, phases=None) -> ScaledComplex:
     """sum_k e^(log_weights[k] + i phases[k]) in log-scale representation.
 
     The one-segment call of scaled_exp_sums; a sum with no finite weight
-    is (-inf, 1).  Without phases the sum is real (scaled_trig_sum
+    is (-inf, 1).  Without phases the sum is real (peeled_trig_sum
     without tables).
     """
     if phases is None:
-        return scaled_trig_sum(log_weights)
+        return peeled_trig_sum(*_peeled(log_weights))
     peaks, re, im = scaled_exp_sums(log_weights, phases,
                                     [np.size(log_weights)])
     peak = float(peaks[0])
@@ -209,26 +209,18 @@ def _segment_sums(v: np.ndarray, bounds: list, largest: int) -> np.ndarray:
     return np.array(sums, dtype=np.float64)
 
 
-def scaled_trig_sum(log_weights, cos=None, sin=None,
-                    where=...) -> ScaledComplex:
-    """scaled_exp_sum with the phases given as cos and sin tables.
-
-    Callers that reduce one field at many weights compute the tables once.
-    Term k pairs log_weights[k] with the k-th entry of cos[where] and
-    sin[where].  A boolean mask ``where`` lets the tables cover a whole
-    field while log_weights holds only the masked terms; the masked table
-    entries are then gathered only as operands of their product with the
-    weights, so no caller holds a copy of a table subset.  Without tables
-    the sum is real.
-    """
-    return peeled_trig_sum(*_peeled(log_weights), cos, sin, where)
-
-
 def peeled_trig_sum(peak: float, w: np.ndarray | None, cos=None, sin=None,
                     where=...) -> ScaledComplex:
-    """scaled_trig_sum of log-weights already peeled by _peeled into
-    (peak, w), so callers that pair one set of weights with many tables
-    exponentiate it once."""
+    """scaled_exp_sum of log-weights already peeled by _peeled into
+    (peak, w), with the phases given as cos and sin tables.
+
+    Term k pairs w[k] with the k-th entry of cos[where] and sin[where],
+    so one field's tables serve many weights and one set of weights many
+    tables.  A boolean mask ``where`` lets the tables cover a whole field
+    while w holds only the masked terms, gathering the masked entries
+    only as operands of their product with w.  Without tables the sum is
+    real.
+    """
     if w is None:
         return ScaledComplex(-math.inf, complex(1.0, 0.0))
     if cos is None:

@@ -29,8 +29,8 @@ from .extremal import (AcceptanceError, Cluster, LimitModel,
                        estimate_cox_constants, load_cluster_bank,
                        sample_clusters, sample_limit_partition,
                        save_cluster_bank)
-from .field import CorrelatedField, correlate
-from .gwtree import NODE_BUDGET, forest_size, grow_forest, grow_leaves
+from .field import correlate
+from .gwtree import NODE_BUDGET, GrownLeaves, forest_size, grow_forest
 from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
                       martingale_second_moment)
@@ -38,7 +38,7 @@ from .partition import (SQRT2, additive_martingales, derivative_martingale,
                         log_partitions, m_of_t, rescaled_partition,
                         truncation_sweep)
 from .phase import grid_betas, scan_cells
-from .streams import TAG_PAIR_X, TAG_PAIR_Z, make_rng, replica_seed, stream_key
+from .streams import make_rng, pair_keys, replica_seed, stream_key
 
 # No longer called here.  perfbench/spans.py rebinds these names in this
 # module to time them, so they stay imported until its BINDINGS move.
@@ -193,6 +193,14 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
         raise ConfigError(
             f"unknown experiment {cfg.experiment!r}; choose from "
             f"{sorted(REQUIRED_KEYS)}")
+    for key in ("seed", "replicas", "resolution", "min_clusters",
+                "max_attempts", "max_nodes", "threads"):
+        value = getattr(cfg, key)
+        if key == "threads" and value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value,
+                                                     (int, np.integer)):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
     if cfg.replicas < 1:
         raise ConfigError("replicas must be >= 1")
     if not cfg.beta_list:
@@ -208,6 +216,15 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
         raise ConfigError("t and t_list entries must be finite and >= 0")
     if not all(float(a) >= 0.0 for a in cfg.a_list):
         raise ConfigError("a_list entries must be >= 0")
+    # replica i always draws from seed XOR i, so a repeated entry would
+    # rerun the same replicas and count them twice
+    for key, values in (("t_list", cfg.t_list and cfg.ts()),
+                        ("rho_list", cfg.rho_list and cfg.rhos()),
+                        ("a_list", [float(a) for a in cfg.a_list]),
+                        ("beta_list", cfg.betas())):
+        if values and len(set(values)) < len(values):
+            raise ConfigError(
+                f"{key} repeats an entry: {getattr(cfg, key)!r}")
     for key in ("min_clusters", "max_attempts", "max_nodes"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
@@ -466,64 +483,30 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------- replicas
 
 
-class Replica:
-    """One replica of the pipeline: the leaves of task (t, index).
-
-    The seed is replica_seed(cfg.seed, index).  Construction grows the
-    tree on [0, t] and draws the fields named by ``tags`` on it in one
-    pass (grow_leaves), x from the seed's TAG_PAIR_X stream and z from
-    its TAG_PAIR_Z stream, the streams of sample_correlated_pair, and
-    keeps only the counts and the leaves, unless it is handed ``leaves``
-    grown so already.  Every pair(rho) view shares one x and one z.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, dist: OffspringDistribution,
-                 task: tuple, tags: tuple, leaves=None):
-        self.t, self.index = task
-        self.seed = replica_seed(cfg.seed, self.index)
-        self.leaves = leaves if leaves is not None else grow_leaves(
-            dist, self.t, self.seed,
-            [stream_key(self.seed, tag) for tag in tags], cfg.max_nodes)
-
-    @property
-    def n_leaves(self) -> int:
-        return self.leaves.n_leaves
-
-    def pair(self, rho: float) -> CorrelatedField:
-        """(x, y) with correlation rho; |rho| < 1 needs z among the tags."""
-        return _pair(self.leaves, self.leaves.positions, rho)
-
-
-def _pair(tree, positions, rho: float) -> CorrelatedField:
-    """The pair view of x = positions[0] and, for |rho| < 1, z =
-    positions[1]; ``tree`` gives the view its horizon."""
-    z = None if abs(rho) == 1.0 else positions[1]
-    return correlate(tree, positions[0], z, rho)
-
-
-def _replica_chunk(observable, dist, tags, cfg: ExperimentConfig,
+def _replica_chunk(observable, dist, fields: int, cfg: ExperimentConfig,
                    chunk: list) -> list:
     """_run_replicas' chunk worker: each run of tasks at one t grows in
     lockstep groups of up to forest_size(dist, t) trees, one grow_forest
-    call per group, and observable(cfg, replicas) reduces a group's
-    grown replicas at once.  It returns one entry per replica, its rows or
-    the exception that failed it; a tree that failed to grow fails only
-    its own task, and an observable that raises fails its whole group."""
+    call per group, each tree with the first ``fields`` of its seed's
+    pair_keys, and observable(cfg, grown) reduces a group's (index,
+    GrownLeaves) pairs at once.  It returns one entry per replica, its
+    rows or the exception that failed it; a tree that failed to grow fails
+    only its own task, and an observable that raises fails its whole
+    group."""
     outcomes = []
     for t, at_t in itertools.groupby(chunk, key=lambda task: task[0]):
         at_t, size = list(at_t), forest_size(dist, t)
         for group in [at_t[lo:lo + size] for lo in range(0, len(at_t), size)]:
             seeds = [replica_seed(cfg.seed, i) for _, i in group]
-            keys = [[stream_key(s, tag) for tag in tags] for s in seeds]
+            keys = [pair_keys(s, fields) for s in seeds]
             try:
                 grown = grow_forest(dist, t, seeds, keys, cfg.max_nodes)
             except Exception as exc:  # the horizon's error
                 grown = [exc] * len(group)
-            reps = [Replica(cfg, dist, task, tags, leaves)
-                    for task, leaves in zip(group, grown)
-                    if not isinstance(leaves, Exception)]
+            pairs = [(i, leaves) for (_, i), leaves in zip(group, grown)
+                     if not isinstance(leaves, Exception)]
             try:
-                results = iter(observable(cfg, reps) if reps else ())
+                results = iter(observable(cfg, pairs) if pairs else ())
             except Exception as exc:  # contained: counted as failures
                 results = itertools.repeat(exc)
             for leaves in grown:
@@ -534,13 +517,13 @@ def _replica_chunk(observable, dist, tags, cfg: ExperimentConfig,
     return outcomes
 
 
-def _each_replica(observable, cfg: ExperimentConfig, reps: list) -> list:
-    """A per-replica observable(cfg, replica) -> rows as a group
+def _each_replica(observable, cfg: ExperimentConfig, grown: list) -> list:
+    """A per-replica observable(cfg, index, leaves) -> rows as a group
     observable: each replica's rows, or the exception that failed it."""
     results = []
-    for rep in reps:
+    for index, leaves in grown:
         try:
-            results.append(observable(cfg, rep))
+            results.append(observable(cfg, index, leaves))
         except Exception as exc:  # contained: counted as failures
             results.append(exc)
     return results
@@ -548,21 +531,17 @@ def _each_replica(observable, cfg: ExperimentConfig, reps: list) -> list:
 
 def _run_replicas(observable, cfg: ExperimentConfig, ts: list,
                   rhos: list) -> tuple[list, list, int]:
-    """observable(cfg, replicas) over replicas 0..replicas-1 at each t in ts.
+    """observable(cfg, grown) over replicas 0..replicas-1 at each t in ts.
 
-    The observable takes a lockstep group of replicas at one t and
-    returns one entry per replica (see _replica_chunk); _each_replica
-    lifts a per-replica one.  ``rhos`` are the correlations it reads: the
+    Replica i grows from replica_seed(cfg.seed, i).  The observable takes
+    a lockstep group at one t as (index, GrownLeaves) pairs and returns
+    one entry per replica (see _replica_chunk); _each_replica lifts a
+    per-replica one.  ``rhos`` are the correlations it reads: the
     replicas draw no field when it is empty, x alone when every |rho| = 1,
     else x and z.  The result is (rows in task order, t-major; failure
     records; seed-schedule entries).
     """
-    if not rhos:
-        tags = ()
-    elif all(abs(rho) == 1.0 for rho in rhos):
-        tags = (TAG_PAIR_X,)
-    else:
-        tags = (TAG_PAIR_X, TAG_PAIR_Z)
+    fields = 0 if not rhos else 1 if all(abs(r) == 1.0 for r in rhos) else 2
     tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
     dist, n, threads = cfg.dist(), cfg.replicas, cfg.effective_threads()
     # chunks that hold whole lockstep groups: the size that cuts a t's n
@@ -571,15 +550,16 @@ def _run_replicas(observable, cfg: ExperimentConfig, ts: list,
     least = min(math.ceil(n / (threads * math.ceil(
         n / (threads * forest_size(dist, t))))) for t in ts)
     payloads, failures = _collect(
-        functools.partial(_replica_chunk, observable, dist, tags),
+        functools.partial(_replica_chunk, observable, dist, fields),
         cfg, tasks, _replica_record, least)
     rows = [row for p in payloads if p is not None for row in p]
     return rows, failures, [_task_range("replica", "t", t, cfg.replicas)
                             for t in ts]
 
 
-def _tree_rows(cfg: ExperimentConfig, rep: Replica) -> list:
-    return [(rep.t, rep.index, rep.seed, rep.n_leaves)]
+def _tree_rows(cfg: ExperimentConfig, index: int,
+               leaves: GrownLeaves) -> list:
+    return [(leaves.t, index, leaves.seed, leaves.n_leaves)]
 
 
 def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
@@ -603,23 +583,24 @@ def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
 
 
 def _martingale_rows(betas: list, cfg: ExperimentConfig,
-                     reps: list) -> list:
+                     grown: list) -> list:
     """Each replica's rows, (rho, beta) in config order; the group's leaves
     are laid end to end once and each (rho, beta) reduces them in one
     additive_martingales pass."""
+    group = [leaves for _, leaves in grown]
     positions = [np.concatenate(p)
-                 for p in zip(*(rep.leaves.positions for rep in reps))]
-    ends = np.cumsum([rep.n_leaves for rep in reps])
-    rows = [[] for _ in reps]
+                 for p in zip(*(leaves.positions for leaves in group))]
+    ends = np.cumsum([leaves.n_leaves for leaves in group])
+    rows = [[] for _ in grown]
     for rho in cfg.rhos():
         # the view reads only its tree's horizon, which the group shares
-        fld = _pair(reps[0].leaves, positions, rho)
+        fld = correlate(group[0], positions, rho)
         for beta in betas:
-            for rep, out, m in zip(reps, rows,
-                                   additive_martingales(fld, beta,
-                                                        ends).tolist()):
-                out.append((rep.t, beta.real, beta.imag, rho, rep.index,
-                            rep.seed, rep.n_leaves, m.real, m.imag,
+            for (index, leaves), out, m in zip(
+                    grown, rows, additive_martingales(fld, beta,
+                                                      ends).tolist()):
+                out.append((leaves.t, beta.real, beta.imag, rho, index,
+                            leaves.seed, leaves.n_leaves, m.real, m.imag,
                             abs(m) ** 2))
     return rows
 
@@ -657,10 +638,10 @@ def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
                         summary=summary, failures=failures, schedule=schedule)
 
 
-def _free_energy_rows(betas: list, cfg: ExperimentConfig,
-                      rep: Replica) -> list:
-    fld = rep.pair(cfg.rho)
-    return [(rep.t, log_partitions(fld, betas))]
+def _free_energy_rows(betas: list, cfg: ExperimentConfig, index: int,
+                      leaves: GrownLeaves) -> list:
+    fld = correlate(leaves, leaves.positions, cfg.rho)
+    return [(leaves.t, log_partitions(fld, betas))]
 
 
 def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
@@ -689,9 +670,11 @@ def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         summary=summary, failures=failures, schedule=schedule)
 
 
-def _glassy_rows(beta: complex, cfg: ExperimentConfig, rep: Replica) -> list:
-    val = rescaled_partition(rep.pair(cfg.rho), beta).real_shift
-    return [(rep.index, rep.seed, rep.n_leaves, val.real, val.imag,
+def _glassy_rows(beta: complex, cfg: ExperimentConfig, index: int,
+                 leaves: GrownLeaves) -> list:
+    fld = correlate(leaves, leaves.positions, cfg.rho)
+    val = rescaled_partition(fld, beta).real_shift
+    return [(index, leaves.seed, leaves.n_leaves, val.real, val.imag,
              abs(val))]
 
 
@@ -764,10 +747,11 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
                         streams={"calibration": CALIBRATION_STREAM})
 
 
-def _truncation_rows(beta: complex, cfg: ExperimentConfig,
-                     rep: Replica) -> list:
-    parts = truncation_sweep(rep.pair(cfg.rho), beta, cfg.a_list)
-    return [(rep.index, rep.seed, rep.n_leaves, float(a),
+def _truncation_rows(beta: complex, cfg: ExperimentConfig, index: int,
+                     leaves: GrownLeaves) -> list:
+    fld = correlate(leaves, leaves.positions, cfg.rho)
+    parts = truncation_sweep(fld, beta, cfg.a_list)
+    return [(index, leaves.seed, leaves.n_leaves, float(a),
              part.kept.real, part.kept.imag, abs(part.discarded))
             for a, part in zip(cfg.a_list, parts)]
 
@@ -796,10 +780,11 @@ def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
                         schedule=schedule)
 
 
-def _extremal_rows(cfg: ExperimentConfig, rep: Replica) -> list:
-    fld = rep.pair(1.0)
-    shift = float(np.max(fld.x)) - m_of_t(rep.t)
-    return [(rep.t, rep.index, rep.seed, rep.n_leaves, shift,
+def _extremal_rows(cfg: ExperimentConfig, index: int,
+                   leaves: GrownLeaves) -> list:
+    fld = correlate(leaves, leaves.positions, 1.0)
+    shift = float(np.max(fld.x)) - m_of_t(leaves.t)
+    return [(leaves.t, index, leaves.seed, leaves.n_leaves, shift,
              derivative_martingale(fld))]
 
 

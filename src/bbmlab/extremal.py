@@ -30,8 +30,7 @@ import numpy as np
 from .gwtree import NODE_BUDGET, grow_leaves, over_budget, screen_maxima
 from .offspring import OffspringDistribution
 from .partition import SQRT2
-from .streams import (TAG_CLUSTER, TAG_COX, TAG_PAIR_X, TAG_PAIR_Z, make_rng,
-                      stream_key)
+from .streams import TAG_CLUSTER, TAG_COX, make_rng, pair_keys, stream_key
 
 # No longer called here.  perfbench/spans.py rebinds these names in this
 # module to time them, so they stay imported until its BINDINGS move.
@@ -116,7 +115,7 @@ def sample_clusters(t_cond: float, dist: OffspringDistribution, seeds,
                                               max_attempts))]
         subs = [stream_key(seeds[i], TAG_CLUSTER, a) for i, a in batch]
         maxima = screen_maxima(dist, t_cond, subs,
-                               [[stream_key(sub, TAG_PAIR_X)] for sub in subs],
+                               [pair_keys(sub, 1) for sub in subs],
                                max_nodes)
         for (i, a), sub, top in zip(batch, subs, maxima.tolist()):
             if drawn[i] is not None:
@@ -140,8 +139,7 @@ def _accepted(dist: OffspringDistribution, t_cond: float, sub: int,
     """The cluster of the accepted attempt ``sub``, whose screened max is
     ``top``: its x and z leaves, sorted by x and taken relative to the
     leaf at the max."""
-    x, z = grow_leaves(dist, t_cond, sub, [stream_key(sub, TAG_PAIR_X),
-                                           stream_key(sub, TAG_PAIR_Z)],
+    x, z = grow_leaves(dist, t_cond, sub, pair_keys(sub, 2),
                        max_nodes).positions
     assert float(np.max(x)) == top, "regrown attempt lost its screened max"
     order = np.argsort(-x, kind="stable")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gwtree import GrownLeaves, GwTree
-from .streams import TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, make_rng, stream_key
+from .streams import TAG_FIELD, make_rng, pair_keys
 
 
 @dataclass(eq=False)
@@ -73,17 +73,23 @@ def sample_field(tree: GwTree, seed: int) -> BbmField:
                     node_pos=_accumulate_down(tree, increments))
 
 
-def correlate(tree: GwTree | GrownLeaves, x: np.ndarray,
-              z: np.ndarray | None, rho: float) -> CorrelatedField:
-    """The pair view y = rho x + sqrt(1-rho^2) z of two leaf arrays.
+def correlate(tree: GwTree | GrownLeaves, positions,
+              rho: float) -> CorrelatedField:
+    """The pair view y = rho x + sqrt(1-rho^2) z of the leaf arrays
+    positions = (x,) or (x, z); ``tree`` gives the view its horizon.
 
-    At |rho| = 1 z is not read (pass None) and y is exactly +-x.
+    z is read only when |rho| < 1; at |rho| = 1 y is exactly +-x.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho!r}")
+    x = positions[0]
     if abs(rho) == 1.0:
         return CorrelatedField(tree=tree, rho=rho, x=x,
                                y=math.copysign(1.0, rho) * x, z=None)
+    if len(positions) < 2:
+        raise ValueError(f"rho = {rho!r} needs the z field, but the "
+                         "positions hold x alone")
+    z = positions[1]
     y = rho * x + math.sqrt(1.0 - rho * rho) * z
     return CorrelatedField(tree=tree, rho=rho, x=x, y=y, z=z)
 
@@ -91,11 +97,8 @@ def correlate(tree: GwTree | GrownLeaves, x: np.ndarray,
 def sample_correlated_pair(tree: GwTree, rho: float,
                            seed: int) -> CorrelatedField:
     """Draw (x, y) with correlation rho on the tree."""
-    x = sample_field(tree, stream_key(seed, TAG_PAIR_X)).x
-    if abs(rho) == 1.0:
-        return correlate(tree, x, None, rho)
-    z = sample_field(tree, stream_key(seed, TAG_PAIR_Z)).x
-    return correlate(tree, x, z, rho)
+    keys = pair_keys(seed, 1 if abs(rho) == 1.0 else 2)
+    return correlate(tree, [sample_field(tree, key).x for key in keys], rho)
 
 
 def max_position(field) -> tuple[float, int]:

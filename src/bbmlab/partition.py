@@ -23,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .accum import (ScaledComplex, _peeled, compensated_sum,
-                    peeled_trig_sum, scaled_exp_sum, scaled_exp_sums,
-                    scaled_trig_sum)
+                    peeled_trig_sum, scaled_exp_sum, scaled_exp_sums)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -91,14 +90,16 @@ def truncation_sweep(field, beta, thresholds) -> list[TruncatedPartition]:
     for a in thresholds:
         keep = shift >= -a
         drop = ~keep
-        kept = scaled_trig_sum(beta.real * shift[keep], cos, sin, keep)
-        disc = scaled_trig_sum(beta.real * shift[drop], cos, sin, drop)
+        kept = peeled_trig_sum(*_peeled(beta.real * shift[keep]), cos, sin,
+                               keep)
+        disc = peeled_trig_sum(*_peeled(beta.real * shift[drop]), cos, sin,
+                               drop)
         parts.append(TruncatedPartition(kept=kept.value, discarded=disc.value))
     return parts
 
 
 def _phase_tables(tau: float, y) -> tuple[np.ndarray, np.ndarray]:
-    """cos(tau y_k) and sin(tau y_k), the tables scaled_trig_sum takes."""
+    """cos(tau y_k) and sin(tau y_k), the tables peeled_trig_sum takes."""
     phases = tau * y
     return np.cos(phases), np.sin(phases)
 

@@ -47,6 +47,11 @@ def stream_key(seed: int, *tags: int) -> int:
     return key
 
 
+def pair_keys(seed: int, fields: int) -> list:
+    """The first ``fields`` of a seed's pair field keys: x's, then z's."""
+    return [stream_key(seed, tag) for tag in (TAG_PAIR_X, TAG_PAIR_Z)[:fields]]
+
+
 def make_rng(seed: int, *tags: int) -> np.random.Generator:
     """Counter-based generator for the (seed, tags) stream."""
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *tags)))

@@ -26,9 +26,11 @@ from bbmlab import (LimitModel, OffspringDistribution, gaussian_tail_bound,
                     overlap_matrix, rescaled_partition, sample_clusters,
                     sample_correlated_pair, sample_limit_partition,
                     sample_tree, stats)
-from bbmlab.experiments import ExperimentConfig, Replica, run
+from bbmlab.experiments import ExperimentConfig, run
+from bbmlab.field import correlate
+from bbmlab.gwtree import grow_leaves
 from bbmlab.phase import GridCell, limiting_free_energy
-from bbmlab.streams import TAG_PAIR_X, TAG_PAIR_Z, replica_seed, stream_key
+from bbmlab.streams import pair_keys, replica_seed, stream_key
 
 pytestmark = pytest.mark.acceptance
 
@@ -81,18 +83,15 @@ def pool_map(fn, n):
                                  chunksize=max(1, n // (workers * 16))))
 
 
-GLASSY_CFG = ExperimentConfig(experiment="glassy_tail", seed=SEED, t=12.0,
-                              rho=0.5)
-
-
 def glassy_replica(i):
     """Rescaled partition at GLASSY_BETA and its tau = 0 control, t = 12.
 
     The replica's leaves are grown with its x and z fields in one pass,
     with the bits of sample_tree + sample_correlated_pair.
     """
-    rep = Replica(GLASSY_CFG, BINARY, (12.0, i), (TAG_PAIR_X, TAG_PAIR_Z))
-    fld = rep.pair(0.5)
+    rs = replica_seed(SEED, i)
+    leaves = grow_leaves(BINARY, 12.0, rs, pair_keys(rs, 2))
+    fld = correlate(leaves, leaves.positions, 0.5)
     return (rescaled_partition(fld, GLASSY_BETA).real_shift,
             rescaled_partition(fld, complex(GLASSY_BETA.real, 0.0)).real_shift)
 

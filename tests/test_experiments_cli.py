@@ -17,11 +17,11 @@ from bbmlab import (OffspringDistribution, additive_martingale, cli,
                     martingale_second_moment, sample_correlated_pair,
                     sample_tree)
 from bbmlab.experiments import (ConfigError, DEFAULT_SEED, ExperimentConfig,
-                                REQUIRED_KEYS, Replica, load_config,
-                                parse_complex, run, validate_config)
-from bbmlab.gwtree import ResourceLimitError, forest_size
+                                REQUIRED_KEYS, load_config, parse_complex,
+                                run, validate_config)
+from bbmlab.gwtree import ResourceLimitError, forest_size, grow_leaves
 from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE,
-                            replica_seed, stream_key)
+                            pair_keys, replica_seed, stream_key)
 
 BINARY = OffspringDistribution.binary()
 
@@ -446,28 +446,16 @@ class TestFreeEnergyScan:
 
 
 class TestReplica:
-    def test_pair_matches_sample_correlated_pair(self):
-        cfg = ExperimentConfig(experiment="martingale", t=3.0)
-        rep = Replica(cfg, BINARY, (3.0, 4), (TAG_PAIR_X, TAG_PAIR_Z))
-        rs = replica_seed(cfg.seed, 4)
-        tree = sample_tree(BINARY, 3.0, rs)
-        assert rep.seed == rs and rep.n_leaves == tree.n_leaves
-        for rho in (-1.0, 0.0, 0.6, 1.0):
-            want = sample_correlated_pair(tree, rho, rs)
-            got = rep.pair(rho)
-            assert np.array_equal(got.x, want.x)
-            assert np.array_equal(got.y, want.y)
-
     def test_peak_memory_per_node(self):
         # the whole tree and its x and z node arrays peaked near 57 B per
         # node; the grower keeps the frontier and the leaves only
-        cfg = ExperimentConfig(experiment="truncation", t=11.0, rho=0.5)
+        rs = replica_seed(DEFAULT_SEED, 1)
         tracemalloc.start()
-        rep = Replica(cfg, BINARY, (11.0, 1), (TAG_PAIR_X, TAG_PAIR_Z))
+        leaves = grow_leaves(BINARY, 11.0, rs, pair_keys(rs, 2))
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert rep.leaves.n_nodes > 100000
-        assert peak <= 24 * rep.leaves.n_nodes
+        assert leaves.n_nodes > 100000
+        assert peak <= 24 * leaves.n_nodes
 
     def test_fields_drawn_once_per_replica(self, tmp_path, monkeypatch):
         streams = []
@@ -581,12 +569,11 @@ def test_lockstep_failures_match_grow_leaves(tmp_path):
 
 
 def test_lockstep_groups_follow_task_order(tmp_path, monkeypatch):
-    # a t_list whose repeats are not next to each other: every task is
-    # grown once, at its own t, and the CSV body is the one that growing
-    # each task alone, in task order, writes
+    # every task is grown once, at its own t, and the CSV body is the one
+    # that growing each task alone, in task order, writes
     def body(name):
         cfg = ExperimentConfig(experiment="extremal_max", replicas=4,
-                               t_list=[2.0, 3.0, 2.0], threads=1,
+                               t_list=[2.0, 3.0], threads=1,
                                output_dir=str(tmp_path / name))
         result = run(cfg)
         assert not result.failures
@@ -599,7 +586,7 @@ def test_lockstep_groups_follow_task_order(tmp_path, monkeypatch):
     assert lockstep == body("alone")
     assert lockstep[0][:2] == ["t", "replica"]
     assert [(float(t), int(i)) for t, i, *_ in lockstep[1:]] == [
-        (t, i) for t in (2.0, 3.0, 2.0) for i in range(4)]
+        (t, i) for t in (2.0, 3.0) for i in range(4)]
 
 
 class _SerialPool:
@@ -643,11 +630,11 @@ def test_chunks_hold_whole_lockstep_groups(tmp_path, monkeypatch):
     assert groups == [34] * 5 + [30]
 
 
-def _raise_on_replica_7(cfg, rep):
+def _raise_on_replica_7(cfg, index, leaves):
     """A tree_moments observable that fails on replica 7."""
-    if rep.index == 7:
+    if index == 7:
         raise ValueError("replica 7")
-    return [(rep.t, rep.index, rep.seed, rep.n_leaves)]
+    return [(leaves.t, index, leaves.seed, leaves.n_leaves)]
 
 
 def test_observable_failure_fails_its_task_only(tmp_path, monkeypatch):
@@ -668,11 +655,11 @@ def test_observable_failure_fails_its_task_only(tmp_path, monkeypatch):
 
 
 
-def _exit_on_replica_7(cfg, rep):
+def _exit_on_replica_7(cfg, index, leaves):
     """A tree_moments observable whose worker dies on replica 7."""
-    if rep.index == 7:
+    if index == 7:
         os._exit(3)
-    return [(rep.t, rep.index, rep.seed, rep.n_leaves)]
+    return [(leaves.t, index, leaves.seed, leaves.n_leaves)]
 
 
 def test_dead_worker_fails_its_tasks_only(tmp_path, monkeypatch):
@@ -746,6 +733,50 @@ class TestCli:
         path = write_config(tmp_path, "old.json", {
             "replicas": 2, "t": 1.0, key: value})
         rc = cli.main(["tree_moments", "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    GRID = {"replicas": 2, "t": 1.0, "sigma_range": [0.5, 1.5],
+            "tau_range": [0.0, 1.0], "resolution": 2}
+    BANK = {"t_cond": 1.0, "min_clusters": 2}
+
+    @pytest.mark.parametrize("experiment,payload", [
+        ("tree_moments", {"replicas": 2.5, "t": 1.0}),
+        ("tree_moments", {"replicas": "3", "t": 1.0}),
+        ("tree_moments", {"replicas": True, "t": 1.0}),
+        ("tree_moments", {"replicas": 2, "t": 1.0, "seed": 7.0}),
+        ("tree_moments", {"replicas": 2, "t": 1.0, "max_nodes": "100"}),
+        ("tree_moments", {"replicas": 2, "t": 1.0, "threads": 1.0}),
+        ("tree_moments", {"replicas": 2, "t": 1.0, "threads": False}),
+        ("free_energy_scan", dict(GRID, resolution=2.5)),
+        ("cluster_bank", dict(BANK, min_clusters=2.5)),
+        ("cluster_bank", dict(BANK, max_attempts=True)),
+    ])
+    def test_non_integer_count_exits_two_without_run_dir(
+            self, tmp_path, experiment, payload):
+        path = write_config(tmp_path, "bad.json", payload)
+        rc = cli.main([experiment, "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,payload", [
+        ("tree_moments", {"replicas": 5, "t_list": [2.0, 2.0]}),
+        ("free_energy_scan", {"replicas": 5, "t_list": [2.0, 3.0, 2],
+                              "beta_list": ["0.5"]}),
+        ("martingale", {"replicas": 5, "t": 2.0, "beta_list": ["0.5", 0.5]}),
+        ("martingale", {"replicas": 5, "t": 2.0, "beta_list": ["0.5"],
+                        "rho_list": [0.0, 0.0]}),
+        ("truncation", {"replicas": 5, "t": 2.0, "beta_list": ["1.5"],
+                        "rho": 0.5, "a_list": [2.0, 4.0, 2]}),
+    ])
+    def test_repeated_list_entry_exits_two_without_run_dir(
+            self, tmp_path, experiment, payload):
+        # replica i always draws from seed XOR i, so a repeated entry
+        # would rerun the same replicas and count them twice
+        path = write_config(tmp_path, "repeat.json", payload)
+        rc = cli.main([experiment, "--config", path,
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert not (tmp_path / "out").exists()

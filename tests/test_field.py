@@ -7,8 +7,10 @@ import pytest
 
 from bbmlab import (OffspringDistribution, max_position, overlap_matrix,
                     sample_correlated_pair, sample_field, sample_tree)
-from bbmlab.experiments import ExperimentConfig, Replica
-from bbmlab.streams import TAG_PAIR_X, replica_seed, stream_key
+from bbmlab.field import correlate
+from bbmlab.gwtree import grow_leaves
+from bbmlab.streams import (TAG_PAIR_X, TAG_PAIR_Z, pair_keys, replica_seed,
+                            stream_key)
 
 from test_offspring_gw import single_lineage
 
@@ -105,6 +107,34 @@ class TestCorrelatedPair:
         assert stats.ks_distance(mx_pair, mx_single) <= 0.02
 
 
+class TestCorrelate:
+    def test_pair_keys_are_x_then_z(self):
+        both = [stream_key(SEED, TAG_PAIR_X), stream_key(SEED, TAG_PAIR_Z)]
+        assert [pair_keys(SEED, n) for n in (0, 1, 2)] == [
+            [], both[:1], both]
+
+    def test_grown_leaves_match_sample_correlated_pair(self):
+        rs = replica_seed(SEED, 4)
+        leaves = grow_leaves(BINARY, 3.0, rs, pair_keys(rs, 2))
+        tree = sample_tree(BINARY, 3.0, rs)
+        assert leaves.n_leaves == tree.n_leaves
+        for rho in (-1.0, 0.0, 0.6, 1.0):
+            want = sample_correlated_pair(tree, rho, rs)
+            got = correlate(leaves, leaves.positions, rho)
+            assert got.t == want.t == 3.0
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.y, want.y)
+
+    def test_x_alone_needs_unit_rho(self):
+        x = np.array([0.5, -1.25, 2.0])
+        for rho in (1.0, -1.0):
+            fld = correlate(None, (x,), rho)
+            assert fld.x is x and fld.z is None
+            assert np.array_equal(fld.y, rho * x)
+        with pytest.raises(ValueError, match="z field"):
+            correlate(None, (x,), 0.6)
+
+
 class TestMaxPosition:
     def test_matches_leaf_maximum(self):
         tree = sample_tree(BINARY, 4.0, 55)
@@ -124,10 +154,9 @@ class TestMaxPosition:
         assert value == fld.x[0] and leaf == 0
 
     def test_streamed_replica_names_leaf_index(self):
-        cfg = ExperimentConfig(experiment="extremal_max", t=3.0)
-        rep = Replica(cfg, BINARY, (3.0, 0), (TAG_PAIR_X,))
-        value, index = max_position(rep.pair(1.0))
-        tree = sample_tree(BINARY, 3.0, rep.seed)
-        want = max_position(sample_field(tree, stream_key(rep.seed,
-                                                          TAG_PAIR_X)))
+        rs = replica_seed(SEED, 0)
+        leaves = grow_leaves(BINARY, 3.0, rs, pair_keys(rs, 1))
+        value, index = max_position(correlate(leaves, leaves.positions, 1.0))
+        tree = sample_tree(BINARY, 3.0, rs)
+        want = max_position(sample_field(tree, stream_key(rs, TAG_PAIR_X)))
         assert (value, int(tree.leaves[index])) == want

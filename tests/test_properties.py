@@ -23,8 +23,8 @@ from bbmlab import (OffspringDistribution, ResourceLimitError,
                     sample_field, sample_tree, scaled_exp_sum,
                     truncated_partition)
 from bbmlab import gwtree
-from bbmlab.accum import (_FSUM_LIST, _extracted_fsum, scaled_exp_sums,
-                          scaled_trig_sum)
+from bbmlab.accum import (_FSUM_LIST, _extracted_fsum, _peeled,
+                          peeled_trig_sum, scaled_exp_sums)
 from bbmlab.field import correlate
 from bbmlab.gwtree import (NODE_BUDGET, GrownLeaves, grow_forest,
                            grow_leaves, screen_maxima)
@@ -471,7 +471,7 @@ def test_scaled_exp_sums_match_one_segment_calls(sizes, seed, sigma, tau,
 def _tree_view(x, z, t, seed, rho):
     leaves = GrownLeaves(t=t, seed=seed, n_nodes=x.size, n_leaves=x.size,
                          positions=(x, z))
-    return correlate(leaves, x, z, rho)
+    return correlate(leaves, leaves.positions, rho)
 
 
 @PROPERTY
@@ -600,7 +600,7 @@ def test_log_partitions_is_exact(seed, t, rho, betas):
 def _table_path_log_partition(fld, beta):
     """log_partition written out on the cos and sin tables of beta.imag."""
     phases = beta.imag * fld.y
-    return scaled_trig_sum(beta.real * fld.x, np.cos(phases),
+    return peeled_trig_sum(*_peeled(beta.real * fld.x), np.cos(phases),
                            np.sin(phases)).abs_log / fld.t
 
 

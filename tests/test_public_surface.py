@@ -8,6 +8,7 @@ benchmark runs without failing any library test; this file makes it fail
 here.  ``spans.py`` is loaded by file path and only read.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -35,6 +36,31 @@ def test_tracer_bindings_resolve():
     missing = [(mod, name) for mod, name in targets
                if not hasattr(importlib.import_module(mod), name)]
     assert missing == []
+
+
+def test_unused_imports_are_tracer_bindings():
+    # a from-import marked unused is kept only because the tracer rebinds
+    # it in that module; once BINDINGS no longer name it, it must go.  A
+    # plain import marked so (numpy.random, for the pool workers) loads a
+    # module and re-exports nothing
+    spans = load_spans()
+    bound = {(mod, name) for mod, name, *_ in spans.BINDINGS}
+    src = os.path.join(ROOT, "src", "bbmlab")
+    kept = []
+    for filename in sorted(os.listdir(src)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(src, filename), encoding="utf-8") as fh:
+            text = fh.read()
+        lines = text.splitlines()
+        module = "bbmlab." + filename[:-3]
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.ImportFrom)
+                    and "# noqa: F401" in lines[node.end_lineno - 1]):
+                kept += [(module, alias.asname or alias.name)
+                         for alias in node.names]
+    assert kept
+    assert [target for target in kept if target not in bound] == []
 
 
 def test_all_names_resolve():
