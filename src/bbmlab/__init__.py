@@ -14,7 +14,7 @@ from .extremal import (AcceptanceError, Cluster, LimitModel,
                        sample_cluster, sample_clusters,
                        sample_limit_partition, save_cluster_bank)
 from .field import max_position, sample_correlated_pair, sample_field
-from .gwtree import ResourceLimitError, overlap, overlap_matrix, sample_tree
+from .gwtree import ResourceLimitError, overlap, sample_tree
 from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, envelope_curve,
                       gaussian_tail_bound, limit_max_cdf,
@@ -41,8 +41,8 @@ __all__ = [
     "ks_distance", "limit_max_cdf", "limiting_free_energy",
     "load_cluster_bank", "log_partition", "m_of_t",
     "many_to_two_pair_moment", "martingale_second_moment", "max_position",
-    "max_tail_exponent", "overlap", "overlap_matrix", "partition_function",
-    "point_scan", "rescaled_partition", "sample_cluster",
+    "max_tail_exponent", "overlap", "partition_function", "point_scan",
+    "rescaled_partition", "sample_cluster",
     "sample_clusters", "sample_correlated_pair", "sample_field",
     "sample_limit_partition", "sample_tree", "save_cluster_bank",
     "scaled_exp_sum", "truncated_partition",

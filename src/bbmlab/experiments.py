@@ -124,7 +124,7 @@ def parse_complex(value) -> complex:
     try:
         if isinstance(value, complex):
             return value
-        if isinstance(value, (int, float)):
+        if _is_real(value):
             return complex(float(value), 0.0)
         if isinstance(value, (list, tuple)) and len(value) == 2:
             return complex(float(value[0]), float(value[1]))
@@ -179,11 +179,16 @@ def load_config(path: str | None, overrides: dict) -> tuple[ExperimentConfig, se
     return cfg, provided
 
 
+def _is_real(value) -> bool:
+    """An int or a float, numpy's included, but not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def _check_range(key: str, value) -> None:
     """A grid range is a list of two finite numbers."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) and math.isfinite(v)
-                    for v in value)):
+            and all(_is_real(v) and math.isfinite(v) for v in value)):
         raise ConfigError(f"{key} must be two finite numbers, got {value!r}")
 
 
@@ -201,6 +206,15 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
         if isinstance(value, bool) or not isinstance(value,
                                                      (int, np.integer)):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
+    reals = [(key, getattr(cfg, key)) for key in ("t", "rho", "r", "t_cond")]
+    for key in ("t_list", "rho_list", "a_list"):
+        values = getattr(cfg, key) or []
+        if not isinstance(values, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {values!r}")
+        reals += [(f"{key} entry", value) for value in values]
+    for key, value in reals:
+        if not _is_real(value):
+            raise ConfigError(f"{key} must be a real number, got {value!r}")
     if cfg.replicas < 1:
         raise ConfigError("replicas must be >= 1")
     if not cfg.beta_list:

@@ -32,7 +32,6 @@ from .streams import (MASK64, TAG_FIELD, TAG_TREE, make_rng, rekey,
                       stream_key)
 
 NODE_BUDGET = 1 << 27
-OVERLAP_LEAF_CAP = 4096
 # forest_size's constants, set from the ns per node in BENCH_midgroups.json
 GROUP_LEAVES = 1 << 17
 GROUP_TREES = 128
@@ -369,53 +368,23 @@ def overlap(tree: GwTree, k: int, l: int) -> float:
     return float(tree.split[a])
 
 
-def _subtree_leaf_counts(tree: GwTree) -> np.ndarray:
-    count = np.where(tree.leaf_mask(), 1, 0).astype(np.int64)
+def pair_sum(tree: GwTree, weights, damp: float) -> float:
+    """Sum over ordered pairs k != l of leaves of
+    conj(a_l) a_k e^(-damp (t - overlap(tree, k, l))), a = weights in
+    ``tree.leaves`` order.
+
+    Each pair of leaves meets at exactly one branch point v, so the sum is
+    the sum over internal v of e^(-damp (t - split_v)) (|A_v|^2 - sum_c
+    |A_c|^2), where A_v sums a over the leaves below v and c runs over v's
+    children; one upward pass over the waves gives every A_v.
+    """
+    below = np.zeros(tree.n_nodes, dtype=np.complex128)
+    below[tree.leaves] = weights
     go = tree.gen_offsets
     for g in range(tree.n_generations - 1, 0, -1):
         sl = slice(go[g], go[g + 1])
-        np.add.at(count, tree.parent[sl], count[sl])
-    return count
-
-
-def _dfs_leaf_positions(tree: GwTree, count: np.ndarray) -> np.ndarray:
-    """Start of each node's leaf block in depth-first leaf order.
-
-    Children of one parent occupy consecutive id slots, so a per-wave
-    segmented exclusive cumsum of subtree leaf counts places every block.
-    """
-    pos = np.zeros(tree.n_nodes, dtype=np.int64)
-    go = tree.gen_offsets
-    for g in range(1, tree.n_generations):
-        sl = slice(go[g], go[g + 1])
-        c = count[sl]
-        p = tree.parent[sl]
-        excl = np.cumsum(c) - c
-        new_group = np.empty(c.size, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = p[1:] != p[:-1]
-        group_idx = np.cumsum(new_group) - 1
-        excl_within = excl - excl[new_group][group_idx]
-        pos[sl] = pos[p] + excl_within
-    return pos
-
-
-def overlap_matrix(tree: GwTree,
-                   max_leaves: int = OVERLAP_LEAF_CAP) -> np.ndarray:
-    """All pairwise overlaps q, rows/cols ordered like ``tree.leaves``."""
-    n = tree.n_leaves
-    if n > max_leaves:
-        raise ResourceLimitError(
-            f"{n} leaves exceed the pairwise overlap cap {max_leaves}")
-    count = _subtree_leaf_counts(tree)
-    pos = _dfs_leaf_positions(tree, count)
-    q = np.empty((n, n), dtype=np.float64)
-    np.fill_diagonal(q, tree.t)
-    # siblings' leaf blocks are adjacent in depth-first order, so a node's
-    # leaves meet its later siblings' at its parent's split time
-    for i in range(1, tree.n_nodes):
-        v = tree.parent[i]
-        a, b, end = pos[i], pos[i] + count[i], pos[v] + count[v]
-        q[a:b, b:end] = q[b:end, a:b] = tree.split[v]
-    rows = pos[tree.leaves]
-    return q[np.ix_(rows, rows)]
+        np.add.at(below, tree.parent[sl], below[sl])
+    mass = below.real ** 2 + below.imag ** 2
+    mass -= np.bincount(tree.parent[1:], mass[1:], tree.n_nodes)
+    inner = ~tree.leaf_mask()
+    return float(np.exp(-damp * (tree.t - tree.split[inner])) @ mass[inner])

@@ -762,6 +762,23 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment,payload", [
+        ("tree_moments", {"replicas": 2, "t": "2"}),
+        ("martingale", {"replicas": 2, "t": 1.0, "beta_list": ["0.5"],
+                        "rho": "0.5"}),
+        ("tree_moments", {"replicas": 2, "t": True}),
+        ("martingale", {"replicas": 2, "t": 1.0, "beta_list": [True]}),
+        ("bridge_check", {"replicas": 2, "t": 4.0, "r": True}),
+    ])
+    def test_non_real_value_exits_two_without_run_dir(
+            self, tmp_path, experiment, payload):
+        # a bool is not taken as 0 or 1, nor a numeric string as its number
+        path = write_config(tmp_path, "bad.json", payload)
+        rc = cli.main([experiment, "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,payload", [
         ("tree_moments", {"replicas": 5, "t_list": [2.0, 2.0]}),
         ("free_energy_scan", {"replicas": 5, "t_list": [2.0, 3.0, 2],
                               "beta_list": ["0.5"]}),

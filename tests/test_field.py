@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bbmlab import (OffspringDistribution, max_position, overlap_matrix,
+from bbmlab import (OffspringDistribution, max_position, overlap,
                     sample_correlated_pair, sample_field, sample_tree)
 from bbmlab.field import correlate
 from bbmlab.gwtree import grow_leaves
@@ -32,11 +32,12 @@ class TestSampleField:
                                   sample_field(tree, 6).x)
 
     def test_covariance_matches_overlap(self):
-        # fixed 7-leaf tree; empirical second moments against the overlap
-        # matrix entrywise within 3 standard errors
+        # fixed 7-leaf tree; empirical second moments against the pairwise
+        # overlaps entrywise within 3 standard errors
         tree = sample_tree(BINARY, 2.0, stream_key(SEED, 0xC0, 2))
         assert 3 <= tree.n_leaves <= 8
-        q = overlap_matrix(tree)
+        q = np.array([[overlap(tree, k, l) for l in tree.leaves]
+                      for k in tree.leaves])
         reps = 4000
         xs = np.empty((reps, tree.n_leaves))
         for i in range(reps):

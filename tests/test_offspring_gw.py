@@ -7,7 +7,7 @@ import pytest
 import scipy.stats as sps
 
 from bbmlab import (OffspringDistribution, ResourceLimitError, overlap,
-                    overlap_matrix, sample_tree)
+                    sample_tree)
 from bbmlab.gwtree import GwTree
 from bbmlab.streams import replica_seed, stream_key
 
@@ -180,32 +180,8 @@ class TestOverlap:
                 node = int(tree.parent[node])
             return float(tree.split[node])
 
-        mat = overlap_matrix(tree)
         leaves = [int(x) for x in tree.leaves]
-        for a, k in enumerate(leaves):
-            for b, l in enumerate(leaves):
-                direct = overlap(tree, k, l)
-                assert direct == pytest.approx(brute(k, l), abs=1e-15)
-                assert mat[a, b] == pytest.approx(direct, abs=1e-15)
-
-    def test_matrix_is_ultrametric(self):
-        tree = bushy_tree()
-        q = overlap_matrix(tree)
-        n = q.shape[0]
-        assert np.allclose(q, q.T)
-        assert np.allclose(np.diag(q), tree.t)
-        assert np.all(q >= -1e-12) and np.all(q <= tree.t + 1e-12)
-        for k in range(n):
-            for l in range(n):
-                for m in range(n):
-                    assert q[k, l] >= min(q[k, m], q[m, l]) - 1e-12
-
-    def test_single_lineage_matrix(self):
-        q = overlap_matrix(single_lineage(5.0))
-        assert q.shape == (1, 1)
-        assert q[0, 0] == 5.0
-
-    def test_leaf_cap(self):
-        tree = bushy_tree()
-        with pytest.raises(ResourceLimitError):
-            overlap_matrix(tree, max_leaves=2)
+        for k in leaves:
+            for l in leaves:
+                assert overlap(tree, k, l) == pytest.approx(brute(k, l),
+                                                            abs=1e-15)

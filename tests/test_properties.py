@@ -1,10 +1,10 @@
-"""Property tests: invariants of the accumulator, truncation, overlaps and
-sampled trees over generated inputs, and bit-exactness of the exact small
-sum and its extraction kernel, of the segmented reductions against
-one-segment calls, of the group martingales against the ScaledComplex
-chain, of the shared-table sweeps, of the tree sampler's wave loop, and of
-the forest grower, the leaf grower and the forest screen against the tree
-and field samplers.
+"""Property tests: invariants of the accumulator, truncation, overlaps, the
+branch-point pair sum and sampled trees over generated inputs, and
+bit-exactness of the exact small sum and its extraction kernel, of the
+segmented reductions against one-segment calls, of the group martingales
+against the ScaledComplex chain, of the shared-table sweeps, of the tree
+sampler's wave loop, and of the forest grower, the leaf grower and the
+forest screen against the tree and field samplers.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from bbmlab import (OffspringDistribution, ResourceLimitError,
                     additive_martingale, compensated_sum, log_partition,
-                    overlap_matrix, rescaled_partition, sample_correlated_pair,
+                    overlap, rescaled_partition, sample_correlated_pair,
                     sample_field, sample_tree, scaled_exp_sum,
                     truncated_partition)
 from bbmlab import gwtree
@@ -27,7 +27,7 @@ from bbmlab.accum import (_FSUM_LIST, _extracted_fsum, _peeled,
                           peeled_trig_sum, scaled_exp_sums)
 from bbmlab.field import correlate
 from bbmlab.gwtree import (NODE_BUDGET, GrownLeaves, grow_forest,
-                           grow_leaves, screen_maxima)
+                           grow_leaves, pair_sum, screen_maxima)
 from bbmlab.partition import (additive_martingales, log_partitions, m_of_t,
                               truncation_sweep)
 from bbmlab.phase import grid_betas
@@ -73,15 +73,40 @@ def test_truncation_reconstitutes_partition(seed, t, rho, sigma, tau,
     assert abs(part.kept + part.discarded - whole) <= 1e-12 * magnitude
 
 
+def _overlaps(tree):
+    leaves = tree.leaves.tolist()
+    return np.array([[overlap(tree, k, l) for l in leaves] for k in leaves])
+
+
 @PROPERTY
-@given(seed=seeds, t=st.floats(0.0, 3.5))
+@given(seed=seeds, t=st.floats(0.0, 2.5))
 def test_overlaps_are_ultrametric(seed, t):
     tree = sample_tree(BINARY, t, seed)
-    q = overlap_matrix(tree)
+    q = _overlaps(tree)
     assert np.array_equal(q, q.T)
     assert np.all(np.diag(q) == tree.t) and np.all(q <= tree.t)
     # q(i, j) >= min(q(i, k), q(k, j)) for every triple, indexed [i, k, j]
     assert np.all(q[:, None, :] >= np.minimum(q[:, :, None], q[None, :, :]))
+
+
+@PROPERTY
+@given(seed=seeds, t=st.floats(0.0, 3.0), law=st.sampled_from(LAWS[:2]),
+       rho=st.floats(-1.0, 1.0), sigma=st.floats(0.0, 2.0),
+       tau=st.floats(-2.0, 2.0))
+@example(seed=0, t=0.0, law=BINARY, rho=0.4, sigma=0.5, tau=0.3)
+def test_pair_sum_matches_double_sum(seed, t, law, rho, sigma, tau):
+    # the sum over branch points against the sum over ordered leaf pairs
+    tree = sample_tree(law, t, seed)
+    a = np.exp(complex(sigma, rho * tau)
+               * sample_correlated_pair(tree, rho, seed).x)
+    damp = (1.0 - rho * rho) * tau * tau
+    w = np.exp(-damp * (t - _overlaps(tree)))
+    np.fill_diagonal(w, 0.0)
+    got = pair_sum(tree, a, damp)
+    if tree.n_leaves == 1:  # a single lineage has no pair
+        assert got == 0.0
+    assert abs(got - np.real(np.conj(a) @ (w @ a))) \
+        <= 1e-12 * np.sum(np.abs(a)) ** 2
 
 
 @PROPERTY
