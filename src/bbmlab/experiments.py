@@ -543,6 +543,14 @@ def _each_replica(observable, cfg: ExperimentConfig, grown: list) -> list:
     return results
 
 
+def _forest_chunk(cfg: ExperimentConfig, n: int, size: int) -> int:
+    """The least chunk of n tasks that holds whole forests of up to
+    ``size`` trees: the size that cuts them into threads * ceil(n /
+    (threads * size)) equal chunks."""
+    threads = cfg.effective_threads()
+    return math.ceil(n / (threads * math.ceil(n / (threads * size))))
+
+
 def _run_replicas(observable, cfg: ExperimentConfig, ts: list,
                   rhos: list) -> tuple[list, list, int]:
     """observable(cfg, grown) over replicas 0..replicas-1 at each t in ts.
@@ -557,12 +565,9 @@ def _run_replicas(observable, cfg: ExperimentConfig, ts: list,
     """
     fields = 0 if not rhos else 1 if all(abs(r) == 1.0 for r in rhos) else 2
     tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
-    dist, n, threads = cfg.dist(), cfg.replicas, cfg.effective_threads()
-    # chunks that hold whole lockstep groups: the size that cuts a t's n
-    # tasks into threads * ceil(n / (threads * forest_size)) equal chunks,
-    # the smallest over ts
-    least = min(math.ceil(n / (threads * math.ceil(
-        n / (threads * forest_size(dist, t))))) for t in ts)
+    dist = cfg.dist()
+    least = min(_forest_chunk(cfg, cfg.replicas, forest_size(dist, t))
+                for t in ts)
     payloads, failures = _collect(
         functools.partial(_replica_chunk, observable, dist, fields),
         cfg, tasks, _replica_record, least)
@@ -903,11 +908,15 @@ def _cluster_chunk(dist: OffspringDistribution, cfg: ExperimentConfig,
 def _sample_clusters(cfg: ExperimentConfig,
                      dist: OffspringDistribution) -> tuple[list, list, list]:
     """(index, seed, cluster) for each accepted task, failure records and
-    seed-schedule entries."""
-    payloads, failures = _collect(functools.partial(_cluster_chunk, dist),
-                                  cfg, list(range(cfg.min_clusters)))
+    seed-schedule entries.  A pool run's chunks hold whole forests of
+    forest_size(dist, t_cond) seeds, so a chunk screens wide forests and
+    regrows its accepted attempts in few grow_forest calls."""
+    n = cfg.min_clusters
+    payloads, failures = _collect(
+        functools.partial(_cluster_chunk, dist), cfg, list(range(n)),
+        least=_forest_chunk(cfg, n, forest_size(dist, cfg.t_cond)))
     return ([p for p in payloads if p is not None], failures,
-            [_task_range("cluster", "t_cond", cfg.t_cond, cfg.min_clusters)])
+            [_task_range("cluster", "t_cond", cfg.t_cond, n)])
 
 
 def _run_cluster_bank(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:

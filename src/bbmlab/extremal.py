@@ -10,7 +10,8 @@ and draws from the composite limit law given a cluster bank.
 A cluster conditions a t_cond run on max x >= sqrt(2) t_cond, which few
 attempts pass.  sample_clusters screens many seeds' attempts at once,
 growing their small trees and x fields as one forest (screen_maxima), and
-regrows only each seed's first accepted attempt with its z field; the
+regrows only each seed's first accepted attempt with its z field, the
+accepted attempts of all seeds together as forests (grow_forest); the
 clusters are those of trying one attempt at a time.
 
 Cluster decorations for |rho| < 1 reuse the secondary field harvested from
@@ -27,10 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gwtree import NODE_BUDGET, grow_leaves, over_budget, screen_maxima
+from .gwtree import (NODE_BUDGET, forest_size, grow_forest, over_budget,
+                     screen_maxima)
 from .offspring import OffspringDistribution
 from .partition import SQRT2
-from .streams import TAG_CLUSTER, TAG_COX, make_rng, pair_keys, stream_key
+from .streams import (MASK64, TAG_CLUSTER, TAG_COX, TAG_PAIR_X, make_rng,
+                      pair_keys, stream_key)
 
 # No longer called here.  perfbench/spans.py rebinds these names in this
 # module to time them, so they stay imported until its BINDINGS move.
@@ -41,7 +44,16 @@ DEFAULT_MAX_ATTEMPTS = 100000
 # Cluster attempts screened per round, shared among the seeds still
 # open: each screens its next ceil(SCREEN_BATCH / open) attempts in one
 # forest.  Every batch gives the same clusters; it sets the forest's
-# width, and so how far the per-wave cost is shared.
+# width, and so how far the per-wave cost is shared, against the attempts
+# screened past a seed's accepted one (waste, over the attempts needed).
+# 100 seeds at t_cond = 6 (3,216 attempts) on the binary law, by seeds
+# per call:
+#   seeds  screened  waste  forests  mean width
+#       6     3,502     9%      204        17.2
+#      25     3,316     3%      166        20.0
+#      50     3,251     1%      132        24.6
+# At 50 seeds a width of 64 wasted 10% and 128 wasted 19%, for no wall
+# time gained.
 SCREEN_BATCH = 16
 # Limit draws are made in blocks of whole draws holding at most this many
 # Cox atoms (a larger single draw is a block of its own).  The blocks fix
@@ -97,15 +109,19 @@ def sample_clusters(t_cond: float, dist: OffspringDistribution, seeds,
 
     It works in rounds.  Each open seed screens its next
     ceil(SCREEN_BATCH / open seeds) attempts, all in one screen_maxima
-    forest that draws trees and x only.  A seed's first attempt in
-    attempt order whose max reaches sqrt(2) t_cond is accepted and grown
-    again with its x and z (grow_leaves), which gives the same x; the
-    attempts screened after it are dropped.
+    forest that draws trees and x only; a round's attempt keys and x keys
+    come from one array stream_key pass each.  A seed's first attempt in
+    attempt order whose max reaches sqrt(2) t_cond is accepted, and the
+    attempts screened after it are dropped.  Once every seed is decided,
+    the accepted attempts are grown again with their x and z, up to
+    forest_size(dist, t_cond) trees per grow_forest call, which gives the
+    same x; only they ever key a z stream.
     """
     if t_cond <= 0.0:
         raise ValueError("t_cond must be positive")
     threshold = SQRT2 * t_cond
-    drawn = [None] * len(seeds)
+    keys = np.array([seed & MASK64 for seed in seeds], np.uint64)
+    drawn = [None] * len(seeds)  # accepted: (attempts, attempt key, max)
     tried = [0] * len(seeds)
     pending = list(range(len(seeds)))
     while pending:
@@ -113,10 +129,11 @@ def sample_clusters(t_cond: float, dist: OffspringDistribution, seeds,
         batch = [(i, a) for i in pending
                  for a in range(tried[i], min(tried[i] + per_seed,
                                               max_attempts))]
-        subs = [stream_key(seeds[i], TAG_CLUSTER, a) for i, a in batch]
-        maxima = screen_maxima(dist, t_cond, subs,
-                               [pair_keys(sub, 1) for sub in subs],
-                               max_nodes)
+        index, attempt = np.array(batch, np.uint64).T
+        subs = stream_key(keys[index], TAG_CLUSTER, attempt)
+        x_keys = stream_key(subs, TAG_PAIR_X)[:, None].tolist()
+        subs = subs.tolist()
+        maxima = screen_maxima(dist, t_cond, subs, x_keys, max_nodes)
         for (i, a), sub, top in zip(batch, subs, maxima.tolist()):
             if drawn[i] is not None:
                 continue
@@ -124,27 +141,30 @@ def sample_clusters(t_cond: float, dist: OffspringDistribution, seeds,
             if math.isnan(top):
                 drawn[i] = over_budget(max_nodes, t_cond, sub)
             elif top >= threshold:
-                drawn[i] = _accepted(dist, t_cond, sub, a + 1, top, max_nodes)
+                drawn[i] = (a + 1, sub, top)
         for i in pending:
             if drawn[i] is None and tried[i] >= max_attempts:
                 drawn[i] = AcceptanceError(
                     f"no cluster accepted in {max_attempts} attempts at "
                     f"t_cond={t_cond}")
         pending = [i for i in pending if drawn[i] is None]
+    accepted = [i for i, d in enumerate(drawn) if isinstance(d, tuple)]
+    size = forest_size(dist, t_cond)
+    for group in [accepted[lo:lo + size]
+                  for lo in range(0, len(accepted), size)]:
+        subs = [drawn[i][1] for i in group]
+        grown = grow_forest(dist, t_cond, subs,
+                            [pair_keys(sub, 2) for sub in subs], max_nodes)
+        for i, leaves in zip(group, grown):
+            attempts, _, top = drawn[i]
+            x, z = leaves.positions
+            assert float(np.max(x)) == top, "regrown attempt lost its max"
+            # its leaves sorted by x, relative to the leaf at the max
+            order = np.argsort(-x, kind="stable")
+            drawn[i] = Cluster(atoms=x[order] - top, t_cond=float(t_cond),
+                               max_value=top, attempts=attempts,
+                               z_rel=z[order] - z[order[0]])
     return drawn
-
-
-def _accepted(dist: OffspringDistribution, t_cond: float, sub: int,
-              attempts: int, top: float, max_nodes: int) -> Cluster:
-    """The cluster of the accepted attempt ``sub``, whose screened max is
-    ``top``: its x and z leaves, sorted by x and taken relative to the
-    leaf at the max."""
-    x, z = grow_leaves(dist, t_cond, sub, pair_keys(sub, 2),
-                       max_nodes).positions
-    assert float(np.max(x)) == top, "regrown attempt lost its screened max"
-    order = np.argsort(-x, kind="stable")
-    return Cluster(atoms=x[order] - top, t_cond=float(t_cond), max_value=top,
-                   attempts=attempts, z_rel=z[order] - z[order[0]])
 
 
 @dataclass(eq=False)
@@ -178,9 +198,11 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
     Cox atoms: N ~ Poisson(C Z e^(sqrt2 A)/sqrt2), positions on [-A, inf)
     with density proportional to e^(-sqrt2 y) (-A plus a standard
     exponential over sqrt2).  Each atom picks a bank cluster uniformly; at
-    |rho| = 1 the draw is sum e^(beta (eta + Delta)); otherwise each atom
-    carries an independent uniform circle mark and the cluster contributes
-    its harvested relative marks ``z_rel``.
+    |rho| = 1 the draw is sum e^(lam (eta + Delta)) with lam = sigma + i
+    rho tau for beta = sigma + i tau (y = rho x, so rho = -1 conjugates
+    the rho = 1 draw); otherwise each atom carries an independent uniform
+    circle mark and the cluster contributes its harvested relative marks
+    ``z_rel``.
 
     All atom counts come from one Poisson call.  The atoms are then drawn
     in blocks of whole draws of at most COX_BLOCK atoms (a larger draw is
@@ -198,7 +220,7 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
         raise ValueError("rho must lie in [-1, 1]")
     full_phase = abs(rho) == 1.0
     # lambda = sigma + i rho tau: the x-correlated part of the phase
-    lam = complex(beta) if full_phase else complex(beta.real, rho * beta.imag)
+    lam = complex(beta.real, rho * beta.imag)
 
     # per-cluster weights W = sum_l e^(lam Delta_l) (marks folded in when
     # decorating), computed once per call

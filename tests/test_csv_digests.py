@@ -127,14 +127,20 @@ def body_digest(path):
     return hashlib.sha256(body).hexdigest()
 
 
-def csv_digests(name, output_dir, **extra):
-    cfg = ExperimentConfig(**CONFIGS[name], **extra, threads=2,
-                           output_dir=output_dir)
-    result = run(cfg)
+def run_outputs(name, output_dir, threads=2, **extra):
+    result = run(ExperimentConfig(**CONFIGS[name], **extra, threads=threads,
+                                  output_dir=output_dir))
     assert not result.failures
+    return result.outputs
+
+
+def outputs_digests(outputs):
     return {os.path.basename(path): body_digest(path)
-            for path in sorted(result.outputs.values())
-            if path.endswith(".csv")}
+            for path in sorted(outputs.values()) if path.endswith(".csv")}
+
+
+def csv_digests(name, output_dir, **extra):
+    return outputs_digests(run_outputs(name, output_dir, **extra))
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -145,10 +151,24 @@ def test_csv_bodies_match_recorded_digests(name, tmp_path):
 def test_limit_object_from_bank_file_matches_memory(tmp_path):
     # the cluster_bank config samples the same clusters limit_object draws
     # in memory; at rho = 0.5 the bank must carry their decorations
-    bank = run(ExperimentConfig(**CONFIGS["cluster_bank"], threads=2,
-                                output_dir=str(tmp_path))).outputs["bank.txt"]
+    bank = run_outputs("cluster_bank", str(tmp_path))["bank.txt"]
     assert csv_digests("limit_object", str(tmp_path),
                        bank_path=bank) == DIGESTS["limit_object"]
+
+
+@pytest.mark.parametrize("name", ["cluster_bank", "limit_object"])
+def test_cluster_chunks_move_no_bit(name, tmp_path):
+    # one worker samples every cluster in one sample_clusters call; two
+    # workers split them into chunks of whole forests
+    one, two = (run_outputs(name, str(tmp_path), threads)
+                for threads in (1, 2))
+    assert outputs_digests(one) == outputs_digests(two) == DIGESTS[name]
+    if name == "cluster_bank":
+        banks = []
+        for outputs in (one, two):
+            with open(outputs["bank.txt"], "rb") as fh:
+                banks.append(fh.read())
+        assert banks[0] == banks[1]
 
 
 def test_isotropy_from_glassy_tail_csv_matches_memory(tmp_path):

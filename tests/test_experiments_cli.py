@@ -688,6 +688,44 @@ def test_dead_worker_fails_its_tasks_only(tmp_path, monkeypatch):
     assert manifest["ok"] == result.ok
 
 
+def test_dead_cluster_worker_fails_its_seed_only(tmp_path, monkeypatch):
+    # 16 seeds on two workers go out as two chunks of 8, whole forests of
+    # forest_size(binary, 1) = 128 seeds; the chunk holding task 7 is
+    # rerun in pieces of max(1, 16 // (2 * 8)) = 1 seed, and only task 7's
+    # piece kills its worker again.  The pool forks, so its workers see
+    # the patched sampler, and each call logs its seeds to a file first.
+    cfg = ExperimentConfig(experiment="cluster_bank", t_cond=1.0,
+                           min_clusters=16, threads=2,
+                           output_dir=str(tmp_path))
+    seeds = [replica_seed(cfg.seed, i) for i in range(cfg.min_clusters)]
+    calls = tmp_path / "calls.txt"
+    sample_clusters = experiments.sample_clusters
+
+    def dying(t_cond, dist, chunk_seeds, *args, **kw):
+        with open(calls, "a", encoding="ascii") as fh:
+            fh.write(" ".join(map(str, chunk_seeds)) + "\n")
+        if seeds[7] in chunk_seeds:
+            os._exit(3)
+        return sample_clusters(t_cond, dist, chunk_seeds, *args, **kw)
+
+    monkeypatch.setattr(experiments, "sample_clusters", dying)
+    result = run(cfg)
+    logged = [[int(v) for v in line.split()]
+              for line in calls.read_text(encoding="ascii").splitlines()]
+    assert seeds[:8] in logged
+    assert all(call in (seeds[:8], seeds[8:]) or len(call) == 1
+               for call in logged)
+    assert {call[0] for call in logged if len(call) == 1} >= set(seeds[:8])
+    assert [call for call in logged if call == [seeds[7]]] == [[seeds[7]]]
+    (failure,) = result.failures
+    assert failure["task"] == 7 and failure["seed"] == seeds[7]
+    assert failure["error_type"] == "BrokenProcessPool"
+    rows = read_rows(result.outputs["clusters.csv"])
+    assert [int(r["index"]) for r in rows] == [
+        i for i in range(cfg.min_clusters) if i != 7]
+    assert result.ok
+
+
 def test_default_worker_count_follows_affinity(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)

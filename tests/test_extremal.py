@@ -59,27 +59,35 @@ class TestSampleCluster:
         assert cl.attempts == attempt + 1
 
     def test_z_field_drawn_only_when_accepted(self, monkeypatch):
-        # the screen and the accepted attempt's regrowth both key pooled
-        # generators in gwtree
-        keyed = []
-        rekey = bbmlab.gwtree.rekey
+        # the screen and the accepted attempts' regrowth all key pooled
+        # generators in gwtree; the regrowth is one grow_forest call
+        keyed, regrown = [], []
+        rekey, grow_forest = bbmlab.gwtree.rekey, bbmlab.extremal.grow_forest
 
         def recording(rng, seed, *tags):
             keyed.append(stream_key(seed, *tags))
             return rekey(rng, seed, *tags)
 
+        def recording_growth(dist, t, seeds, *args):
+            regrown.append(list(seeds))
+            return grow_forest(dist, t, seeds, *args)
+
         monkeypatch.setattr(bbmlab.gwtree, "rekey", recording)
-        seed = stream_key(SEED, 0x6D, 0)
-        cl = sample_cluster(4.0, BINARY, seed)
-        assert cl.attempts > 1
-        # every attempt screened, the accepted one's round included
-        subs = [stream_key(seed, TAG_CLUSTER, a)
-                for a in range(cl.attempts + SCREEN_BATCH)]
-        z_streams = {stream_key(stream_key(sub, TAG_PAIR_Z), TAG_FIELD): sub
-                     for sub in subs}
-        assert [z_streams[k] for k in keyed if k in z_streams] == [
-            subs[cl.attempts - 1]]
-        assert stream_key(stream_key(subs[0], TAG_PAIR_X), TAG_FIELD) in keyed
+        monkeypatch.setattr(bbmlab.extremal, "grow_forest", recording_growth)
+        seeds = [stream_key(SEED, 0x6D, i) for i in range(4)]
+        clusters = sample_clusters(4.0, BINARY, seeds)
+        assert all(cl.attempts > 1 for cl in clusters)
+        # every attempt screened, each accepted one's round included
+        subs = {(i, a): stream_key(seed, TAG_CLUSTER, a)
+                for i, (seed, cl) in enumerate(zip(seeds, clusters))
+                for a in range(cl.attempts + SCREEN_BATCH)}
+        z_streams = {stream_key(stream_key(sub, TAG_PAIR_Z), TAG_FIELD): task
+                     for task, sub in subs.items()}
+        accepted = [(i, cl.attempts - 1) for i, cl in enumerate(clusters)]
+        assert [z_streams[k] for k in keyed if k in z_streams] == accepted
+        assert regrown == [[subs[task] for task in accepted]]
+        assert all(stream_key(stream_key(subs[i, 0], TAG_PAIR_X), TAG_FIELD)
+                   in keyed for i in range(len(seeds)))
 
     def test_rejection_exhausted(self):
         with pytest.raises(AcceptanceError, match="1 attempts"):
@@ -120,6 +128,12 @@ class TestSampleClusters:
                for cl in sample_clusters(4.0, BINARY,
                                          self.SEEDS[j:j + group])]
         assert len(got) == len(one_by_one)
+        assert all(same_cluster(a, b) for a, b in zip(got, one_by_one))
+
+    def test_regrowth_in_small_forests(self, one_by_one, monkeypatch):
+        # the accepted attempts regrow two trees per grow_forest call
+        monkeypatch.setattr(bbmlab.extremal, "forest_size", lambda d, t: 2)
+        got = sample_clusters(4.0, BINARY, self.SEEDS)
         assert all(same_cluster(a, b) for a, b in zip(got, one_by_one))
 
     def test_exhausted_seeds_fail_alone(self, one_by_one):
@@ -244,6 +258,16 @@ class TestSampleLimitPartition:
                                        2.0, 10000, stream_key(SEED, 0x11F))
         spun = draws.values * cmath.exp(1.1j)
         assert ks_distance(np.real(draws.values), np.real(spun)) <= 0.02
+
+    def test_negative_unit_rho_conjugates(self, small_model):
+        # y = -x: each atom's term is e^((sigma - i tau)(eta + Delta))
+        model = LimitModel(cox_constant=1.0, z_weight=1.0,
+                           clusters=small_model.clusters[:5])
+        plus, minus = (sample_limit_partition(model, complex(1.5, 0.5), rho,
+                                              2.0, 5, stream_key(SEED, 0x6B))
+                       for rho in (1.0, -1.0))
+        assert np.all(plus.atom_counts > 0)
+        assert minus.values.tobytes() == np.conj(plus.values).tobytes()
 
     def test_deterministic(self, small_model):
         a = sample_limit_partition(small_model, complex(1.5, 0.0), 1.0, 2.0,
