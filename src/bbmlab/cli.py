@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .experiments import (ConfigError, REQUIRED_KEYS, _jsonable, load_config,
+from .experiments import (EXPERIMENTS, ConfigError, _jsonable, load_config,
                           parse_complex, run)
 from .oracles import (bridge_barrier_bound, envelope_curve,
                       gaussian_tail_bound, limit_max_cdf,
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory override")
     common.add_argument("--threads", type=int,
                         help="worker processes (default: all cores)")
-    for name in sorted(REQUIRED_KEYS):
+    for name in sorted(EXPERIMENTS):
         sub.add_parser(name, parents=[common],
                        help=f"run the {name} experiment")
     oracle = sub.add_parser("oracle", help="evaluate one closed form")

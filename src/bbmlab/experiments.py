@@ -7,7 +7,8 @@ writes into a fresh timestamped directory: one or more CSV files whose
 bodies are byte-identical across reruns of the same config and seed, plus
 a manifest recording the seed schedule, failures, versions and wall time.
 Replica-level errors are contained and counted; a run fails when more
-than 10 percent of its replicas fail.
+than 10 percent of its replicas fail.  Each experiment is one entry of
+EXPERIMENTS, the table that run, validate_config and the CLI read.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -137,19 +139,46 @@ def parse_complex(value) -> complex:
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
-# fields each experiment insists on seeing explicitly (| marks alternatives)
-REQUIRED_KEYS = {
-    "tree_moments": ["replicas", "t|t_list"],
-    "martingale": ["replicas", "t", "beta_list"],
-    "free_energy_scan": ["replicas", "t|t_list", "beta_list|sigma_range"],
-    "glassy_tail": ["replicas", "t", "beta_list", "rho"],
-    "isotropy": ["input_csv|beta_list"],
-    "truncation": ["replicas", "t", "beta_list", "a_list", "rho"],
-    "extremal_max": ["replicas", "t|t_list"],
-    "bridge_check": ["replicas", "t", "r"],
-    "cluster_bank": ["t_cond", "min_clusters"],
-    "limit_object": ["replicas", "beta_list", "bank_path|t_cond"],
-}
+
+def _none(cfg: ExperimentConfig) -> list:
+    return []
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One entry of EXPERIMENTS: all that run, validate_config and the CLI
+    know of an experiment.
+
+    ``needs`` are the config keys a run must name ("a|b": either of them),
+    ``horizons(cfg)`` the horizons that must be finite and > 0, and
+    ``reads_one`` what the run reads once ("t", "rho" or "beta"), so that
+    a t_list, a rho_list or a second beta, which it would drop, is
+    refused.  A replica experiment grows replicas 0..replicas-1 at each t
+    of ``ts(cfg)``, with the fields that the correlations ``rhos(cfg)``
+    need, reduces each to its rows by ``observable(cfg, index, leaves)``
+    (with ``group``, ``observable(cfg, grown)`` reduces a lockstep group's
+    (index, GrownLeaves) pairs at once and returns one entry per replica),
+    and ``finish(cfg, rows)`` gives its (csvs, summary).  Any other
+    experiment has a ``runner(cfg, run_dir) -> RunnerOutput``.
+    ``streams`` names the run-level side streams (name -> tag).
+    """
+
+    needs: tuple
+    horizons: Callable = _none
+    reads_one: tuple = ()
+    observable: Callable | None = None
+    group: bool = False
+    ts: Callable = ExperimentConfig.ts
+    rhos: Callable = ExperimentConfig.rhos
+    finish: Callable | None = None
+    runner: Callable | None = None
+    streams: dict = field(default_factory=dict)
+
+    def fields(self, cfg: ExperimentConfig) -> int:
+        """How many fields a replica grows: none when no rho is read, x
+        alone when every |rho| = 1, else x and z."""
+        rhos = self.rhos(cfg)
+        return 0 if not rhos else 1 if all(abs(r) == 1 for r in rhos) else 2
 
 
 def load_config(path: str | None, overrides: dict) -> tuple[ExperimentConfig, set]:
@@ -194,10 +223,11 @@ def _check_range(key: str, value) -> None:
 
 def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
     """Reject a config before anything runs; every check raises ConfigError."""
-    if cfg.experiment not in REQUIRED_KEYS:
+    if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {cfg.experiment!r}; choose from "
-            f"{sorted(REQUIRED_KEYS)}")
+            f"{sorted(EXPERIMENTS)}")
+    spec = EXPERIMENTS[cfg.experiment]
     for key in ("seed", "replicas", "resolution", "min_clusters",
                 "max_attempts", "max_nodes", "threads"):
         value = getattr(cfg, key)
@@ -242,15 +272,16 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
     for key in ("min_clusters", "max_attempts", "max_nodes"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1")
-    # m(t), p_t and the cluster law need a horizon > 0 (t_cond for the
-    # clusters); tree_moments and martingale are defined at t = 0
-    horizons = {"free_energy_scan": cfg.ts(), "extremal_max": cfg.ts(),
-                "glassy_tail": [cfg.t], "truncation": [cfg.t],
-                "isotropy": [] if cfg.input_csv else [cfg.t],
-                "cluster_bank": [cfg.t_cond],
-                "limit_object": [] if cfg.bank_path else [cfg.t_cond]}
-    if not all(0.0 < t < math.inf for t in horizons.get(cfg.experiment, [])):
+    if not all(0.0 < t < math.inf for t in spec.horizons(cfg)):
         raise ConfigError(f"{cfg.experiment} needs a finite horizon > 0")
+    # a run would drop what it does not read, yet echo it in its outputs
+    dropped = {"t": ("t_list", cfg.t_list), "rho": ("rho_list", cfg.rho_list),
+               "beta": ("beta_list past its first entry", cfg.beta_list[1:])}
+    for key in spec.reads_one:
+        name, values = dropped[key]
+        if values:
+            raise ConfigError(f"{cfg.experiment} reads one {key}, so it "
+                              f"would drop {name} {values!r}")
     if cfg.experiment in ("truncation", "limit_object") and not cfg.a_list:
         raise ConfigError("a_list must not be empty")
     if cfg.experiment == "limit_object" and not float(cfg.a_list[0]) > 0.0:
@@ -270,10 +301,8 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
         raise ConfigError("bridge_check needs 0 < 2r < t")
     if provided is None:
         return
-    missing = []
-    for req in REQUIRED_KEYS[cfg.experiment]:
-        if not any(alt in provided for alt in req.split("|")):
-            missing.append(req)
+    missing = [req for req in spec.needs
+               if not any(alt in provided for alt in req.split("|"))]
     if missing:
         raise ConfigError(
             f"experiment {cfg.experiment!r} needs explicit config keys: "
@@ -286,7 +315,6 @@ class RunnerOutput:
     summary: dict
     failures: list
     schedule: list  # _task_range entries: the tasks that ran, per horizon
-    streams: dict = field(default_factory=dict)  # side-stream name -> tag
     extra_outputs: dict = field(default_factory=dict)
 
 
@@ -437,11 +465,15 @@ def _fresh_run_dir(cfg: ExperimentConfig) -> str:
 def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
     """Execute one experiment; outputs land in a fresh timestamped dir."""
     validate_config(config, provided)
-    runner = _RUNNERS[config.experiment]
+    spec = EXPERIMENTS[config.experiment]
     run_dir = _fresh_run_dir(config)
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
-    out = runner(config, run_dir)
+    if spec.runner:
+        out = spec.runner(config, run_dir)
+    else:
+        rows, failures, schedule = _run_replicas(spec, config)
+        out = RunnerOutput(*spec.finish(config, rows), failures, schedule)
     wall = time.monotonic() - t0
     echo = asdict(config)
     outputs = dict(out.extra_outputs)
@@ -462,7 +494,7 @@ def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
             "tasks": out.schedule,
             "streams": {name: {"tag": hex(tag),
                                "key": stream_key(config.seed, tag)}
-                        for name, tag in out.streams.items()},
+                        for name, tag in spec.streams.items()},
         },
         "tasks": tasks,
         "failures": out.failures,
@@ -551,29 +583,51 @@ def _forest_chunk(cfg: ExperimentConfig, n: int, size: int) -> int:
     return math.ceil(n / (threads * math.ceil(n / (threads * size))))
 
 
-def _run_replicas(observable, cfg: ExperimentConfig, ts: list,
-                  rhos: list) -> tuple[list, list, int]:
-    """observable(cfg, grown) over replicas 0..replicas-1 at each t in ts.
+def _run_replicas(spec: Experiment,
+                  cfg: ExperimentConfig) -> tuple[list, list, list]:
+    """A replica experiment's observable over replicas 0..replicas-1 at
+    each t of spec.ts(cfg).
 
-    Replica i grows from replica_seed(cfg.seed, i).  The observable takes
-    a lockstep group at one t as (index, GrownLeaves) pairs and returns
-    one entry per replica (see _replica_chunk); _each_replica lifts a
-    per-replica one.  ``rhos`` are the correlations it reads: the
-    replicas draw no field when it is empty, x alone when every |rho| = 1,
-    else x and z.  The result is (rows in task order, t-major; failure
-    records; seed-schedule entries).
+    Replica i grows from replica_seed(cfg.seed, i), with spec.fields(cfg)
+    fields.  The result is (rows in task order, t-major; failure records;
+    seed-schedule entries).
     """
-    fields = 0 if not rhos else 1 if all(abs(r) == 1.0 for r in rhos) else 2
-    tasks = [(t, i) for t in ts for i in range(cfg.replicas)]
-    dist = cfg.dist()
-    least = min(_forest_chunk(cfg, cfg.replicas, forest_size(dist, t))
-                for t in ts)
+    ts, dist = spec.ts(cfg), cfg.dist()
+    observable = (spec.observable if spec.group else
+                  functools.partial(_each_replica, spec.observable))
+    least = min((_forest_chunk(cfg, cfg.replicas, forest_size(dist, t))
+                 for t in ts), default=1)
     payloads, failures = _collect(
-        functools.partial(_replica_chunk, observable, dist, fields),
-        cfg, tasks, _replica_record, least)
+        functools.partial(_replica_chunk, observable, dist, spec.fields(cfg)),
+        cfg, [(t, i) for t in ts for i in range(cfg.replicas)],
+        _replica_record, least)
     rows = [row for p in payloads if p is not None for row in p]
     return rows, failures, [_task_range("replica", "t", t, cfg.replicas)
                             for t in ts]
+
+
+def _proportion(hits: int, n: int) -> tuple[float, float]:
+    """The binomial proportion hits / n and its standard error (NaN, NaN
+    for n = 0)."""
+    if not n:
+        return math.nan, math.nan
+    p = hits / n
+    return p, math.sqrt(max(p * (1 - p), 0.0) / n)
+
+
+def _hill_summary(beta: complex, moduli: np.ndarray, fits: dict) -> dict:
+    """The tail index SQRT2 / |Re beta| that |values| should show, and a
+    Hill fit per summary key -> k_fraction of ``fits`` when there are
+    enough positive moduli to fit."""
+    summary = {"alpha_target": SQRT2 / abs(beta.real) if beta.real
+               else math.nan}
+    pos = moduli[moduli > 0]
+    if pos.size >= stats.HILL_MIN_SAMPLES:
+        for key, k_fraction in fits.items():
+            fit = stats.hill_estimator(pos, k_fraction=k_fraction)
+            summary[key] = {"alpha_hat": fit.alpha_hat,
+                            "alpha_se": fit.alpha_se, "k_used": fit.k_used}
+    return summary
 
 
 def _tree_rows(cfg: ExperimentConfig, index: int,
@@ -581,9 +635,7 @@ def _tree_rows(cfg: ExperimentConfig, index: int,
     return [(leaves.t, index, leaves.seed, leaves.n_leaves)]
 
 
-def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, schedule = _run_replicas(
-        functools.partial(_each_replica, _tree_rows), cfg, cfg.ts(), [])
+def _tree_finish(cfg: ExperimentConfig, rows: list) -> tuple[dict, dict]:
     growth = cfg.dist().mean_children - 1.0  # E[n_leaves] = e^(growth t)
     summary = {}
     for t in cfg.ts():
@@ -595,14 +647,11 @@ def _run_tree_moments(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
             "target": target,
             "z": (mean - target) / se if se and se > 0 else math.nan,
         }
-    return RunnerOutput(
-        csvs={"tree_moments.csv":
-              (["t", "replica", "seed", "n_leaves"], rows)},
-        summary=summary, failures=failures, schedule=schedule)
+    return ({"tree_moments.csv": (["t", "replica", "seed", "n_leaves"],
+                                  rows)}, summary)
 
 
-def _martingale_rows(betas: list, cfg: ExperimentConfig,
-                     grown: list) -> list:
+def _martingale_rows(cfg: ExperimentConfig, grown: list) -> list:
     """Each replica's rows, (rho, beta) in config order; the group's leaves
     are laid end to end once and each (rho, beta) reduces them in one
     additive_martingales pass."""
@@ -614,7 +663,7 @@ def _martingale_rows(betas: list, cfg: ExperimentConfig,
     for rho in cfg.rhos():
         # the view reads only its tree's horizon, which the group shares
         fld = correlate(group[0], positions, rho)
-        for beta in betas:
+        for beta in cfg.betas():
             for (index, leaves), out, m in zip(
                     grown, rows, additive_martingales(fld, beta,
                                                       ends).tolist()):
@@ -624,58 +673,54 @@ def _martingale_rows(betas: list, cfg: ExperimentConfig,
     return rows
 
 
-def _run_martingale(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    betas = cfg.betas()
-    rows, failures, schedule = _run_replicas(
-        functools.partial(_martingale_rows, betas), cfg, [cfg.t], cfg.rhos())
+def _martingale_finish(cfg: ExperimentConfig,
+                       rows: list) -> tuple[dict, dict]:
     k_fac = cfg.dist().second_factorial_moment
     cells: dict = {}  # (sigma, tau, rho) -> its rows, in task order
     for r in rows:
         cells.setdefault(r[1:4], []).append(r)
     summary = {}
-    for beta in betas:
+    for beta in cfg.betas():
         oracle = martingale_second_moment(beta, cfg.t, k_fac,
                                           allow_unbounded=True)
         for rho in cfg.rhos():
             sel = cells.get((beta.real, beta.imag, rho), [])
-            re = np.array([r[7] for r in sel])
-            im = np.array([r[8] for r in sel])
-            a2 = np.array([r[9] for r in sel])
-            mean_re, se_re = _mean_se(re)
-            mean_im, se_im = _mean_se(im)
-            mean_a2, se_a2 = _mean_se(a2)
-            summary[f"beta={beta} rho={rho}"] = {
-                "replicas": int(re.size),
-                "mean_re": mean_re, "se_re": se_re,
-                "mean_im": mean_im, "se_im": se_im,
-                "mean_abs2": mean_a2, "se_abs2": se_a2,
-                "oracle_abs2": oracle,
-            }
+            cell = summary[f"beta={beta} rho={rho}"] = {"replicas": len(sel)}
+            for col, key in ((7, "re"), (8, "im"), (9, "abs2")):
+                cell[f"mean_{key}"], cell[f"se_{key}"] = _mean_se(
+                    np.array([r[col] for r in sel]))
+            cell["oracle_abs2"] = oracle
     cols = ["t", "sigma", "tau", "rho", "replica", "seed", "n_leaves",
             "m_re", "m_im", "m_abs2"]
-    return RunnerOutput(csvs={"martingale.csv": (cols, rows)},
-                        summary=summary, failures=failures, schedule=schedule)
+    return {"martingale.csv": (cols, rows)}, summary
 
 
-def _free_energy_rows(betas: list, cfg: ExperimentConfig, index: int,
-                      leaves: GrownLeaves) -> list:
-    fld = correlate(leaves, leaves.positions, cfg.rho)
-    return [(leaves.t, log_partitions(fld, betas))]
-
-
-def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
+def _scan_betas(cfg: ExperimentConfig) -> list:
+    """free_energy_scan's betas: its grid, or else its beta_list."""
     if cfg.sigma_range is not None:
-        betas = grid_betas(cfg.sigma_range, cfg.tau_range, cfg.resolution)
-    else:
-        betas = cfg.betas()
-    observable = functools.partial(_each_replica, functools.partial(
-        _free_energy_rows, betas))
-    samples, failures, schedule = _run_replicas(observable, cfg, cfg.ts(),
-                                                [cfg.rho])
+        return grid_betas(cfg.sigma_range, cfg.tau_range, cfg.resolution)
+    return cfg.betas()
+
+
+def _free_energy_rows(cfg: ExperimentConfig, grown: list) -> list:
+    """Each replica's log partitions at the scan's betas, or the exception
+    that failed it.  The betas are made once per group: made per replica,
+    they cost phase_grid 3% of its CPU time."""
+    betas = _scan_betas(cfg)
+
+    def rows(cfg: ExperimentConfig, index: int, leaves: GrownLeaves) -> list:
+        fld = correlate(leaves, leaves.positions, cfg.rho)
+        return [(leaves.t, log_partitions(fld, betas))]
+    return _each_replica(rows, cfg, grown)
+
+
+def _free_energy_finish(cfg: ExperimentConfig,
+                        rows: list) -> tuple[dict, dict]:
+    betas = _scan_betas(cfg)
     cells = [cell for t in cfg.ts() for cell in
-             scan_cells(betas, [ps for rt, ps in samples if rt == t], t)]
-    rows = [(c.sigma, c.tau, c.phase, c.p_limit, c.p_hat, c.stderr,
-             c.n_replicas, c.t) for c in cells]
+             scan_cells(betas, [ps for rt, ps in rows if rt == t], t)]
+    table = [(c.sigma, c.tau, c.phase, c.p_limit, c.p_hat, c.stderr,
+              c.n_replicas, c.t) for c in cells]
     cols = ["sigma", "tau", "phase", "p_limit", "p_hat", "stderr",
             "n_replicas", "t"]
     # contour-ready projection of the same cells
@@ -683,39 +728,26 @@ def _run_free_energy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     summary = {"cells": len(cells),
                "max_abs_error": float(np.nanmax(
                    [abs(c.p_hat - c.p_limit) for c in cells]))}
-    return RunnerOutput(
-        csvs={"free_energy.csv": (cols, rows),
-              "phase_grid.csv": (["sigma", "tau", "p_limit", "p_hat"], grid)},
-        summary=summary, failures=failures, schedule=schedule)
+    return ({"free_energy.csv": (cols, table),
+             "phase_grid.csv": (["sigma", "tau", "p_limit", "p_hat"], grid)},
+            summary)
 
 
-def _glassy_rows(beta: complex, cfg: ExperimentConfig, index: int,
+def _glassy_rows(cfg: ExperimentConfig, index: int,
                  leaves: GrownLeaves) -> list:
     fld = correlate(leaves, leaves.positions, cfg.rho)
-    val = rescaled_partition(fld, beta).real_shift
+    val = rescaled_partition(fld, cfg.betas()[0]).real_shift
     return [(index, leaves.seed, leaves.n_leaves, val.real, val.imag,
              abs(val))]
 
 
-def _run_glassy_tail(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    beta = cfg.betas()[0]
-    rows, failures, schedule = _run_replicas(
-        functools.partial(_each_replica, functools.partial(
-            _glassy_rows, beta)), cfg, [cfg.t], [cfg.rho])
+def _glassy_finish(cfg: ExperimentConfig, rows: list) -> tuple[dict, dict]:
     moduli = np.array([r[5] for r in rows])
-    target = SQRT2 / abs(beta.real) if beta.real else math.nan
-    summary = {"alpha_target": target, "n": int(moduli.size)}
-    pos = moduli[moduli > 0]
-    if pos.size >= stats.HILL_MIN_SAMPLES:
-        for kf in HILL_K_FRACTIONS:
-            fit = stats.hill_estimator(pos, k_fraction=kf)
-            summary[f"hill_k={kf}"] = {"alpha_hat": fit.alpha_hat,
-                                        "alpha_se": fit.alpha_se,
-                                        "k_used": fit.k_used}
+    summary = {"n": int(moduli.size), **_hill_summary(
+        cfg.betas()[0], moduli,
+        {f"hill_k={kf}": kf for kf in HILL_K_FRACTIONS})}
     cols = ["replica", "seed", "n_leaves", "x_re", "x_im", "abs_x"]
-    return RunnerOutput(csvs={"glassy_tail.csv": (cols, rows)},
-                        summary=summary, failures=failures,
-                        schedule=schedule)
+    return {"glassy_tail.csv": (cols, rows)}, summary
 
 
 def _read_complex_samples(path: str) -> np.ndarray:
@@ -731,14 +763,16 @@ def _read_complex_samples(path: str) -> np.ndarray:
     return np.array(re_vals) + 1j * np.array(im_vals)
 
 
-def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    failures, schedule = [], []
+def _isotropy_ts(cfg: ExperimentConfig) -> list:
+    """isotropy reads its samples from input_csv, or else grows them."""
+    return [] if cfg.input_csv else cfg.ts()
+
+
+def _isotropy_finish(cfg: ExperimentConfig,
+                     rows: list) -> tuple[dict, dict]:
     if cfg.input_csv:
         samples = _read_complex_samples(cfg.input_csv)
     else:
-        rows, failures, schedule = _run_replicas(
-            functools.partial(_each_replica, functools.partial(
-                _glassy_rows, cfg.betas()[0])), cfg, [cfg.t], [cfg.rho])
         samples = np.array([complex(r[3], r[4]) for r in rows])
     radii = stats.isotropy_radii(samples)
     control = stats.isotropic_resample(
@@ -748,10 +782,10 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
               for j in range(stats.ISOTROPY_ANGLES)]
     tables = {"sample": stats.cf_table(samples, points),
               "calibration": stats.cf_table(control, points)}
-    rows = [(source, r, theta, c.real, c.imag)
-            for source, phi in tables.items()
-            for r, row in zip(radii.tolist(), phi.tolist())
-            for theta, c in zip(angles, row)]
+    cf_rows = [(source, r, theta, c.real, c.imag)
+               for source, phi in tables.items()
+               for r, row in zip(radii.tolist(), phi.tolist())
+               for theta, c in zip(angles, row)]
     statistic, calibration = map(stats.cf_discrepancy, tables.values())
     summary = {
         "n": int(samples.size),
@@ -761,31 +795,26 @@ def _run_isotropy(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         "ratio": statistic / calibration if calibration > 0 else math.inf,
     }
     cols = ["source", "radius", "angle", "cf_re", "cf_im"]
-    return RunnerOutput(csvs={"isotropy.csv": (cols, rows)},
-                        summary=summary, failures=failures, schedule=schedule,
-                        streams={"calibration": CALIBRATION_STREAM})
+    return {"isotropy.csv": (cols, cf_rows)}, summary
 
 
-def _truncation_rows(beta: complex, cfg: ExperimentConfig, index: int,
+def _truncation_rows(cfg: ExperimentConfig, index: int,
                      leaves: GrownLeaves) -> list:
     fld = correlate(leaves, leaves.positions, cfg.rho)
-    parts = truncation_sweep(fld, beta, cfg.a_list)
+    parts = truncation_sweep(fld, cfg.betas()[0], cfg.a_list)
     return [(index, leaves.seed, leaves.n_leaves, float(a),
              part.kept.real, part.kept.imag, abs(part.discarded))
             for a, part in zip(cfg.a_list, parts)]
 
 
-def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
-    rows, failures, schedule = _run_replicas(
-        functools.partial(_each_replica, functools.partial(
-            _truncation_rows, cfg.betas()[0])), cfg, [cfg.t], [cfg.rho])
+def _truncation_finish(cfg: ExperimentConfig,
+                       rows: list) -> tuple[dict, dict]:
     summary = {"delta": TRUNCATION_DELTA}
     p_by_a = []
     for a in cfg.a_list:
         disc = np.array([r[6] for r in rows if r[3] == float(a)])
-        p_exc = float(np.mean(disc > TRUNCATION_DELTA)) if disc.size else math.nan
-        se = math.sqrt(max(p_exc * (1 - p_exc), 0.0) / disc.size) \
-            if disc.size else math.nan
+        p_exc, se = _proportion(int(np.count_nonzero(disc > TRUNCATION_DELTA)),
+                                disc.size)
         p_by_a.append(p_exc)
         summary[f"A={a}"] = {"p_exceed": p_exc, "se": se,
                              "n": int(disc.size)}
@@ -794,9 +823,7 @@ def _run_truncation(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     summary["final_p_exceed"] = p_by_a[-1] if p_by_a else math.nan
     cols = ["replica", "seed", "n_leaves", "a", "kept_re", "kept_im",
             "disc_abs"]
-    return RunnerOutput(csvs={"truncation.csv": (cols, rows)},
-                        summary=summary, failures=failures,
-                        schedule=schedule)
+    return {"truncation.csv": (cols, rows)}, summary
 
 
 def _extremal_rows(cfg: ExperimentConfig, index: int,
@@ -807,10 +834,9 @@ def _extremal_rows(cfg: ExperimentConfig, index: int,
              derivative_martingale(fld))]
 
 
-def _run_extremal_max(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
+def _extremal_finish(cfg: ExperimentConfig,
+                     rows: list) -> tuple[dict, dict]:
     ts = cfg.ts()
-    rows, failures, schedule = _run_replicas(
-        functools.partial(_each_replica, _extremal_rows), cfg, ts, [1.0])
     summary = {}
     shifts = {}
     zvals = {}
@@ -838,9 +864,7 @@ def _run_extremal_max(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
             cox = estimate_cox_constants(shifts[last], pos)
             summary["cox"] = {"c_hat": cox.c_hat, "sse": cox.sse}
     cols = ["t", "replica", "seed", "n_leaves", "max_shift", "z_deriv"]
-    return RunnerOutput(csvs={"extremal_max.csv": (cols, rows)},
-                        summary=summary, failures=failures,
-                        schedule=schedule)
+    return {"extremal_max.csv": (cols, rows)}, summary
 
 
 BRIDGE_CHUNK = 2000
@@ -867,11 +891,8 @@ def _run_bridge_check(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         functools.partial(_guarded_chunk, _bridge_worker), cfg, tasks)
     rows = [p for p in payloads if p is not None]
     n_total = sum(r[2] for r in rows)
-    n_stay = sum(r[3] for r in rows)
-    p_hat = n_stay / n_total if n_total else math.nan
+    p_hat, se = _proportion(sum(r[3] for r in rows), n_total)
     bound = bridge_barrier_bound(cfg.r, cfg.t)
-    se = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n_total) if n_total \
-        else math.nan
     xs = np.linspace(0.1, 10.0, 199)
     from scipy.stats import norm
     tails = norm.sf(xs)
@@ -968,32 +989,60 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         "model_mean_atoms": COX_CONSTANT * COX_Z_WEIGHT
         * math.exp(SQRT2 * a) / SQRT2,
         "dispersion": dispersion,
-        "alpha_target": SQRT2 / abs(beta.real) if beta.real else math.nan,
         "n_zero": int(np.count_nonzero(moduli == 0.0)),
+        **_hill_summary(beta, moduli, {"hill": 0.05}),
     }
-    pos = moduli[moduli > 0]
-    if pos.size >= stats.HILL_MIN_SAMPLES:
-        fit = stats.hill_estimator(pos, k_fraction=0.05)
-        summary["hill"] = {"alpha_hat": fit.alpha_hat,
-                           "alpha_se": fit.alpha_se, "k_used": fit.k_used}
     rows = list(zip(range(cfg.replicas), draws.values.real.tolist(),
                     draws.values.imag.tolist(), moduli.tolist(),
                     draws.atom_counts.tolist()))
     cols = ["draw", "value_re", "value_im", "abs", "n_atoms"]
     return RunnerOutput(csvs={"limit_draws.csv": (cols, rows)},
                         summary=summary, failures=failures,
-                        schedule=schedule, streams={"cox": COX_STREAM})
+                        schedule=schedule)
 
 
-_RUNNERS = {
-    "tree_moments": _run_tree_moments,
-    "martingale": _run_martingale,
-    "free_energy_scan": _run_free_energy,
-    "glassy_tail": _run_glassy_tail,
-    "isotropy": _run_isotropy,
-    "truncation": _run_truncation,
-    "extremal_max": _run_extremal_max,
-    "bridge_check": _run_bridge_check,
-    "cluster_bank": _run_cluster_bank,
-    "limit_object": _run_limit_object,
+# m(t), p_t and the cluster law need horizons > 0 (t_cond for the
+# clusters); tree_moments and martingale are defined at t = 0.  Three
+# experiments keep runners: their tasks are not replicas (a bridge_check
+# chunk of paths, a cluster of cluster_bank or limit_object), and the
+# manifest's failure records name each by its "task" and seed.
+EXPERIMENTS = {
+    "tree_moments": Experiment(
+        ("replicas", "t|t_list"), observable=_tree_rows, rhos=_none,
+        finish=_tree_finish),
+    "martingale": Experiment(
+        ("replicas", "t", "beta_list"), reads_one=("t",),
+        observable=_martingale_rows, group=True, finish=_martingale_finish),
+    "free_energy_scan": Experiment(
+        ("replicas", "t|t_list", "beta_list|sigma_range"),
+        horizons=ExperimentConfig.ts, reads_one=("rho",),
+        observable=_free_energy_rows, group=True,
+        finish=_free_energy_finish),
+    "glassy_tail": Experiment(
+        ("replicas", "t", "beta_list", "rho"), horizons=ExperimentConfig.ts,
+        reads_one=("t", "rho", "beta"), observable=_glassy_rows,
+        finish=_glassy_finish),
+    "isotropy": Experiment(
+        ("input_csv|beta_list",), horizons=_isotropy_ts,
+        reads_one=("t", "rho", "beta"), observable=_glassy_rows,
+        ts=_isotropy_ts, finish=_isotropy_finish,
+        streams={"calibration": CALIBRATION_STREAM}),
+    "truncation": Experiment(
+        ("replicas", "t", "beta_list", "a_list", "rho"),
+        horizons=ExperimentConfig.ts, reads_one=("t", "rho", "beta"),
+        observable=_truncation_rows, finish=_truncation_finish),
+    "extremal_max": Experiment(
+        ("replicas", "t|t_list"), horizons=ExperimentConfig.ts,
+        observable=_extremal_rows, rhos=lambda cfg: [1.0],
+        finish=_extremal_finish),
+    "bridge_check": Experiment(
+        ("replicas", "t", "r"), reads_one=("t",), runner=_run_bridge_check),
+    "cluster_bank": Experiment(
+        ("t_cond", "min_clusters"), horizons=lambda cfg: [cfg.t_cond],
+        runner=_run_cluster_bank),
+    "limit_object": Experiment(
+        ("replicas", "beta_list", "bank_path|t_cond"),
+        horizons=lambda cfg: [] if cfg.bank_path else [cfg.t_cond],
+        reads_one=("rho", "beta"), runner=_run_limit_object,
+        streams={"cox": COX_STREAM}),
 }

@@ -303,6 +303,7 @@ def grow_forest(dist: OffspringDistribution, t: float, seeds, field_keys,
         waves.append((live, bounds, cuts))
         chunks.append(pos.take((split_at >= t).nonzero()[0], axis=1))
     positions = np.concatenate(chunks, axis=1)  # a row per field
+    del chunks  # laid end to end in positions: free them before the gather
     n_leaves = [positions.shape[1]]
     # a lone tree's leaves are in order; the gather would cost it 8-10%
     # per node at t = 10 and 12 (BENCH_oneloop.json)

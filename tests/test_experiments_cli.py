@@ -1,7 +1,10 @@
 """Experiment orchestration, artifact layout, and the command line."""
 
+import argparse
 import concurrent.futures
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -16,8 +19,8 @@ from bbmlab import (OffspringDistribution, additive_martingale, cli,
                     experiments, gwtree, limiting_free_energy, m_of_t,
                     martingale_second_moment, sample_correlated_pair,
                     sample_tree)
-from bbmlab.experiments import (ConfigError, DEFAULT_SEED, ExperimentConfig,
-                                REQUIRED_KEYS, load_config, parse_complex,
+from bbmlab.experiments import (EXPERIMENTS, ConfigError, DEFAULT_SEED,
+                                ExperimentConfig, load_config, parse_complex,
                                 run, validate_config)
 from bbmlab.gwtree import ResourceLimitError, forest_size, grow_leaves
 from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE,
@@ -111,8 +114,17 @@ class TestLoadConfig:
                                              replicas=0))
 
     def test_every_experiment_lists_requirements(self):
-        for name, reqs in REQUIRED_KEYS.items():
-            assert reqs, name
+        keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for name, spec in EXPERIMENTS.items():
+            assert spec.needs, name
+            for req in spec.needs:
+                assert set(req.split("|")) <= keys, (name, req)
+            # a runner, or the parts of a replica experiment
+            assert (spec.runner is None) == (
+                spec.observable is not None and spec.finish is not None)
+        (sub,) = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(EXPERIMENTS) | {"oracle"}
 
     GRID = dict(experiment="free_energy_scan", replicas=5, t=2.0,
                 sigma_range=[0.2, 2.0])
@@ -315,6 +327,42 @@ class TestReplicaRowReproduction:
         assert rows[1] == rows[2]
 
 
+@pytest.mark.parametrize("config", [
+    dict(experiment="tree_moments", t_list=[1.0, 3.0]),
+    dict(experiment="martingale", t=2.0, beta_list=["0.5", "0.4+0.6i"],
+         rho_list=[0.0, 0.8]),
+    dict(experiment="glassy_tail", t=3.0, rho=0.5, beta_list=["1.5+0.5i"]),
+    dict(experiment="truncation", t=4.0, rho=0.5, beta_list=["1.5+0.5i"]),
+    dict(experiment="extremal_max", t_list=[2.0, 4.0]),
+], ids=lambda config: config["experiment"])
+def test_table_observable_recomputes_a_replicas_rows(tmp_path, config):
+    # the table's observable, applied to the leaves that grow_leaves gives
+    # one replica, makes that replica's rows of the run's CSV
+    cfg = ExperimentConfig(**config, replicas=6, threads=1,
+                           output_dir=str(tmp_path))
+    result = run(cfg)
+    assert not result.failures
+    (path,) = result.outputs.values()
+    with open(path, encoding="utf-8") as fh:
+        header, *body = csv.reader(ln for ln in fh if not ln.startswith("#"))
+    spec = EXPERIMENTS[cfg.experiment]
+    for t in cfg.ts():
+        for index in (0, 5):
+            seed = replica_seed(cfg.seed, index)
+            leaves = grow_leaves(BINARY, t, seed,
+                                 pair_keys(seed, spec.fields(cfg)))
+            rows = (spec.observable(cfg, [(index, leaves)])[0] if spec.group
+                    else spec.observable(cfg, index, leaves))
+            text = io.StringIO()
+            csv.writer(text, lineterminator="\n").writerows(rows)
+            stored = [row for row in body
+                      if row[header.index("replica")] == str(index)
+                      and ("t" not in header
+                           or float(row[header.index("t")]) == t)]
+            assert stored
+            assert stored == list(csv.reader(text.getvalue().splitlines()))
+
+
 class TestFailureBudget:
     def test_node_budget_breach_flips_ok(self, tmp_path):
         cfg = ExperimentConfig(experiment="tree_moments", replicas=10,
@@ -456,6 +504,23 @@ class TestReplica:
         tracemalloc.stop()
         assert leaves.n_nodes > 100000
         assert peak <= 24 * leaves.n_nodes
+
+    def test_forest_peak_memory_per_returned_byte(self):
+        # one t = 8 lockstep group of 43 trees with x and z: the per-wave
+        # leaf blocks are freed once laid end to end, so the peak stays
+        # under 3 times the positions returned (3.6 times while they
+        # were kept)
+        seeds = [replica_seed(DEFAULT_SEED, i)
+                 for i in range(forest_size(BINARY, 8.0))]
+        keys = [pair_keys(seed, 2) for seed in seeds]
+        gwtree.grow_forest(BINARY, 8.0, seeds, keys)  # fills the pool
+        tracemalloc.start()
+        grown = gwtree.grow_forest(BINARY, 8.0, seeds, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        returned = sum(p.nbytes for leaves in grown for p in leaves.positions)
+        assert returned > 2_000_000
+        assert peak < 3 * returned
 
     def test_fields_drawn_once_per_replica(self, tmp_path, monkeypatch):
         streams = []
@@ -637,10 +702,15 @@ def _raise_on_replica_7(cfg, index, leaves):
     return [(leaves.t, index, leaves.seed, leaves.n_leaves)]
 
 
+def _patch_observable(monkeypatch, experiment, observable):
+    monkeypatch.setitem(EXPERIMENTS, experiment, dataclasses.replace(
+        EXPERIMENTS[experiment], observable=observable))
+
+
 def test_observable_failure_fails_its_task_only(tmp_path, monkeypatch):
     # at t = 1 the 12 replicas are one lockstep group; the per-replica
     # observable's error fails replica 7 alone
-    monkeypatch.setattr(experiments, "_tree_rows", _raise_on_replica_7)
+    _patch_observable(monkeypatch, "tree_moments", _raise_on_replica_7)
     cfg = ExperimentConfig(experiment="tree_moments", replicas=12, t=1.0,
                            threads=1, output_dir=str(tmp_path))
     assert forest_size(BINARY, cfg.t) >= cfg.replicas
@@ -664,7 +734,7 @@ def _exit_on_replica_7(cfg, index, leaves):
 
 def test_dead_worker_fails_its_tasks_only(tmp_path, monkeypatch):
     # the pool forks, so its workers see the patched observable
-    monkeypatch.setattr(experiments, "_tree_rows", _exit_on_replica_7)
+    _patch_observable(monkeypatch, "tree_moments", _exit_on_replica_7)
     cfg = ExperimentConfig(experiment="tree_moments", replicas=40, t=1.0,
                            threads=2, output_dir=str(tmp_path))
     result = run(cfg)
@@ -831,6 +901,37 @@ class TestCli:
         # replica i always draws from seed XOR i, so a repeated entry
         # would rerun the same replicas and count them twice
         path = write_config(tmp_path, "repeat.json", payload)
+        rc = cli.main([experiment, "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    BANK = {"replicas": 10, "t_cond": 1.0, "min_clusters": 2}
+
+    @pytest.mark.parametrize("experiment,payload", [
+        ("glassy_tail", {"replicas": 5, "t": 2.0, "rho": 0.5,
+                         "beta_list": ["1.5", "1.5+0.5i"]}),
+        ("free_energy_scan", {"replicas": 5, "t": 2.0, "beta_list": ["0.5"],
+                              "rho_list": [0.0, 0.5]}),
+        ("glassy_tail", {"replicas": 5, "t": 2.0, "t_list": [2.0, 3.0],
+                         "rho": 0.5, "beta_list": ["1.5"]}),
+        ("isotropy", {"replicas": 5, "t": 2.0, "rho": 0.5,
+                      "beta_list": ["1.5", "1.5+0.5i"]}),
+        ("truncation", {"replicas": 5, "t": 2.0, "rho": 0.5,
+                        "rho_list": [0.5], "beta_list": ["1.5"],
+                        "a_list": [2.0]}),
+        ("martingale", {"replicas": 5, "t": 2.0, "t_list": [2.0, 3.0],
+                        "beta_list": ["0.5"]}),
+        ("bridge_check", {"replicas": 100, "t": 4.0, "t_list": [4.0, 6.0],
+                          "r": 1.0}),
+        ("limit_object", dict(BANK, beta_list=["1.5", "2.0"])),
+        ("limit_object", dict(BANK, beta_list=["1.5"], rho_list=[0.5])),
+    ])
+    def test_dropped_value_exits_two_without_run_dir(
+            self, tmp_path, experiment, payload):
+        # the run would read one t, rho or beta and drop the rest, yet
+        # echo them in its manifest and CSV header
+        path = write_config(tmp_path, "dropped.json", payload)
         rc = cli.main([experiment, "--config", path,
                        "--out", str(tmp_path / "out")])
         assert rc == 2
