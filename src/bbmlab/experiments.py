@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import json
 import math
@@ -158,9 +159,12 @@ class Experiment:
     need, reduces each to its rows by ``observable(cfg, index, leaves)``
     (with ``group``, ``observable(cfg, grown)`` reduces a lockstep group's
     (index, GrownLeaves) pairs at once and returns one entry per replica),
-    and ``finish(cfg, rows)`` gives its (csvs, summary).  Any other
-    experiment has a ``runner(cfg, run_dir) -> RunnerOutput``.
-    ``streams`` names the run-level side streams (name -> tag).
+    and ``finish(cfg, rows)`` gives its (csvs, summary).  When the rows are
+    a CSV body as they stand, ``rows_file`` names that file and
+    ``columns`` its header: the pool workers format the rows, and
+    ``finish`` gives the summary alone.  Any other experiment has a
+    ``runner(cfg, run_dir) -> RunnerOutput``.  ``streams`` names the
+    run-level side streams (name -> tag).
     """
 
     needs: tuple
@@ -171,6 +175,8 @@ class Experiment:
     ts: Callable = ExperimentConfig.ts
     rhos: Callable = ExperimentConfig.rhos
     finish: Callable | None = None
+    rows_file: str | None = None
+    columns: tuple = ()
     runner: Callable | None = None
     streams: dict = field(default_factory=dict)
 
@@ -236,6 +242,8 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
         if isinstance(value, bool) or not isinstance(value,
                                                      (int, np.integer)):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if cfg.threads is not None and cfg.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {cfg.threads!r}")
     reals = [(key, getattr(cfg, key)) for key in ("t", "rho", "r", "t_cond")]
     for key in ("t_list", "rho_list", "a_list"):
         values = getattr(cfg, key) or []
@@ -341,16 +349,17 @@ def _failure(exc: Exception) -> tuple:
     return False, {"error_type": name, "error": f"{name}: {exc}"}
 
 
-def _guarded_chunk(worker, cfg: ExperimentConfig, chunk: list) -> list:
+def _guarded_chunk(worker, cfg: ExperimentConfig,
+                   chunk: list) -> tuple[list, str]:
     """The chunk worker of a per-task worker: (True, worker(cfg, task))
-    per task, or its contained failure."""
+    per task, or its contained failure, and no text."""
     outcomes = []
     for task in chunk:
         try:
             outcomes.append((True, worker(cfg, task)))
         except Exception as exc:  # contained: replica failures are counted
             outcomes.append(_failure(exc))
-    return outcomes
+    return outcomes, ""
 
 
 def _task_record(cfg: ExperimentConfig, task: int) -> dict:
@@ -362,7 +371,7 @@ def _replica_record(cfg: ExperimentConfig, task: tuple) -> dict:
     return {"t": t, "replica": index, "seed": replica_seed(cfg.seed, index)}
 
 
-def _rerun_alone(call, chunk: list) -> list:
+def _rerun_alone(call, chunk: list) -> tuple[list, str]:
     """Rerun a chunk lost to a dead pool worker in a one-worker pool.
 
     Never in this process: a chunk that ends its worker would end the run.
@@ -375,19 +384,21 @@ def _rerun_alone(call, chunk: list) -> list:
         try:
             return pool.submit(call, chunk).result()
         except BrokenProcessPool as exc:
-            return [_failure(exc)] * len(chunk)
+            return [_failure(exc)] * len(chunk), ""
 
 
 def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
-             record=_task_record, least: int = 1) -> tuple[list, list]:
+             record=_task_record, least: int = 1) -> tuple[list, list, list]:
     """Run the tasks in chunks; results come back in task order.
 
     chunk_worker(cfg, chunk) returns one (ok, payload) per task of the
     chunk, and (False, {"error_type", "error"}) for a task that failed
-    (_guarded_chunk makes one from a per-task worker).  A failed task
-    leaves None in its slot and adds a failure record: record(cfg, task),
-    which names the task and its seed, plus the error.  When a pool
-    worker dies, the pool loses every pending chunk.  A pool run cuts
+    (_guarded_chunk makes one from a per-task worker), plus a text of the
+    chunk's own.  The result is (payloads, failure records, the texts in
+    task order).  A failed task leaves None in its slot and adds a failure
+    record: record(cfg, task), which names the task and its seed, plus the
+    error.  When a pool worker dies, the pool loses every pending chunk,
+    and no text comes back from it.  A pool run cuts
     pieces of len(tasks) // (threads * 8) tasks and chunks of at least
     ``least``; each chunk without a result is rerun piece by piece on its
     own (_rerun_alone), so only a piece that kills its worker again fails.
@@ -396,7 +407,7 @@ def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
     call = functools.partial(chunk_worker, cfg)
     threads = cfg.effective_threads()
     if threads <= 1 or len(tasks) <= 1:
-        outcomes = call(tasks)
+        done = [call(tasks)]
     else:
         # imported here, not at the top: the pool's modules
         # (multiprocessing, socket, subprocess, logging) are a large share
@@ -409,19 +420,21 @@ def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
         import numpy.random  # noqa: F401  (the workers inherit it)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(call, chunk) for chunk in chunks]
-        outcomes = []
+        done = []
         for chunk, future in zip(chunks, futures):
             try:
-                outcomes += future.result()
+                done.append(future.result())
             except BrokenProcessPool:
-                outcomes += [o for i in range(0, len(chunk), piece)
-                             for o in _rerun_alone(call, chunk[i:i + piece])]
+                done += [_rerun_alone(call, chunk[i:i + piece])
+                         for i in range(0, len(chunk), piece)]
+    outcomes = (outcome for chunk_outcomes, _ in done
+                for outcome in chunk_outcomes)
     payloads, failures = [], []
     for task, (ok, val) in zip(tasks, outcomes):
         payloads.append(val if ok else None)
         if not ok:
             failures.append({**record(cfg, task), **val})
-    return payloads, failures
+    return payloads, failures, [text for _, text in done]
 
 
 def _jsonable(value):
@@ -438,14 +451,22 @@ def _jsonable(value):
     return value
 
 
-def _write_csv(path: str, columns: list, rows: list,
-               echo: dict) -> None:
+def _write_rows(fh, rows) -> None:
+    """The one CSV body format, which _write_csv and the replica workers
+    both write."""
+    csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _write_csv(path: str, columns: list, rows, echo: dict,
+               texts=()) -> None:
+    """The ``# config`` line and the header, then the rows, then the
+    texts: the bodies that the replica workers formatted, in task order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# config " + json.dumps(_jsonable(echo), sort_keys=True)
                  + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        _write_rows(fh, [columns])
+        _write_rows(fh, rows)
+        fh.writelines(texts)
 
 
 def _fresh_run_dir(cfg: ExperimentConfig) -> str:
@@ -469,17 +490,23 @@ def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
     run_dir = _fresh_run_dir(config)
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
+    texts = ()
     if spec.runner:
         out = spec.runner(config, run_dir)
     else:
-        rows, failures, schedule = _run_replicas(spec, config)
-        out = RunnerOutput(*spec.finish(config, rows), failures, schedule)
+        rows, texts, failures, schedule = _run_replicas(spec, config)
+        if spec.rows_file:  # its body is the workers' texts
+            out = RunnerOutput({spec.rows_file: (spec.columns, ())},
+                               spec.finish(config, rows), failures, schedule)
+        else:
+            out = RunnerOutput(*spec.finish(config, rows), failures, schedule)
     wall = time.monotonic() - t0
     echo = asdict(config)
     outputs = dict(out.extra_outputs)
     for name, (columns, rows) in out.csvs.items():
         path = os.path.join(run_dir, name)
-        _write_csv(path, columns, rows, echo)
+        _write_csv(path, columns, rows, echo,
+                   texts if name == spec.rows_file else ())
         outputs[name] = path
     tasks = sum(e["range"][1] - e["range"][0] for e in out.schedule)
     ok = len(out.failures) <= FAILURE_BUDGET * max(tasks, 1)
@@ -529,8 +556,8 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------- replicas
 
 
-def _replica_chunk(observable, dist, fields: int, cfg: ExperimentConfig,
-                   chunk: list) -> list:
+def _replica_chunk(observable, dist, fields: int, text: bool,
+                   cfg: ExperimentConfig, chunk: list) -> tuple[list, str]:
     """_run_replicas' chunk worker: each run of tasks at one t grows in
     lockstep groups of up to forest_size(dist, t) trees, one grow_forest
     call per group, each tree with the first ``fields`` of its seed's
@@ -538,7 +565,9 @@ def _replica_chunk(observable, dist, fields: int, cfg: ExperimentConfig,
     GrownLeaves) pairs at once.  It returns one entry per replica, its
     rows or the exception that failed it; a tree that failed to grow fails
     only its own task, and an observable that raises fails its whole
-    group."""
+    group.  With ``text``, the chunk's rows, failed replicas left out, also
+    come back as one CSV body in task order, formatted here in the worker
+    (else the text is empty)."""
     outcomes = []
     for t, at_t in itertools.groupby(chunk, key=lambda task: task[0]):
         at_t, size = list(at_t), forest_size(dist, t)
@@ -560,7 +589,11 @@ def _replica_chunk(observable, dist, fields: int, cfg: ExperimentConfig,
                        else next(results))
                 outcomes.append(_failure(out) if isinstance(out, Exception)
                                 else (True, out))
-    return outcomes
+    body = io.StringIO()
+    if text:
+        _write_rows(body, (row for ok, rows in outcomes if ok
+                           for row in rows))
+    return outcomes, body.getvalue()
 
 
 def _each_replica(observable, cfg: ExperimentConfig, grown: list) -> list:
@@ -584,26 +617,28 @@ def _forest_chunk(cfg: ExperimentConfig, n: int, size: int) -> int:
 
 
 def _run_replicas(spec: Experiment,
-                  cfg: ExperimentConfig) -> tuple[list, list, list]:
+                  cfg: ExperimentConfig) -> tuple[list, list, list, list]:
     """A replica experiment's observable over replicas 0..replicas-1 at
     each t of spec.ts(cfg).
 
     Replica i grows from replica_seed(cfg.seed, i), with spec.fields(cfg)
-    fields.  The result is (rows in task order, t-major; failure records;
-    seed-schedule entries).
+    fields.  The result is (rows in task order, t-major; the chunks' CSV
+    bodies of those rows in task order when spec.rows_file is named;
+    failure records; seed-schedule entries).
     """
     ts, dist = spec.ts(cfg), cfg.dist()
     observable = (spec.observable if spec.group else
                   functools.partial(_each_replica, spec.observable))
     least = min((_forest_chunk(cfg, cfg.replicas, forest_size(dist, t))
                  for t in ts), default=1)
-    payloads, failures = _collect(
-        functools.partial(_replica_chunk, observable, dist, spec.fields(cfg)),
+    payloads, failures, texts = _collect(
+        functools.partial(_replica_chunk, observable, dist, spec.fields(cfg),
+                          spec.rows_file is not None),
         cfg, [(t, i) for t in ts for i in range(cfg.replicas)],
         _replica_record, least)
     rows = [row for p in payloads if p is not None for row in p]
-    return rows, failures, [_task_range("replica", "t", t, cfg.replicas)
-                            for t in ts]
+    return rows, texts, failures, [
+        _task_range("replica", "t", t, cfg.replicas) for t in ts]
 
 
 def _proportion(hits: int, n: int) -> tuple[float, float]:
@@ -635,7 +670,7 @@ def _tree_rows(cfg: ExperimentConfig, index: int,
     return [(leaves.t, index, leaves.seed, leaves.n_leaves)]
 
 
-def _tree_finish(cfg: ExperimentConfig, rows: list) -> tuple[dict, dict]:
+def _tree_finish(cfg: ExperimentConfig, rows: list) -> dict:
     growth = cfg.dist().mean_children - 1.0  # E[n_leaves] = e^(growth t)
     summary = {}
     for t in cfg.ts():
@@ -647,8 +682,7 @@ def _tree_finish(cfg: ExperimentConfig, rows: list) -> tuple[dict, dict]:
             "target": target,
             "z": (mean - target) / se if se and se > 0 else math.nan,
         }
-    return ({"tree_moments.csv": (["t", "replica", "seed", "n_leaves"],
-                                  rows)}, summary)
+    return summary
 
 
 def _martingale_rows(cfg: ExperimentConfig, grown: list) -> list:
@@ -673,8 +707,7 @@ def _martingale_rows(cfg: ExperimentConfig, grown: list) -> list:
     return rows
 
 
-def _martingale_finish(cfg: ExperimentConfig,
-                       rows: list) -> tuple[dict, dict]:
+def _martingale_finish(cfg: ExperimentConfig, rows: list) -> dict:
     k_fac = cfg.dist().second_factorial_moment
     cells: dict = {}  # (sigma, tau, rho) -> its rows, in task order
     for r in rows:
@@ -690,9 +723,7 @@ def _martingale_finish(cfg: ExperimentConfig,
                 cell[f"mean_{key}"], cell[f"se_{key}"] = _mean_se(
                     np.array([r[col] for r in sel]))
             cell["oracle_abs2"] = oracle
-    cols = ["t", "sigma", "tau", "rho", "replica", "seed", "n_leaves",
-            "m_re", "m_im", "m_abs2"]
-    return {"martingale.csv": (cols, rows)}, summary
+    return summary
 
 
 def _scan_betas(cfg: ExperimentConfig) -> list:
@@ -741,13 +772,11 @@ def _glassy_rows(cfg: ExperimentConfig, index: int,
              abs(val))]
 
 
-def _glassy_finish(cfg: ExperimentConfig, rows: list) -> tuple[dict, dict]:
+def _glassy_finish(cfg: ExperimentConfig, rows: list) -> dict:
     moduli = np.array([r[5] for r in rows])
-    summary = {"n": int(moduli.size), **_hill_summary(
+    return {"n": int(moduli.size), **_hill_summary(
         cfg.betas()[0], moduli,
         {f"hill_k={kf}": kf for kf in HILL_K_FRACTIONS})}
-    cols = ["replica", "seed", "n_leaves", "x_re", "x_im", "abs_x"]
-    return {"glassy_tail.csv": (cols, rows)}, summary
 
 
 def _read_complex_samples(path: str) -> np.ndarray:
@@ -807,8 +836,7 @@ def _truncation_rows(cfg: ExperimentConfig, index: int,
             for a, part in zip(cfg.a_list, parts)]
 
 
-def _truncation_finish(cfg: ExperimentConfig,
-                       rows: list) -> tuple[dict, dict]:
+def _truncation_finish(cfg: ExperimentConfig, rows: list) -> dict:
     summary = {"delta": TRUNCATION_DELTA}
     p_by_a = []
     for a in cfg.a_list:
@@ -821,9 +849,7 @@ def _truncation_finish(cfg: ExperimentConfig,
     summary["nonincreasing"] = all(
         p_by_a[i + 1] <= p_by_a[i] + 1e-12 for i in range(len(p_by_a) - 1))
     summary["final_p_exceed"] = p_by_a[-1] if p_by_a else math.nan
-    cols = ["replica", "seed", "n_leaves", "a", "kept_re", "kept_im",
-            "disc_abs"]
-    return {"truncation.csv": (cols, rows)}, summary
+    return summary
 
 
 def _extremal_rows(cfg: ExperimentConfig, index: int,
@@ -834,8 +860,7 @@ def _extremal_rows(cfg: ExperimentConfig, index: int,
              derivative_martingale(fld))]
 
 
-def _extremal_finish(cfg: ExperimentConfig,
-                     rows: list) -> tuple[dict, dict]:
+def _extremal_finish(cfg: ExperimentConfig, rows: list) -> dict:
     ts = cfg.ts()
     summary = {}
     shifts = {}
@@ -863,8 +888,7 @@ def _extremal_finish(cfg: ExperimentConfig,
         if pos.size >= 500:
             cox = estimate_cox_constants(shifts[last], pos)
             summary["cox"] = {"c_hat": cox.c_hat, "sse": cox.sse}
-    cols = ["t", "replica", "seed", "n_leaves", "max_shift", "z_deriv"]
-    return {"extremal_max.csv": (cols, rows)}, summary
+    return summary
 
 
 BRIDGE_CHUNK = 2000
@@ -887,7 +911,7 @@ def _bridge_worker(cfg: ExperimentConfig, chunk_index: int) -> tuple:
 
 def _run_bridge_check(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
     tasks = list(range(-(-cfg.replicas // BRIDGE_CHUNK)))
-    payloads, failures = _collect(
+    payloads, failures, _ = _collect(
         functools.partial(_guarded_chunk, _bridge_worker), cfg, tasks)
     rows = [p for p in payloads if p is not None]
     n_total = sum(r[2] for r in rows)
@@ -913,9 +937,9 @@ def _run_bridge_check(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
 
 
 def _cluster_chunk(dist: OffspringDistribution, cfg: ExperimentConfig,
-                   chunk: list) -> list:
+                   chunk: list) -> tuple[list, str]:
     """(True, (index, seed, cluster)) or a failure per task, the chunk's
-    clusters drawn by one sample_clusters call."""
+    clusters drawn by one sample_clusters call, and no text."""
     seeds = [replica_seed(cfg.seed, index) for index in chunk]
     try:
         drawn = sample_clusters(cfg.t_cond, dist, seeds, cfg.max_attempts,
@@ -923,7 +947,8 @@ def _cluster_chunk(dist: OffspringDistribution, cfg: ExperimentConfig,
     except Exception as exc:  # contained: every task of the chunk fails
         drawn = [exc] * len(chunk)
     return [(True, (index, rs, cl)) if isinstance(cl, Cluster)
-            else _failure(cl) for index, rs, cl in zip(chunk, seeds, drawn)]
+            else _failure(cl)
+            for index, rs, cl in zip(chunk, seeds, drawn)], ""
 
 
 def _sample_clusters(cfg: ExperimentConfig,
@@ -933,7 +958,7 @@ def _sample_clusters(cfg: ExperimentConfig,
     forest_size(dist, t_cond) seeds, so a chunk screens wide forests and
     regrows its accepted attempts in few grow_forest calls."""
     n = cfg.min_clusters
-    payloads, failures = _collect(
+    payloads, failures, _ = _collect(
         functools.partial(_cluster_chunk, dist), cfg, list(range(n)),
         least=_forest_chunk(cfg, n, forest_size(dist, cfg.t_cond)))
     return ([p for p in payloads if p is not None], failures,
@@ -1009,10 +1034,14 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
 EXPERIMENTS = {
     "tree_moments": Experiment(
         ("replicas", "t|t_list"), observable=_tree_rows, rhos=_none,
-        finish=_tree_finish),
+        finish=_tree_finish, rows_file="tree_moments.csv",
+        columns=("t", "replica", "seed", "n_leaves")),
     "martingale": Experiment(
         ("replicas", "t", "beta_list"), reads_one=("t",),
-        observable=_martingale_rows, group=True, finish=_martingale_finish),
+        observable=_martingale_rows, group=True, finish=_martingale_finish,
+        rows_file="martingale.csv",
+        columns=("t", "sigma", "tau", "rho", "replica", "seed", "n_leaves",
+                 "m_re", "m_im", "m_abs2")),
     "free_energy_scan": Experiment(
         ("replicas", "t|t_list", "beta_list|sigma_range"),
         horizons=ExperimentConfig.ts, reads_one=("rho",),
@@ -1021,7 +1050,8 @@ EXPERIMENTS = {
     "glassy_tail": Experiment(
         ("replicas", "t", "beta_list", "rho"), horizons=ExperimentConfig.ts,
         reads_one=("t", "rho", "beta"), observable=_glassy_rows,
-        finish=_glassy_finish),
+        finish=_glassy_finish, rows_file="glassy_tail.csv",
+        columns=("replica", "seed", "n_leaves", "x_re", "x_im", "abs_x")),
     "isotropy": Experiment(
         ("input_csv|beta_list",), horizons=_isotropy_ts,
         reads_one=("t", "rho", "beta"), observable=_glassy_rows,
@@ -1030,11 +1060,16 @@ EXPERIMENTS = {
     "truncation": Experiment(
         ("replicas", "t", "beta_list", "a_list", "rho"),
         horizons=ExperimentConfig.ts, reads_one=("t", "rho", "beta"),
-        observable=_truncation_rows, finish=_truncation_finish),
+        observable=_truncation_rows, finish=_truncation_finish,
+        rows_file="truncation.csv",
+        columns=("replica", "seed", "n_leaves", "a", "kept_re", "kept_im",
+                 "disc_abs")),
     "extremal_max": Experiment(
         ("replicas", "t|t_list"), horizons=ExperimentConfig.ts,
         observable=_extremal_rows, rhos=lambda cfg: [1.0],
-        finish=_extremal_finish),
+        finish=_extremal_finish, rows_file="extremal_max.csv",
+        columns=("t", "replica", "seed", "n_leaves", "max_shift",
+                 "z_deriv")),
     "bridge_check": Experiment(
         ("replicas", "t", "r"), reads_one=("t",), runner=_run_bridge_check),
     "cluster_bank": Experiment(

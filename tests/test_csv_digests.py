@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from bbmlab.experiments import ExperimentConfig, run
+from bbmlab.experiments import EXPERIMENTS, ExperimentConfig, run
 
 CONFIGS = {
     "tree_moments": dict(experiment="tree_moments", replicas=30,
@@ -169,6 +169,17 @@ def test_cluster_chunks_move_no_bit(name, tmp_path):
             with open(outputs["bank.txt"], "rb") as fh:
                 banks.append(fh.read())
         assert banks[0] == banks[1]
+
+
+@pytest.mark.parametrize("name", [
+    name for name, config in sorted(CONFIGS.items())
+    if EXPERIMENTS[config["experiment"]].rows_file])
+def test_worker_formatted_rows_move_no_bit(name, tmp_path):
+    # one worker formats every row in one chunk in this process; two
+    # workers format their chunks' rows in the pool
+    one, two = (run_outputs(name, str(tmp_path), threads)
+                for threads in (1, 2))
+    assert outputs_digests(one) == outputs_digests(two) == DIGESTS[name]
 
 
 def test_isotropy_from_glassy_tail_csv_matches_memory(tmp_path):

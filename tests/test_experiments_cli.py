@@ -122,6 +122,9 @@ class TestLoadConfig:
             # a runner, or the parts of a replica experiment
             assert (spec.runner is None) == (
                 spec.observable is not None and spec.finish is not None)
+            # a file of rows as they stand has a header, and replicas
+            assert bool(spec.rows_file) == bool(spec.columns)
+            assert spec.rows_file is None or spec.runner is None
         (sub,) = [action for action in cli.build_parser()._actions
                   if isinstance(action, argparse._SubParsersAction)]
         assert set(sub.choices) == set(EXPERIMENTS) | {"oracle"}
@@ -709,7 +712,8 @@ def _patch_observable(monkeypatch, experiment, observable):
 
 def test_observable_failure_fails_its_task_only(tmp_path, monkeypatch):
     # at t = 1 the 12 replicas are one lockstep group; the per-replica
-    # observable's error fails replica 7 alone
+    # observable's error fails replica 7 alone, and the worker leaves its
+    # rows out of the chunk's CSV text
     _patch_observable(monkeypatch, "tree_moments", _raise_on_replica_7)
     cfg = ExperimentConfig(experiment="tree_moments", replicas=12, t=1.0,
                            threads=1, output_dir=str(tmp_path))
@@ -740,7 +744,8 @@ def test_dead_worker_fails_its_tasks_only(tmp_path, monkeypatch):
     result = run(cfg)
     # chunks of 20 tasks hold whole lockstep groups; a lost chunk is rerun
     # in pieces of max(1, 40 // (2 * 8)) = 2 tasks, and only the piece
-    # holding replica 7 kills its worker again
+    # holding replica 7 kills its worker again.  Each rerun piece brings
+    # its own CSV text, which lands in task order
     failed = [f["replica"] for f in result.failures]
     assert failed == [6, 7]
     for f in result.failures:
@@ -857,6 +862,8 @@ class TestCli:
         ("tree_moments", {"replicas": 2, "t": 1.0, "max_nodes": "100"}),
         ("tree_moments", {"replicas": 2, "t": 1.0, "threads": 1.0}),
         ("tree_moments", {"replicas": 2, "t": 1.0, "threads": False}),
+        ("tree_moments", {"replicas": 2, "t": 1.0, "threads": 0}),
+        ("tree_moments", {"replicas": 2, "t": 1.0, "threads": -1}),
         ("free_energy_scan", dict(GRID, resolution=2.5)),
         ("cluster_bank", dict(BANK, min_clusters=2.5)),
         ("cluster_bank", dict(BANK, max_attempts=True)),
