@@ -19,6 +19,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import time
 from collections.abc import Callable
@@ -118,8 +119,14 @@ class ExperimentConfig:
         return [parse_complex(b) for b in self.beta_list]
 
     def effective_threads(self) -> int:
-        return self.threads if self.threads else \
-            len(os.sched_getaffinity(0))
+        """threads, or else the CPUs this process may run on (all of the
+        machine's where the OS has no affinity call, as on macOS and
+        Windows)."""
+        if self.threads:
+            return self.threads
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return max(1, os.cpu_count() or 1)
 
 
 def parse_complex(value) -> complex:
@@ -152,9 +159,9 @@ class Experiment:
 
     ``needs`` are the config keys a run must name ("a|b": either of them),
     ``horizons(cfg)`` the horizons that must be finite and > 0, and
-    ``reads_one`` what the run reads once ("t", "rho" or "beta"), so that
-    a t_list, a rho_list or a second beta, which it would drop, is
-    refused.  A replica experiment grows replicas 0..replicas-1 at each t
+    ``reads_one`` what the run reads once ("t", "rho", "beta" or "a"), so
+    that a t_list, a rho_list or a second beta or a, which it would drop,
+    is refused.  A replica experiment grows replicas 0..replicas-1 at each t
     of ``ts(cfg)``, with the fields that the correlations ``rhos(cfg)``
     need, reduces each to its rows by ``observable(cfg, index, leaves)``
     (with ``group``, ``observable(cfg, grown)`` reduces a lockstep group's
@@ -284,7 +291,8 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
         raise ConfigError(f"{cfg.experiment} needs a finite horizon > 0")
     # a run would drop what it does not read, yet echo it in its outputs
     dropped = {"t": ("t_list", cfg.t_list), "rho": ("rho_list", cfg.rho_list),
-               "beta": ("beta_list past its first entry", cfg.beta_list[1:])}
+               "beta": ("beta_list past its first entry", cfg.beta_list[1:]),
+               "a": ("a_list past its first entry", cfg.a_list[1:])}
     for key in spec.reads_one:
         name, values = dropped[key]
         if values:
@@ -453,8 +461,20 @@ def _jsonable(value):
 
 def _write_rows(fh, rows) -> None:
     """The one CSV body format, which _write_csv and the replica workers
-    both write."""
-    csv.writer(fh, lineterminator="\n").writerows(rows)
+    both write: the bytes of csv.writer(fh, lineterminator="\n").
+
+    Rows of one length that hold ints and floats alone take one %r format
+    per row, which gives those bytes, since csv.writer writes a float's
+    repr and an int's str, which is its repr, and neither needs quotes.
+    Rows holding anything else go through csv.writer.
+    """
+    rows = list(map(tuple, rows))
+    if (len({*map(len, rows)}) == 1 and {*map(
+            type, itertools.chain.from_iterable(rows))} <= {int, float}):
+        line = ",".join(["%r"] * len(rows[0])) + "\n"
+        fh.writelines([line % row for row in rows])
+    else:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _write_csv(path: str, columns: list, rows, echo: dict,
@@ -500,7 +520,6 @@ def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
                                spec.finish(config, rows), failures, schedule)
         else:
             out = RunnerOutput(*spec.finish(config, rows), failures, schedule)
-    wall = time.monotonic() - t0
     echo = asdict(config)
     outputs = dict(out.extra_outputs)
     for name, (columns, rows) in out.csvs.items():
@@ -508,6 +527,7 @@ def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
         _write_csv(path, columns, rows, echo,
                    texts if name == spec.rows_file else ())
         outputs[name] = path
+    wall = time.monotonic() - t0  # the CSVs written, the manifest not
     tasks = sum(e["range"][1] - e["range"][0] for e in out.schedule)
     ok = len(out.failures) <= FAILURE_BUDGET * max(tasks, 1)
     manifest = {
@@ -561,8 +581,8 @@ def _replica_chunk(observable, dist, fields: int, text: bool,
     """_run_replicas' chunk worker: each run of tasks at one t grows in
     lockstep groups of up to forest_size(dist, t) trees, one grow_forest
     call per group, each tree with the first ``fields`` of its seed's
-    pair_keys, and observable(cfg, grown) reduces a group's (index,
-    GrownLeaves) pairs at once.  It returns one entry per replica, its
+    pair_keys (a group's from one array pass), and observable(cfg, grown)
+    reduces a group's (index, GrownLeaves) pairs at once.  It returns one entry per replica, its
     rows or the exception that failed it; a tree that failed to grow fails
     only its own task, and an observable that raises fails its whole
     group.  With ``text``, the chunk's rows, failed replicas left out, also
@@ -573,7 +593,7 @@ def _replica_chunk(observable, dist, fields: int, text: bool,
         at_t, size = list(at_t), forest_size(dist, t)
         for group in [at_t[lo:lo + size] for lo in range(0, len(at_t), size)]:
             seeds = [replica_seed(cfg.seed, i) for _, i in group]
-            keys = [pair_keys(s, fields) for s in seeds]
+            keys = pair_keys(seeds, fields)
             try:
                 grown = grow_forest(dist, t, seeds, keys, cfg.max_nodes)
             except Exception as exc:  # the horizon's error
@@ -708,20 +728,24 @@ def _martingale_rows(cfg: ExperimentConfig, grown: list) -> list:
 
 
 def _martingale_finish(cfg: ExperimentConfig, rows: list) -> dict:
+    """Per (beta, rho) cell, the mean and standard error of m_re, m_im and
+    m_abs2.  Only the six columns read are built, as float64 arrays, and a
+    cell's values are picked out by a mask, so they keep task order."""
     k_fac = cfg.dist().second_factorial_moment
-    cells: dict = {}  # (sigma, tau, rho) -> its rows, in task order
-    for r in rows:
-        cells.setdefault(r[1:4], []).append(r)
+    sigma, tau, rho_of, *values = (
+        np.fromiter(map(operator.itemgetter(col), rows), np.float64,
+                    len(rows)) for col in (1, 2, 3, 7, 8, 9))
     summary = {}
     for beta in cfg.betas():
         oracle = martingale_second_moment(beta, cfg.t, k_fac,
                                           allow_unbounded=True)
+        at_beta = (sigma == beta.real) & (tau == beta.imag)
         for rho in cfg.rhos():
-            sel = cells.get((beta.real, beta.imag, rho), [])
-            cell = summary[f"beta={beta} rho={rho}"] = {"replicas": len(sel)}
-            for col, key in ((7, "re"), (8, "im"), (9, "abs2")):
-                cell[f"mean_{key}"], cell[f"se_{key}"] = _mean_se(
-                    np.array([r[col] for r in sel]))
+            mask = at_beta & (rho_of == rho)
+            cell = summary[f"beta={beta} rho={rho}"] = {
+                "replicas": int(np.count_nonzero(mask))}
+            for col, key in zip(values, ("re", "im", "abs2")):
+                cell[f"mean_{key}"], cell[f"se_{key}"] = _mean_se(col[mask])
             cell["oracle_abs2"] = oracle
     return summary
 
@@ -1076,8 +1100,8 @@ EXPERIMENTS = {
         ("t_cond", "min_clusters"), horizons=lambda cfg: [cfg.t_cond],
         runner=_run_cluster_bank),
     "limit_object": Experiment(
-        ("replicas", "beta_list", "bank_path|t_cond"),
+        ("replicas", "beta_list", "a_list", "bank_path|t_cond"),
         horizons=lambda cfg: [] if cfg.bank_path else [cfg.t_cond],
-        reads_one=("rho", "beta"), runner=_run_limit_object,
+        reads_one=("rho", "beta", "a"), runner=_run_limit_object,
         streams={"cox": COX_STREAM}),
 }

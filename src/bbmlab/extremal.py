@@ -114,8 +114,9 @@ def sample_clusters(t_cond: float, dist: OffspringDistribution, seeds,
     attempt order whose max reaches sqrt(2) t_cond is accepted, and the
     attempts screened after it are dropped.  Once every seed is decided,
     the accepted attempts are grown again with their x and z, up to
-    forest_size(dist, t_cond) trees per grow_forest call, which gives the
-    same x; only they ever key a z stream.
+    forest_size(dist, t_cond) trees per grow_forest call with the keys of
+    one pair_keys array pass, which gives the same x; only they ever key a
+    z stream.
     """
     if t_cond <= 0.0:
         raise ValueError("t_cond must be positive")
@@ -131,7 +132,7 @@ def sample_clusters(t_cond: float, dist: OffspringDistribution, seeds,
                                               max_attempts))]
         index, attempt = np.array(batch, np.uint64).T
         subs = stream_key(keys[index], TAG_CLUSTER, attempt)
-        x_keys = stream_key(subs, TAG_PAIR_X)[:, None].tolist()
+        x_keys = stream_key(subs, TAG_PAIR_X)[:, None]
         subs = subs.tolist()
         maxima = screen_maxima(dist, t_cond, subs, x_keys, max_nodes)
         for (i, a), sub, top in zip(batch, subs, maxima.tolist()):
@@ -153,8 +154,7 @@ def sample_clusters(t_cond: float, dist: OffspringDistribution, seeds,
     for group in [accepted[lo:lo + size]
                   for lo in range(0, len(accepted), size)]:
         subs = [drawn[i][1] for i in group]
-        grown = grow_forest(dist, t_cond, subs,
-                            [pair_keys(sub, 2) for sub in subs], max_nodes)
+        grown = grow_forest(dist, t_cond, subs, pair_keys(subs, 2), max_nodes)
         for i, leaves in zip(group, grown):
             attempts, _, top = drawn[i]
             x, z = leaves.positions

@@ -118,15 +118,19 @@ def _streams(seeds, field_keys) -> list:
     """A [tree_rng, *field_rngs] row per seed: the make_rng(seed, TAG_TREE)
     stream and a make_rng(key, TAG_FIELD) stream per key of the seed.
 
-    The keys of all streams are derived at once, each column with its
-    tag.  The generators are pooled: up to POOL_CAP are kept and re-keyed
-    on the next call, the rest built for this call alone, so a caller may
-    use them only until its next growth call.
+    field_keys holds a row of keys per seed: a uint64 array, taken as it
+    comes, or rows of ints.  The keys of all streams are derived at once,
+    each column with its tag.  The generators are pooled: up to POOL_CAP
+    are kept and re-keyed on the next call, the rest built for this call
+    alone, so a caller may use them only until its next growth call.
     """
-    rows = [[v & MASK64 for v in (seed, *keys)]
-            for seed, keys in zip(seeds, field_keys)]
-    tags = [TAG_TREE] + [TAG_FIELD] * (len(rows[0]) - 1)
-    keys = stream_key(np.array(rows, np.uint64), np.array(tags, np.uint64))
+    if not isinstance(field_keys, np.ndarray):  # ints, masked as seeds are
+        field_keys = [[key & MASK64 for key in keys] for keys in field_keys]
+    words = np.column_stack((np.array([seed & MASK64 for seed in seeds],
+                                      np.uint64),
+                             np.asarray(field_keys, np.uint64)))
+    tags = [TAG_TREE] + [TAG_FIELD] * (words.shape[1] - 1)
+    keys = stream_key(words, np.array(tags, np.uint64))
     need = keys.size
     _POOL.extend(make_rng(0) for _ in range(min(need, POOL_CAP) - len(_POOL)))
     pool = iter(_POOL[:need] + [make_rng(0) for _ in range(need - POOL_CAP)])

@@ -47,9 +47,17 @@ def stream_key(seed: int, *tags: int) -> int:
     return key
 
 
-def pair_keys(seed: int, fields: int) -> list:
-    """The first ``fields`` of a seed's pair field keys: x's, then z's."""
-    return [stream_key(seed, tag) for tag in (TAG_PAIR_X, TAG_PAIR_Z)[:fields]]
+def pair_keys(seeds, fields: int):
+    """The first ``fields`` of a seed's pair field keys: x's, then z's.
+
+    For an int seed, a list of ints; for an array of seeds, a uint64
+    array with a row of keys per seed, from one stream_key array pass.
+    """
+    tags = (TAG_PAIR_X, TAG_PAIR_Z)[:fields]
+    if np.ndim(seeds):
+        return stream_key(np.asarray(seeds, np.uint64)[:, None],
+                          np.array(tags, np.uint64))
+    return [stream_key(seeds, tag) for tag in tags]
 
 
 def make_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -57,14 +65,7 @@ def make_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(seed, *tags)))
 
 
-# The Philox state rekey sets: a fresh stream's counter and buffer, with
-# the key written in per call.  The state setter copies it.
-_FRESH_STATE = {
-    "bit_generator": "Philox",
-    "state": {"counter": np.zeros(4, dtype=np.uint64),
-              "key": np.zeros(2, dtype=np.uint64)},
-    "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-    "has_uint32": 0, "uinteger": 0}
+_ZEROS = (0, 0, 0, 0)
 
 
 def rekey(rng: np.random.Generator, seed: int,
@@ -72,10 +73,16 @@ def rekey(rng: np.random.Generator, seed: int,
     """Point a Philox generator at the start of the (seed, tags) stream.
 
     It then draws what make_rng(seed, *tags) draws, and costs a fraction
-    of building a new generator.
+    of building a new generator.  The state is written in plain ints: the
+    setter would turn each entry of an array into a numpy scalar first,
+    which more than doubles the cost.  A fresh stream's counter is zero,
+    its buffer empty, and no half of a 64-bit word is kept for a 32-bit
+    draw.
     """
-    _FRESH_STATE["state"]["key"][0] = stream_key(seed, *tags)
-    rng.bit_generator.state = _FRESH_STATE
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (stream_key(seed, *tags), 0)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
 
 

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import time
 import tracemalloc
 from concurrent.futures import Future
 
@@ -147,7 +148,7 @@ class TestLoadConfig:
         dict(GRID, tau_range=["0.0", "1.5"], resolution=3),
         dict(experiment="isotropy", input_csv="no-such-dir/samples.csv"),
         dict(experiment="limit_object", replicas=10, beta_list=["1.5"],
-             bank_path="no-such-dir/bank.txt"),
+             a_list=[4.0], bank_path="no-such-dir/bank.txt"),
         dict(experiment="tree_moments", replicas=5, t=1.0,
              offspring=[[1, 0.5], [4, 0.5]]),
         dict(experiment="glassy_tail", replicas=5, t=2.0, rho=1.5,
@@ -810,6 +811,35 @@ def test_default_worker_count_follows_affinity(monkeypatch):
                             threads=3).effective_threads() == 3
 
 
+def test_default_worker_count_without_affinity(tmp_path, monkeypatch):
+    # macOS and Windows have no sched_getaffinity: the CPU count serves,
+    # and at least one worker when even that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = ExperimentConfig(experiment="tree_moments", replicas=4, t=1.0,
+                           output_dir=str(tmp_path))
+    assert cfg.effective_threads() == 2
+    assert run(cfg).ok
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cfg.effective_threads() == 1
+
+
+def test_wall_time_includes_csv_writes(tmp_path, monkeypatch):
+    # the manifest's wall time ends once the CSVs are written
+    write_csv = experiments._write_csv
+
+    def slow(*args, **kwargs):
+        time.sleep(0.25)
+        return write_csv(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_write_csv", slow)
+    result = run(ExperimentConfig(experiment="tree_moments", replicas=2,
+                                  t=1.0, threads=1, output_dir=str(tmp_path)))
+    with open(os.path.join(result.run_dir, "manifest.json"),
+              encoding="utf-8") as fh:
+        assert json.load(fh)["wall_time_s"] >= 0.25
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, "run.json",
@@ -913,7 +943,8 @@ class TestCli:
         assert rc == 2
         assert not (tmp_path / "out").exists()
 
-    BANK = {"replicas": 10, "t_cond": 1.0, "min_clusters": 2}
+    BANK = {"replicas": 10, "t_cond": 1.0, "min_clusters": 2,
+            "a_list": [4.0]}
 
     @pytest.mark.parametrize("experiment,payload", [
         ("glassy_tail", {"replicas": 5, "t": 2.0, "rho": 0.5,
@@ -933,11 +964,15 @@ class TestCli:
                           "r": 1.0}),
         ("limit_object", dict(BANK, beta_list=["1.5", "2.0"])),
         ("limit_object", dict(BANK, beta_list=["1.5"], rho_list=[0.5])),
+        ("limit_object", dict(BANK, beta_list=["1.5"], a_list=[4.0, 6.0])),
+        ("limit_object", {k: v for k, v in BANK.items() if k != "a_list"}
+         | {"beta_list": ["1.5"]}),
     ])
     def test_dropped_value_exits_two_without_run_dir(
             self, tmp_path, experiment, payload):
-        # the run would read one t, rho or beta and drop the rest, yet
-        # echo them in its manifest and CSV header
+        # the run would read one t, rho, beta or a and drop the rest, yet
+        # echo them in its manifest and CSV header; limit_object must name
+        # its one a, since the default a_list has four
         path = write_config(tmp_path, "dropped.json", payload)
         rc = cli.main([experiment, "--config", path,
                        "--out", str(tmp_path / "out")])

@@ -3,13 +3,17 @@ branch-point pair sum and sampled trees over generated inputs, and
 bit-exactness of the exact small sum and its extraction kernel, of the
 segmented reductions against one-segment calls, of the group martingales
 against the ScaledComplex chain, of the shared-table sweeps, of the tree
-sampler's wave loop, and of the forest grower, the leaf grower and the
-forest screen against the tree and field samplers.
+sampler's wave loop, of the forest grower, the leaf grower and the forest
+screen against the tree and field samplers, of a re-keyed generator
+against a fresh one, of the pair keys of a seed array against one-seed
+calls, and of the CSV row formatter against csv.writer.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -25,6 +29,7 @@ from bbmlab import (OffspringDistribution, ResourceLimitError,
 from bbmlab import gwtree
 from bbmlab.accum import (_FSUM_LIST, _extracted_fsum, _peeled,
                           peeled_trig_sum, scaled_exp_sums)
+from bbmlab.experiments import _write_rows
 from bbmlab.field import correlate
 from bbmlab.gwtree import (NODE_BUDGET, GrownLeaves, grow_forest,
                            grow_leaves, pair_sum, screen_maxima)
@@ -32,7 +37,7 @@ from bbmlab.partition import (additive_martingales, log_partitions, m_of_t,
                               truncation_sweep)
 from bbmlab.phase import grid_betas
 from bbmlab.streams import (TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE, make_rng,
-                            rekey, stream_key)
+                            pair_keys, rekey, stream_key)
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=40,
                     deadline=None)
@@ -285,11 +290,75 @@ def test_rekey_draws_like_make_rng(seed, used, tags):
     rng, other = make_rng(used), make_rng(used)
     rng.standard_normal(3)
     rng.random(1)
+    # leaves half of a 64-bit word kept for the next 32-bit draw
+    rng.integers(0, 2 ** 32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
     rekey(rng, seed, *tags)
     rekey(other, used, 0x55)  # re-keying another leaves rng's stream as is
     fresh = make_rng(seed, *tags)
+    assert rng.integers(0, 2 ** 32, 7, dtype=np.uint32).tolist() == \
+        fresh.integers(0, 2 ** 32, 7, dtype=np.uint32).tolist()
     for draw in ("standard_normal", "standard_exponential", "random"):
         assert np.array_equal(getattr(rng, draw)(7), getattr(fresh, draw)(7))
+
+
+words = st.integers(0, 2 ** 64 - 1)
+
+
+@PROPERTY
+@given(tree_seeds=st.lists(words, min_size=1, max_size=20),
+       fields=st.integers(0, 2))
+@example(tree_seeds=[0, 2 ** 63, 2 ** 64 - 1], fields=2)
+def test_pair_keys_of_seed_array_match_one_seed_calls(tree_seeds, fields):
+    got = pair_keys(np.array(tree_seeds, np.uint64), fields)
+    assert got.dtype == np.uint64 and got.shape == (len(tree_seeds), fields)
+    assert got.tolist() == [pair_keys(seed, fields) for seed in tree_seeds]
+
+
+def _csv_writer_text(rows) -> str:
+    fh = io.StringIO()
+    csv.writer(fh, lineterminator="\n").writerows(rows)
+    return fh.getvalue()
+
+
+def _row_text(rows) -> str:
+    fh = io.StringIO()
+    _write_rows(fh, iter(rows))  # the replica workers hand a generator
+    return fh.getvalue()
+
+
+plain_values = (words | st.floats(allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-310, 1e16, 1e-5,
+     0.1 + 0.2]))
+other_values = (st.booleans() | st.builds(np.float64, st.floats())
+                | st.builds(np.int64, st.integers(-2 ** 63, 2 ** 63 - 1))
+                | st.builds(np.uint64, words)
+                | st.text(st.sampled_from(list('a ,"\n\r')), max_size=6))
+
+
+@PROPERTY
+@given(rows=st.integers(0, 8).flatmap(lambda width: st.lists(
+    st.tuples(*[plain_values] * width), max_size=12)))
+@example(rows=[])
+@example(rows=[()])
+@example(rows=[(0, 2 ** 64 - 1, 0.0, -0.0, math.inf, -math.inf, math.nan,
+                5e-324, 1e16, 1e-5, 0.1 + 0.2)])
+def test_plain_rows_format_like_csv_writer(rows):
+    assert _row_text(rows) == _csv_writer_text(rows)
+
+
+@PROPERTY
+@given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(plain_values | other_values, min_size=width, max_size=width),
+    max_size=12)))
+@example(rows=[[1, True], [np.float64(0.5), np.int64(-3)], [np.uint64(7), 2],
+               ['a,b', 'say "hi"'], ['two\nlines', ""]])
+@example(rows=[[1, 2.5], [3]])  # ints and floats, rows of two lengths
+@example(rows=[[np.float64(0.5), 1.5], [2, np.float64(-0.0)]])
+@example(rows=[[np.int64(-3), 2], [np.uint64(2 ** 64 - 1), 0.5]])
+@example(rows=[[True, 0.5], [1, False]])
+def test_other_rows_format_like_csv_writer(rows):
+    assert _row_text(rows) == _csv_writer_text(rows)
 
 
 def _budget_outcome(grow):
