@@ -146,6 +146,10 @@ def parse_complex(value) -> complex:
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+# The keys every run reads, whatever its experiment.
+_RUN_KEYS = {"experiment", "seed", "threads", "output_dir"}
+# The keys a run that grows trees reads: its offspring law and node budget.
+_GROWS = ("offspring", "allow_general_offspring", "max_nodes")
 
 
 def _none(cfg: ExperimentConfig) -> list:
@@ -157,26 +161,29 @@ class Experiment:
     """One entry of EXPERIMENTS: all that run, validate_config and the CLI
     know of an experiment.
 
-    ``needs`` are the config keys a run must name ("a|b": either of them),
-    ``horizons(cfg)`` the horizons that must be finite and > 0, and
-    ``reads_one`` what the run reads once ("t", "rho", "beta" or "a"), so
-    that a t_list, a rho_list or a second beta or a, which it would drop,
-    is refused.  A replica experiment grows replicas 0..replicas-1 at each t
-    of ``ts(cfg)``, with the fields that the correlations ``rhos(cfg)``
-    need, reduces each to its rows by ``observable(cfg, index, leaves)``
-    (with ``group``, ``observable(cfg, grown)`` reduces a lockstep group's
-    (index, GrownLeaves) pairs at once and returns one entry per replica),
-    and ``finish(cfg, rows)`` gives its (csvs, summary).  When the rows are
-    a CSV body as they stand, ``rows_file`` names that file and
-    ``columns`` its header: the pool workers format the rows, and
-    ``finish`` gives the summary alone.  Any other experiment has a
-    ``runner(cfg, run_dir) -> RunnerOutput``.  ``streams`` names the
-    run-level side streams (name -> tag).
+    ``needs`` are the config keys a run must name ("a|b": either of them)
+    and ``reads`` the others it reads (one read only under some condition
+    counts), so that validate_config refuses any other key but the
+    run-wide ones.  ``reads_one`` names the lists (beta_list, a_list) of
+    which the run reads the first entry alone, so that a second is
+    refused, and ``check(cfg)`` raises ConfigError for the values this
+    experiment cannot run at.  A replica experiment grows replicas
+    0..replicas-1 at each t of ``ts(cfg)``, with the fields that the
+    correlations ``rhos(cfg)`` need, reduces each to its rows by
+    ``observable(cfg, index, leaves)`` (with ``group``, ``observable(cfg,
+    grown)`` reduces a lockstep group's (index, GrownLeaves) pairs at once
+    and returns one entry per replica), and ``finish(cfg, rows)`` gives its
+    (csvs, summary).  When the rows are a CSV body as they stand,
+    ``rows_file`` names that file and ``columns`` its header: the pool
+    workers format the rows, and ``finish`` gives the summary alone.  Any
+    other experiment has a ``runner(cfg, run_dir) -> RunnerOutput``.
+    ``streams`` names the run-level side streams (name -> tag).
     """
 
     needs: tuple
-    horizons: Callable = _none
+    reads: tuple = ()
     reads_one: tuple = ()
+    check: Callable = _none
     observable: Callable | None = None
     group: bool = False
     ts: Callable = ExperimentConfig.ts
@@ -210,7 +217,8 @@ def load_config(path: str | None, overrides: dict) -> tuple[ExperimentConfig, se
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    provided = set(merged)
+    # a null leaves its key unset, so it names no needed key
+    provided = {key for key, value in merged.items() if value is not None}
     if "experiment" not in merged:
         raise ConfigError("config must name an experiment")
     try:
@@ -227,15 +235,61 @@ def _is_real(value) -> bool:
             and not isinstance(value, bool))
 
 
-def _check_range(key: str, value) -> None:
-    """A grid range is a list of two finite numbers."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(_is_real(v) and math.isfinite(v) for v in value)):
-        raise ConfigError(f"{key} must be two finite numbers, got {value!r}")
+def _horizons(cfg: ExperimentConfig, horizons: list | None = None) -> None:
+    """Refuse a horizon (each t of cfg.ts() unless given) that is not
+    finite and > 0: m(t), p_t and the cluster law need one."""
+    if not all(0.0 < t < math.inf for t in
+               (cfg.ts() if horizons is None else horizons)):
+        raise ConfigError(f"{cfg.experiment} needs a finite horizon > 0")
+
+
+def _file_or_horizons(cfg: ExperimentConfig, key: str,
+                      horizons: list) -> None:
+    """A run reads its input from the file at ``key`` when one is named,
+    which must then be a file, or else grows it at ``horizons``."""
+    path = getattr(cfg, key)
+    if path and not os.path.isfile(path):
+        raise ConfigError(f"{key} {path!r} is not a file")
+    _horizons(cfg, [] if path else horizons)
+
+
+def _check_scan(cfg: ExperimentConfig) -> None:
+    """Horizons, and a grid named in full (sigma_range and tau_range, each
+    two finite numbers, and resolution >= 1) or not at all."""
+    _horizons(cfg)
+    if cfg.sigma_range is cfg.tau_range is None and not cfg.resolution:
+        return  # a beta_list scan
+    if cfg.resolution < 1:
+        raise ConfigError("grid scan needs resolution >= 1")
+    for key in ("sigma_range", "tau_range"):
+        value = getattr(cfg, key)
+        if not (isinstance(value, (list, tuple)) and len(value) == 2
+                and all(_is_real(v) and math.isfinite(v) for v in value)):
+            raise ConfigError(f"grid scan needs {key} as two finite "
+                              f"numbers, got {value!r}")
+
+
+def _check_bridge(cfg: ExperimentConfig) -> None:
+    if not 0.0 < 2.0 * cfg.r < cfg.t:
+        raise ConfigError("bridge_check needs 0 < 2r < t")
+
+
+def _check_limit(cfg: ExperimentConfig) -> None:
+    if not cfg.a_list[0] > 0.0:
+        raise ConfigError("limit_object needs a_list[0] > 0")
+    _file_or_horizons(cfg, "bank_path", [cfg.t_cond])
 
 
 def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
-    """Reject a config before anything runs; every check raises ConfigError."""
+    """Reject a config before anything runs; every check raises ConfigError.
+
+    The experiment's entry says which keys the run needs and reads and how
+    its values are checked.  A provided key that the run neither needs nor
+    reads, nor reads in every run (_RUN_KEYS), is refused: the run would
+    drop it, yet echo it in its manifest and CSV header.  Without an
+    explicit ``provided``, the keys set to other than their defaults are
+    taken as provided, and ``needs`` is not checked.
+    """
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {cfg.experiment!r}; choose from "
@@ -245,26 +299,35 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
                 "max_attempts", "max_nodes", "threads"):
         value = getattr(cfg, key)
         if key == "threads" and value is None:
-            continue
+            continue  # unset: every CPU
         if isinstance(value, bool) or not isinstance(value,
                                                      (int, np.integer)):
             raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if cfg.threads is not None and cfg.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {cfg.threads!r}")
-    reals = [(key, getattr(cfg, key)) for key in ("t", "rho", "r", "t_cond")]
-    for key in ("t_list", "rho_list", "a_list"):
-        values = getattr(cfg, key) or []
-        if not isinstance(values, (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {values!r}")
-        reals += [(f"{key} entry", value) for value in values]
-    for key, value in reals:
-        if not _is_real(value):
-            raise ConfigError(f"{key} must be a real number, got {value!r}")
-    if cfg.replicas < 1:
-        raise ConfigError("replicas must be >= 1")
-    if not cfg.beta_list:
-        raise ConfigError("beta_list must not be empty")
-    cfg.betas()  # parses every entry
+        if value < 1 and key not in ("seed", "resolution"):
+            raise ConfigError(f"{key} must be >= 1, got {value!r}")
+    for key in ("t", "rho", "r", "t_cond"):
+        if not _is_real(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be a real number, got "
+                              f"{getattr(cfg, key)!r}")
+    for key in ("t_list", "rho_list", "a_list", "beta_list"):
+        values = getattr(cfg, key)
+        if values is None and key in ("t_list", "rho_list"):
+            continue  # unset: the run reads t or rho
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ConfigError(f"{key} must be a non-empty list, got "
+                              f"{values!r}")
+        if key != "beta_list" and not all(map(_is_real, values)):
+            raise ConfigError(f"{key} entries must be real numbers, got "
+                              f"{values!r}")
+        parsed = (cfg.betas() if key == "beta_list"
+                  else [float(v) for v in values])
+        if not np.isfinite(parsed).all():
+            raise ConfigError(f"{key} entries must be finite, got "
+                              f"{values!r}")
+        # replica i always draws from seed XOR i, so a repeated entry
+        # would rerun the same replicas and count them twice
+        if len(set(parsed)) < len(parsed):
+            raise ConfigError(f"{key} repeats an entry: {values!r}")
     try:
         cfg.dist()
     except ValueError as exc:
@@ -273,52 +336,25 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
         raise ConfigError("rho and rho_list entries must lie in [-1, 1]")
     if not all(0.0 <= t < math.inf for t in [cfg.t] + cfg.ts()):
         raise ConfigError("t and t_list entries must be finite and >= 0")
-    if not all(float(a) >= 0.0 for a in cfg.a_list):
+    if not all(a >= 0.0 for a in cfg.a_list):
         raise ConfigError("a_list entries must be >= 0")
-    # replica i always draws from seed XOR i, so a repeated entry would
-    # rerun the same replicas and count them twice
-    for key, values in (("t_list", cfg.t_list and cfg.ts()),
-                        ("rho_list", cfg.rho_list and cfg.rhos()),
-                        ("a_list", [float(a) for a in cfg.a_list]),
-                        ("beta_list", cfg.betas())):
-        if values and len(set(values)) < len(values):
-            raise ConfigError(
-                f"{key} repeats an entry: {getattr(cfg, key)!r}")
-    for key in ("min_clusters", "max_attempts", "max_nodes"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    if not all(0.0 < t < math.inf for t in spec.horizons(cfg)):
-        raise ConfigError(f"{cfg.experiment} needs a finite horizon > 0")
-    # a run would drop what it does not read, yet echo it in its outputs
-    dropped = {"t": ("t_list", cfg.t_list), "rho": ("rho_list", cfg.rho_list),
-               "beta": ("beta_list past its first entry", cfg.beta_list[1:]),
-               "a": ("a_list past its first entry", cfg.a_list[1:])}
+    default = ExperimentConfig(cfg.experiment)
+    given = provided if provided is not None else {
+        key for key in _CONFIG_KEYS
+        if _jsonable(getattr(cfg, key)) != _jsonable(getattr(default, key))}
+    needed = {alt for req in spec.needs for alt in req.split("|")}
+    unread = given - needed - set(spec.reads) - _RUN_KEYS
+    if unread:
+        raise ConfigError(
+            f"{cfg.experiment} does not read {sorted(unread)}")
     for key in spec.reads_one:
-        name, values = dropped[key]
-        if values:
-            raise ConfigError(f"{cfg.experiment} reads one {key}, so it "
-                              f"would drop {name} {values!r}")
-    if cfg.experiment in ("truncation", "limit_object") and not cfg.a_list:
-        raise ConfigError("a_list must not be empty")
-    if cfg.experiment == "limit_object" and not float(cfg.a_list[0]) > 0.0:
-        raise ConfigError("limit_object needs a_list[0] > 0")
-    if cfg.experiment == "free_energy_scan" and cfg.sigma_range is not None:
-        if cfg.tau_range is None or cfg.resolution < 1:
-            raise ConfigError(
-                "grid scan needs sigma_range, tau_range and resolution")
-        for key in ("sigma_range", "tau_range"):
-            _check_range(key, getattr(cfg, key))
-    for experiment, key in (("isotropy", "input_csv"),
-                            ("limit_object", "bank_path")):
-        path = getattr(cfg, key)
-        if cfg.experiment == experiment and path and not os.path.isfile(path):
-            raise ConfigError(f"{key} {path!r} is not a file")
-    if cfg.experiment == "bridge_check" and not 0.0 < 2.0 * cfg.r < cfg.t:
-        raise ConfigError("bridge_check needs 0 < 2r < t")
-    if provided is None:
-        return
-    missing = [req for req in spec.needs
-               if not any(alt in provided for alt in req.split("|"))]
+        if getattr(cfg, key)[1:]:
+            raise ConfigError(f"{cfg.experiment} reads the first entry of "
+                              f"{key} alone, so it would drop "
+                              f"{getattr(cfg, key)[1:]!r}")
+    spec.check(cfg)
+    missing = [req for req in spec.needs if provided is not None
+               and not any(alt in provided for alt in req.split("|"))]
     if missing:
         raise ConfigError(
             f"experiment {cfg.experiment!r} needs explicit config keys: "
@@ -1050,58 +1086,62 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
                         schedule=schedule)
 
 
-# m(t), p_t and the cluster law need horizons > 0 (t_cond for the
-# clusters); tree_moments and martingale are defined at t = 0.  Three
-# experiments keep runners: their tasks are not replicas (a bridge_check
-# chunk of paths, a cluster of cluster_bank or limit_object), and the
-# manifest's failure records name each by its "task" and seed.
+# Each entry's needs, reads and check are its whole config contract (see
+# Experiment); m(t), p_t and the cluster law need horizons > 0, while
+# tree_moments and martingale are defined at t = 0.  Three experiments
+# keep runners: their tasks are not replicas (a bridge_check chunk of
+# paths, a cluster of cluster_bank or limit_object), and the manifest's
+# failure records name each by its "task" and seed.
 EXPERIMENTS = {
     "tree_moments": Experiment(
-        ("replicas", "t|t_list"), observable=_tree_rows, rhos=_none,
+        ("replicas", "t|t_list"), _GROWS, observable=_tree_rows, rhos=_none,
         finish=_tree_finish, rows_file="tree_moments.csv",
         columns=("t", "replica", "seed", "n_leaves")),
     "martingale": Experiment(
-        ("replicas", "t", "beta_list"), reads_one=("t",),
+        ("replicas", "t", "beta_list"), ("rho", "rho_list") + _GROWS,
         observable=_martingale_rows, group=True, finish=_martingale_finish,
         rows_file="martingale.csv",
         columns=("t", "sigma", "tau", "rho", "replica", "seed", "n_leaves",
                  "m_re", "m_im", "m_abs2")),
     "free_energy_scan": Experiment(
         ("replicas", "t|t_list", "beta_list|sigma_range"),
-        horizons=ExperimentConfig.ts, reads_one=("rho",),
+        ("rho", "tau_range", "resolution") + _GROWS, check=_check_scan,
         observable=_free_energy_rows, group=True,
         finish=_free_energy_finish),
     "glassy_tail": Experiment(
-        ("replicas", "t", "beta_list", "rho"), horizons=ExperimentConfig.ts,
-        reads_one=("t", "rho", "beta"), observable=_glassy_rows,
+        ("replicas", "t", "beta_list", "rho"), _GROWS,
+        reads_one=("beta_list",), check=_horizons, observable=_glassy_rows,
         finish=_glassy_finish, rows_file="glassy_tail.csv",
         columns=("replica", "seed", "n_leaves", "x_re", "x_im", "abs_x")),
     "isotropy": Experiment(
-        ("input_csv|beta_list",), horizons=_isotropy_ts,
-        reads_one=("t", "rho", "beta"), observable=_glassy_rows,
-        ts=_isotropy_ts, finish=_isotropy_finish,
+        ("input_csv|beta_list",), ("replicas", "t", "rho") + _GROWS,
+        reads_one=("beta_list",),
+        check=lambda cfg: _file_or_horizons(cfg, "input_csv", cfg.ts()),
+        observable=_glassy_rows, ts=_isotropy_ts, finish=_isotropy_finish,
         streams={"calibration": CALIBRATION_STREAM}),
     "truncation": Experiment(
-        ("replicas", "t", "beta_list", "a_list", "rho"),
-        horizons=ExperimentConfig.ts, reads_one=("t", "rho", "beta"),
+        ("replicas", "t", "beta_list", "a_list", "rho"), _GROWS,
+        reads_one=("beta_list",), check=_horizons,
         observable=_truncation_rows, finish=_truncation_finish,
         rows_file="truncation.csv",
         columns=("replica", "seed", "n_leaves", "a", "kept_re", "kept_im",
                  "disc_abs")),
     "extremal_max": Experiment(
-        ("replicas", "t|t_list"), horizons=ExperimentConfig.ts,
+        ("replicas", "t|t_list"), _GROWS, check=_horizons,
         observable=_extremal_rows, rhos=lambda cfg: [1.0],
         finish=_extremal_finish, rows_file="extremal_max.csv",
         columns=("t", "replica", "seed", "n_leaves", "max_shift",
                  "z_deriv")),
     "bridge_check": Experiment(
-        ("replicas", "t", "r"), reads_one=("t",), runner=_run_bridge_check),
+        ("replicas", "t", "r"), check=_check_bridge,
+        runner=_run_bridge_check),
     "cluster_bank": Experiment(
-        ("t_cond", "min_clusters"), horizons=lambda cfg: [cfg.t_cond],
+        ("t_cond", "min_clusters"), ("max_attempts",) + _GROWS,
+        check=lambda cfg: _horizons(cfg, [cfg.t_cond]),
         runner=_run_cluster_bank),
     "limit_object": Experiment(
         ("replicas", "beta_list", "a_list", "bank_path|t_cond"),
-        horizons=lambda cfg: [] if cfg.bank_path else [cfg.t_cond],
-        reads_one=("rho", "beta", "a"), runner=_run_limit_object,
-        streams={"cox": COX_STREAM}),
+        ("rho", "min_clusters", "max_attempts") + _GROWS,
+        reads_one=("beta_list", "a_list"), check=_check_limit,
+        runner=_run_limit_object, streams={"cox": COX_STREAM}),
 }

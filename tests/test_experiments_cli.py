@@ -4,6 +4,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -116,10 +117,18 @@ class TestLoadConfig:
 
     def test_every_experiment_lists_requirements(self):
         keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        run_wide = {"experiment", "seed", "threads", "output_dir"}
         for name, spec in EXPERIMENTS.items():
             assert spec.needs, name
+            needed = set()
             for req in spec.needs:
                 assert set(req.split("|")) <= keys, (name, req)
+                needed |= set(req.split("|"))
+            # each key is needed, read or run-wide, and only one of these
+            assert set(spec.reads) <= keys, name
+            assert len(set(spec.reads)) == len(spec.reads), name
+            assert not set(spec.reads) & (needed | run_wide), name
+            assert set(spec.reads_one) <= needed | set(spec.reads), name
             # a runner, or the parts of a replica experiment
             assert (spec.runner is None) == (
                 spec.observable is not None and spec.finish is not None)
@@ -180,6 +189,17 @@ class TestLoadConfig:
              min_clusters=5, beta_list=["1.5"], a_list=[]),
         dict(experiment="limit_object", replicas=10, t_cond=3.0,
              min_clusters=5, beta_list=["1.5"], a_list=[0.0]),
+        # without an explicit provided set, a key set to other than its
+        # default is provided, and one the run does not read is refused
+        dict(experiment="extremal_max", replicas=5, t=2.0, rho_list=[0.2]),
+        dict(experiment="cluster_bank", t_cond=3.0, min_clusters=5,
+             replicas=7),
+        dict(experiment="martingale", replicas=5, t=2.0,
+             beta_list=[complex(math.nan, 0.0)]),
+        dict(experiment="tree_moments", replicas=5, t=1.0,
+             sigma_range=np.array([0.2, 2.0])),
+        dict(GRID, sigma_range=np.array([0.2, 2.0]), tau_range=[0.0, 1.5],
+             resolution=3),
     ])
     def test_bad_config_rejected_before_run_dir(self, tmp_path, bad):
         out = tmp_path / "runs"
@@ -538,11 +558,11 @@ class TestReplica:
         # stream, then one stream per field
         monkeypatch.setattr(gwtree, "rekey", recording)
         # x and z when some |rho| < 1, x alone at rho = 1, no field for
-        # tree_moments
+        # tree_moments (which reads no rho)
         for experiment, rhos, tags in [
                 ("martingale", [0.0, 0.5, 0.8, 1.0], (TAG_PAIR_X, TAG_PAIR_Z)),
                 ("martingale", [1.0], (TAG_PAIR_X,)),
-                ("tree_moments", [0.0], ())]:
+                ("tree_moments", None, ())]:
             streams.clear()
             cfg = ExperimentConfig(experiment=experiment, replicas=3, t=2.0,
                                    threads=1, rho_list=rhos,
@@ -862,6 +882,22 @@ class TestCli:
     def test_missing_required_keys_exit_two(self):
         assert cli.main(["martingale"]) == 2
 
+    @pytest.mark.parametrize("experiment,payload", [
+        ("tree_moments", {"replicas": 2, "t_list": None}),
+        ("isotropy", {"input_csv": None}),
+        ("limit_object", {"replicas": 10, "beta_list": ["1.5"],
+                          "a_list": [4.0], "bank_path": None}),
+    ])
+    def test_null_needed_key_exits_two_without_run_dir(
+            self, tmp_path, experiment, payload):
+        # a null leaves the key unset: the run would grow at the default
+        # t, beta_list or t_cond
+        path = write_config(tmp_path, "null.json", payload)
+        rc = cli.main([experiment, "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
     def test_bad_beta_exits_two_without_run_dir(self, tmp_path):
         path = write_config(tmp_path, "bad.json", {
             "replicas": 20, "t": 1.0, "beta_list": ["1.5+oops"]})
@@ -924,6 +960,29 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment,payload", [
+        ("martingale", {"replicas": 2, "t": 1.0,
+                        "beta_list": ["0.5", "nan"]}),
+        ("martingale", {"replicas": 2, "t": 1.0, "beta_list": ["1e400"]}),
+        ("martingale", {"replicas": 2, "t": 1.0, "beta_list": [[0.5, 1e400]]}),
+        ("limit_object", {"replicas": 10, "t_cond": 1.0, "min_clusters": 2,
+                          "beta_list": ["1.5"], "a_list": [math.inf]}),
+        ("truncation", {"replicas": 2, "t": 2.0, "rho": 0.5,
+                        "beta_list": ["1.5"], "a_list": [2.0, math.inf]}),
+        ("tree_moments", {"replicas": 2, "t_list": []}),
+        ("martingale", {"replicas": 2, "t": 1.0, "beta_list": ["0.5"],
+                        "rho_list": []}),
+    ])
+    def test_non_finite_or_empty_list_exits_two_without_run_dir(
+            self, tmp_path, experiment, payload):
+        # a non-finite beta gave NaN rows, and an empty t_list or rho_list
+        # ran at the default t or rho
+        path = write_config(tmp_path, "bad.json", payload)
+        rc = cli.main([experiment, "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,payload", [
         ("tree_moments", {"replicas": 5, "t_list": [2.0, 2.0]}),
         ("free_energy_scan", {"replicas": 5, "t_list": [2.0, 3.0, 2],
                               "beta_list": ["0.5"]}),
@@ -967,17 +1026,48 @@ class TestCli:
         ("limit_object", dict(BANK, beta_list=["1.5"], a_list=[4.0, 6.0])),
         ("limit_object", {k: v for k, v in BANK.items() if k != "a_list"}
          | {"beta_list": ["1.5"]}),
+        ("tree_moments", {"replicas": 5, "t": 2.0,
+                          "beta_list": ["0.5", "0.7"], "rho": 0.3}),
+        ("extremal_max", {"replicas": 5, "t_list": [2.0, 3.0],
+                          "rho_list": [0.2, 0.4]}),
+        ("bridge_check", {"replicas": 100, "t": 4.0, "r": 1.0,
+                          "beta_list": ["0.5", "0.7"], "rho": 0.1}),
+        ("cluster_bank", {"t_cond": 1.0, "min_clusters": 2, "replicas": 5}),
+        ("free_energy_scan", {"replicas": 5, "t": 2.0, "beta_list": ["0.5"],
+                              "tau_range": [0.0, 1.0]}),
+        ("free_energy_scan", {"replicas": 5, "t": 2.0, "beta_list": ["0.5"],
+                              "resolution": 3}),
     ])
     def test_dropped_value_exits_two_without_run_dir(
             self, tmp_path, experiment, payload):
-        # the run would read one t, rho, beta or a and drop the rest, yet
-        # echo them in its manifest and CSV header; limit_object must name
-        # its one a, since the default a_list has four
+        # the run would drop a key it does not read, or a beta or a past
+        # the first one it reads, yet echo them in its manifest and CSV
+        # header; limit_object must name its one a, since the default
+        # a_list has four
         path = write_config(tmp_path, "dropped.json", payload)
         rc = cli.main([experiment, "--config", path,
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert not (tmp_path / "out").exists()
+
+    def test_benchmark_workload_configs_load(self, tmp_path):
+        # perfbench runs each workload's config through load_config, so a
+        # refusal would fail every benchmark run; workloads.py is loaded
+        # by file path and only read
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert len(workloads.NAMES) == 4
+        for name in workloads.NAMES:
+            payload = workloads.config(name, DEFAULT_SEED, 2,
+                                       str(tmp_path / "runs"))
+            cfg, provided = load_config(
+                write_config(tmp_path, f"{name}.json", payload), {})
+            assert provided == set(payload)
+            assert cfg.experiment == payload["experiment"]
 
     def test_missing_config_file_exit_two(self, tmp_path):
         rc = cli.main(["tree_moments", "--config",
