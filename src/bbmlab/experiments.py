@@ -34,10 +34,11 @@ from .extremal import (AcceptanceError, Cluster, LimitModel,
                        sample_clusters, sample_limit_partition,
                        save_cluster_bank)
 from .field import correlate
-from .gwtree import NODE_BUDGET, GrownLeaves, forest_size, grow_forest
+from .gwtree import (NODE_BUDGET, GrownLeaves, forest_size, grow_forest,
+                     pair_sum)
 from .offspring import OffspringDistribution
 from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
-                      martingale_second_moment)
+                      many_to_two_pair_moment, martingale_second_moment)
 from .partition import (SQRT2, additive_martingales, derivative_martingale,
                         log_partitions, m_of_t, rescaled_partition,
                         truncation_sweep)
@@ -156,24 +157,31 @@ def _none(cfg: ExperimentConfig) -> list:
     return []
 
 
+def _x_alone(cfg: ExperimentConfig) -> list:
+    """The rhos of a run that reads x alone."""
+    return [1.0]
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One entry of EXPERIMENTS: all that run, validate_config and the CLI
     know of an experiment.
 
-    ``needs`` are the config keys a run must name ("a|b": either of them)
-    and ``reads`` the others it reads (one read only under some condition
-    counts), so that validate_config refuses any other key but the
-    run-wide ones.  ``reads_one`` names the lists (beta_list, a_list) of
+    ``needs`` are the config keys a run must name ("a|b": one of them, not
+    both) and ``reads`` the others it may read, so that validate_config
+    refuses any other key but the run-wide ones, and the run echoes these
+    keys alone.  ``reads_one`` names the lists (beta_list, a_list) of
     which the run reads the first entry alone, so that a second is
     refused, and ``check(cfg)`` raises ConfigError for the values this
-    experiment cannot run at.  A replica experiment grows replicas
-    0..replicas-1 at each t of ``ts(cfg)``, with the fields that the
-    correlations ``rhos(cfg)`` need, reduces each to its rows by
-    ``observable(cfg, index, leaves)`` (with ``group``, ``observable(cfg,
+    experiment cannot run at and returns the keys of ``reads`` that this
+    config's run skips (a run from a file grows nothing), which are refused
+    when given.  A replica experiment grows replicas 0..replicas-1 at each
+    t of ``ts(cfg)``, with the fields that the correlations ``rhos(cfg)``
+    need and, with ``genealogy``, each tree's GwTree; ``observable(cfg,
     grown)`` reduces a lockstep group's (index, GrownLeaves) pairs at once
-    and returns one entry per replica), and ``finish(cfg, rows)`` gives its
-    (csvs, summary).  When the rows are a CSV body as they stand,
+    and returns one entry per replica (_each_replica lifts a per-replica
+    one), and ``finish(cfg, rows)`` gives its (csvs, summary).  When the
+    rows are a CSV body as they stand,
     ``rows_file`` names that file and ``columns`` its header: the pool
     workers format the rows, and ``finish`` gives the summary alone.  Any
     other experiment has a ``runner(cfg, run_dir) -> RunnerOutput``.
@@ -185,7 +193,7 @@ class Experiment:
     reads_one: tuple = ()
     check: Callable = _none
     observable: Callable | None = None
-    group: bool = False
+    genealogy: bool = False
     ts: Callable = ExperimentConfig.ts
     rhos: Callable = ExperimentConfig.rhos
     finish: Callable | None = None
@@ -193,6 +201,12 @@ class Experiment:
     columns: tuple = ()
     runner: Callable | None = None
     streams: dict = field(default_factory=dict)
+
+    def keys(self) -> set:
+        """The config keys its run may read: the run-wide ones, both
+        alternatives of each need and its reads."""
+        return (_RUN_KEYS | set(self.reads)
+                | {alt for req in self.needs for alt in req.split("|")})
 
     def fields(self, cfg: ExperimentConfig) -> int:
         """How many fields a replica grows: none when no rho is read, x
@@ -243,14 +257,17 @@ def _horizons(cfg: ExperimentConfig, horizons: list | None = None) -> None:
         raise ConfigError(f"{cfg.experiment} needs a finite horizon > 0")
 
 
-def _file_or_horizons(cfg: ExperimentConfig, key: str,
-                      horizons: list) -> None:
+def _file_or_horizons(cfg: ExperimentConfig, key: str, horizons: list,
+                      grows: tuple) -> tuple:
     """A run reads its input from the file at ``key`` when one is named,
-    which must then be a file, or else grows it at ``horizons``."""
+    which must then be a file, and skips the keys ``grows`` that only its
+    growth reads; or else it grows that input at ``horizons``.  Returns
+    the keys skipped."""
     path = getattr(cfg, key)
     if path and not os.path.isfile(path):
         raise ConfigError(f"{key} {path!r} is not a file")
     _horizons(cfg, [] if path else horizons)
+    return grows if path else ()
 
 
 def _check_scan(cfg: ExperimentConfig) -> None:
@@ -274,21 +291,23 @@ def _check_bridge(cfg: ExperimentConfig) -> None:
         raise ConfigError("bridge_check needs 0 < 2r < t")
 
 
-def _check_limit(cfg: ExperimentConfig) -> None:
+def _check_limit(cfg: ExperimentConfig) -> tuple:
     if not cfg.a_list[0] > 0.0:
         raise ConfigError("limit_object needs a_list[0] > 0")
-    _file_or_horizons(cfg, "bank_path", [cfg.t_cond])
+    return _file_or_horizons(cfg, "bank_path", [cfg.t_cond],
+                             ("min_clusters", "max_attempts") + _GROWS)
 
 
 def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
     """Reject a config before anything runs; every check raises ConfigError.
 
     The experiment's entry says which keys the run needs and reads and how
-    its values are checked.  A provided key that the run neither needs nor
-    reads, nor reads in every run (_RUN_KEYS), is refused: the run would
-    drop it, yet echo it in its manifest and CSV header.  Without an
-    explicit ``provided``, the keys set to other than their defaults are
-    taken as provided, and ``needs`` is not checked.
+    its values are checked.  A provided key that the run would drop is
+    refused: one the run neither needs nor reads, nor reads in every run
+    (_RUN_KEYS); the second alternative of a need; and one its check says
+    this run skips.  Without an explicit ``provided``, the keys set to
+    other than their defaults are taken as provided, and ``needs`` is not
+    checked.
     """
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
@@ -342,17 +361,23 @@ def validate_config(cfg: ExperimentConfig, provided: set | None = None) -> None:
     given = provided if provided is not None else {
         key for key in _CONFIG_KEYS
         if _jsonable(getattr(cfg, key)) != _jsonable(getattr(default, key))}
-    needed = {alt for req in spec.needs for alt in req.split("|")}
-    unread = given - needed - set(spec.reads) - _RUN_KEYS
+    unread = given - spec.keys()
     if unread:
         raise ConfigError(
             f"{cfg.experiment} does not read {sorted(unread)}")
+    for req in spec.needs:
+        if len(given & set(req.split("|"))) > 1:
+            raise ConfigError(f"{cfg.experiment} reads one of "
+                              f"{req.replace('|', ' and ')}, not both")
     for key in spec.reads_one:
         if getattr(cfg, key)[1:]:
             raise ConfigError(f"{cfg.experiment} reads the first entry of "
                               f"{key} alone, so it would drop "
                               f"{getattr(cfg, key)[1:]!r}")
-    spec.check(cfg)
+    skipped = given & set(spec.check(cfg) or ())
+    if skipped:
+        raise ConfigError(f"this {cfg.experiment} run does not read "
+                          f"{sorted(skipped)}")
     missing = [req for req in spec.needs if provided is not None
                and not any(alt in provided for alt in req.split("|"))]
     if missing:
@@ -556,7 +581,8 @@ def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
                                spec.finish(config, rows), failures, schedule)
         else:
             out = RunnerOutput(*spec.finish(config, rows), failures, schedule)
-    echo = asdict(config)
+    echo = {key: value for key, value in asdict(config).items()
+            if key in spec.keys()}
     outputs = dict(out.extra_outputs)
     for name, (columns, rows) in out.csvs.items():
         path = os.path.join(run_dir, name)
@@ -612,13 +638,15 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------- replicas
 
 
-def _replica_chunk(observable, dist, fields: int, text: bool,
-                   cfg: ExperimentConfig, chunk: list) -> tuple[list, str]:
+def _replica_chunk(observable, dist, fields: int, genealogy: bool,
+                   text: bool, cfg: ExperimentConfig,
+                   chunk: list) -> tuple[list, str]:
     """_run_replicas' chunk worker: each run of tasks at one t grows in
     lockstep groups of up to forest_size(dist, t) trees, one grow_forest
     call per group, each tree with the first ``fields`` of its seed's
-    pair_keys (a group's from one array pass), and observable(cfg, grown)
-    reduces a group's (index, GrownLeaves) pairs at once.  It returns one entry per replica, its
+    pair_keys (a group's from one array pass) and, with ``genealogy``, its
+    GwTree, and observable(cfg, grown) reduces a group's (index,
+    GrownLeaves) pairs at once.  It returns one entry per replica, its
     rows or the exception that failed it; a tree that failed to grow fails
     only its own task, and an observable that raises fails its whole
     group.  With ``text``, the chunk's rows, failed replicas left out, also
@@ -631,7 +659,8 @@ def _replica_chunk(observable, dist, fields: int, text: bool,
             seeds = [replica_seed(cfg.seed, i) for _, i in group]
             keys = pair_keys(seeds, fields)
             try:
-                grown = grow_forest(dist, t, seeds, keys, cfg.max_nodes)
+                grown = grow_forest(dist, t, seeds, keys, cfg.max_nodes,
+                                    genealogy)
             except Exception as exc:  # the horizon's error
                 grown = [exc] * len(group)
             pairs = [(i, leaves) for (_, i), leaves in zip(group, grown)
@@ -683,12 +712,11 @@ def _run_replicas(spec: Experiment,
     failure records; seed-schedule entries).
     """
     ts, dist = spec.ts(cfg), cfg.dist()
-    observable = (spec.observable if spec.group else
-                  functools.partial(_each_replica, spec.observable))
     least = min((_forest_chunk(cfg, cfg.replicas, forest_size(dist, t))
                  for t in ts), default=1)
     payloads, failures, texts = _collect(
-        functools.partial(_replica_chunk, observable, dist, spec.fields(cfg),
+        functools.partial(_replica_chunk, spec.observable, dist,
+                          spec.fields(cfg), spec.genealogy,
                           spec.rows_file is not None),
         cfg, [(t, i) for t in ts for i in range(cfg.replicas)],
         _replica_record, least)
@@ -850,6 +878,34 @@ def _read_complex_samples(path: str) -> np.ndarray:
     if not re_vals:
         raise ConfigError(f"no samples found in {path!r}")
     return np.array(re_vals) + 1j * np.array(im_vals)
+
+
+def _pair_tilt(cfg: ExperimentConfig) -> tuple[complex, float]:
+    """(lam, damp) = (sigma + i rho tau, (1 - rho^2) tau^2) for the first
+    beta sigma + i tau: the y = rho x + sqrt(1 - rho^2) z tilt with its
+    independent z averaged out."""
+    beta, rho = cfg.betas()[0], cfg.rho
+    return (complex(beta.real, rho * beta.imag),
+            (1.0 - rho * rho) * beta.imag * beta.imag)
+
+
+def _pair_rows(cfg: ExperimentConfig, index: int,
+               leaves: GrownLeaves) -> list:
+    """The overlap-weighted sum over ordered leaf pairs of exp(lam x) (see
+    gwtree.pair_sum): it needs the genealogy and x alone."""
+    lam, damp = _pair_tilt(cfg)
+    return [(index, leaves.seed, leaves.n_leaves,
+             pair_sum(leaves.tree, np.exp(lam * leaves.positions[0]), damp))]
+
+
+def _pair_finish(cfg: ExperimentConfig, rows: list) -> dict:
+    """The sums' mean and standard error against the two-point moment."""
+    mean, se = _mean_se(np.array([r[3] for r in rows], dtype=np.float64))
+    oracle = many_to_two_pair_moment(
+        _pair_tilt(cfg)[0], cfg.rho, cfg.betas()[0].imag, cfg.t,
+        cfg.dist().second_factorial_moment)
+    return {"n": len(rows), "mean": mean, "se": se, "oracle": oracle,
+            "z": (mean - oracle) / se if se and se > 0 else math.nan}
 
 
 def _isotropy_ts(cfg: ExperimentConfig) -> list:
@@ -1094,44 +1150,56 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
 # failure records name each by its "task" and seed.
 EXPERIMENTS = {
     "tree_moments": Experiment(
-        ("replicas", "t|t_list"), _GROWS, observable=_tree_rows, rhos=_none,
+        ("replicas", "t|t_list"), _GROWS,
+        observable=functools.partial(_each_replica, _tree_rows), rhos=_none,
         finish=_tree_finish, rows_file="tree_moments.csv",
         columns=("t", "replica", "seed", "n_leaves")),
     "martingale": Experiment(
         ("replicas", "t", "beta_list"), ("rho", "rho_list") + _GROWS,
-        observable=_martingale_rows, group=True, finish=_martingale_finish,
+        observable=_martingale_rows, finish=_martingale_finish,
         rows_file="martingale.csv",
         columns=("t", "sigma", "tau", "rho", "replica", "seed", "n_leaves",
                  "m_re", "m_im", "m_abs2")),
     "free_energy_scan": Experiment(
         ("replicas", "t|t_list", "beta_list|sigma_range"),
         ("rho", "tau_range", "resolution") + _GROWS, check=_check_scan,
-        observable=_free_energy_rows, group=True,
-        finish=_free_energy_finish),
+        observable=_free_energy_rows, finish=_free_energy_finish),
     "glassy_tail": Experiment(
         ("replicas", "t", "beta_list", "rho"), _GROWS,
-        reads_one=("beta_list",), check=_horizons, observable=_glassy_rows,
+        reads_one=("beta_list",), check=_horizons,
+        observable=functools.partial(_each_replica, _glassy_rows),
         finish=_glassy_finish, rows_file="glassy_tail.csv",
         columns=("replica", "seed", "n_leaves", "x_re", "x_im", "abs_x")),
     "isotropy": Experiment(
         ("input_csv|beta_list",), ("replicas", "t", "rho") + _GROWS,
         reads_one=("beta_list",),
-        check=lambda cfg: _file_or_horizons(cfg, "input_csv", cfg.ts()),
-        observable=_glassy_rows, ts=_isotropy_ts, finish=_isotropy_finish,
+        check=lambda cfg: _file_or_horizons(
+            cfg, "input_csv", cfg.ts(), ("replicas", "t", "rho") + _GROWS),
+        observable=functools.partial(_each_replica, _glassy_rows),
+        ts=_isotropy_ts, finish=_isotropy_finish,
         streams={"calibration": CALIBRATION_STREAM}),
     "truncation": Experiment(
         ("replicas", "t", "beta_list", "a_list", "rho"), _GROWS,
         reads_one=("beta_list",), check=_horizons,
-        observable=_truncation_rows, finish=_truncation_finish,
+        observable=functools.partial(_each_replica, _truncation_rows),
+        finish=_truncation_finish,
         rows_file="truncation.csv",
         columns=("replica", "seed", "n_leaves", "a", "kept_re", "kept_im",
                  "disc_abs")),
     "extremal_max": Experiment(
         ("replicas", "t|t_list"), _GROWS, check=_horizons,
-        observable=_extremal_rows, rhos=lambda cfg: [1.0],
-        finish=_extremal_finish, rows_file="extremal_max.csv",
+        observable=functools.partial(_each_replica, _extremal_rows),
+        rhos=_x_alone, finish=_extremal_finish,
+        rows_file="extremal_max.csv",
         columns=("t", "replica", "seed", "n_leaves", "max_shift",
                  "z_deriv")),
+    "pair_moment": Experiment(
+        ("replicas", "t", "beta_list", "rho"), _GROWS,
+        reads_one=("beta_list",), check=_horizons,
+        observable=functools.partial(_each_replica, _pair_rows),
+        genealogy=True, rhos=_x_alone, finish=_pair_finish,
+        rows_file="pair_moment.csv",
+        columns=("replica", "seed", "n_leaves", "pair_sum")),
     "bridge_check": Experiment(
         ("replicas", "t", "r"), check=_check_bridge,
         runner=_run_bridge_check),

@@ -14,10 +14,11 @@ block, one normal block per field and one uniform block for the splitting
 subset) is frozen: a given (law, t, seed) triple reproduces the identical
 tree on any machine, alone or in a forest.  The loop keeps the frontier in
 per-tree blocks and its bookkeeping in arrays as long as the live trees.
-It has three consumers: sample_tree keeps every node, grow_forest keeps
-each tree's finished leaves with the fields laid on them wave by wave
-(grow_leaves is its one-tree call), and screen_maxima keeps each tree's
-max leaf x; forest_size says how many trees of a horizon grow together.
+It has two consumers: grow_forest keeps each tree's finished leaves with
+the fields laid on them wave by wave and, when asked, its genealogy
+(grow_leaves is its one-tree call, sample_tree its one-tree genealogy),
+and screen_maxima keeps each tree's max leaf x; forest_size says how many
+trees of a horizon grow together.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def _forest(dist: OffspringDistribution, t: float, seeds, field_keys,
     them, a row per field; each node's parent as an index into the
     previous wave (-1 at a root); and each tree's node count, set as the
     tree leaves the loop, so complete once the loop ends: past max_nodes
-    for a tree that grew past it and was stopped there.
+    for a tree that grew past it and was stopped there.  It has two
+    consumers, grow_forest and screen_maxima.
     """
     _check_horizon(dist, t, max_nodes)
     tree_rngs, *field_rngs = zip(*_streams(seeds, field_keys))
@@ -218,32 +220,13 @@ def _forest(dist: OffspringDistribution, t: float, seeds, field_keys,
 
 def sample_tree(dist: OffspringDistribution, t: float, seed: int,
                 max_nodes: int = NODE_BUDGET) -> GwTree:
-    """Grow a tree on [0, t] under the given offspring law.
+    """Grow a tree on [0, t] under the given offspring law: grow_leaves'
+    genealogy of the seed, with no field.
 
     Raises ResourceLimitError if the projected population (e^((m-1)t) for
     offspring mean m) or the realized node count would exceed ``max_nodes``.
     """
-    parents, births, splits, offsets = [], [], [], [0]
-    first = 0  # the previous wave's first id
-    for *_, birth, split_at, _, child_of, total in _forest(
-            dist, t, [seed], [()], max_nodes):
-        parents.append(first + child_of)
-        first = offsets[-1]
-        births.append(birth)
-        splits.append(np.where(split_at < t, split_at, np.nan))
-        offsets.append(first + birth.size)
-    if total[0] > max_nodes:
-        raise over_budget(max_nodes, t, seed)
-    split = np.concatenate(splits)
-    return GwTree(
-        t=float(t),
-        seed=seed,
-        parent=np.concatenate(parents),
-        birth=np.concatenate(births),
-        split=split,
-        leaves=np.flatnonzero(np.isnan(split)),
-        gen_offsets=np.asarray(offsets, dtype=np.int64),
-    )
+    return grow_leaves(dist, t, seed, (), max_nodes, genealogy=True).tree
 
 
 @dataclass(eq=False)
@@ -253,6 +236,7 @@ class GrownLeaves:
     ``positions`` holds one array per field key handed to grow_forest, in
     ascending leaf-id order: the ``x`` that sample_field(tree, key) gives
     on the tree that sample_tree grows from the same (law, t, seed).
+    ``tree`` is that tree when grow_forest was asked for its genealogy.
     """
 
     t: float
@@ -260,6 +244,7 @@ class GrownLeaves:
     n_nodes: int
     n_leaves: int
     positions: tuple
+    tree: GwTree | None = None
 
 
 def forest_size(dist: OffspringDistribution, t: float) -> int:
@@ -290,53 +275,122 @@ def screen_maxima(dist: OffspringDistribution, t: float, seeds, field_keys,
     return maxima
 
 
+def _tree_major(order: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The gather that takes items laid in (wave, tree) segments of
+    ``counts`` items, wave by wave, to tree by tree, each tree's in wave
+    order; ``order`` sorts the segments by tree, stably."""
+    sorted_counts = counts.take(order)
+    shift = (np.cumsum(counts) - counts).take(order)
+    shift -= np.cumsum(sorted_counts) - sorted_counts
+    gather = np.repeat(shift, sorted_counts)
+    gather += np.arange(gather.size)
+    return gather
+
+
 def grow_forest(dist: OffspringDistribution, t: float, seeds, field_keys,
-                max_nodes: int = NODE_BUDGET) -> list:
+                max_nodes: int = NODE_BUDGET, genealogy: bool = False) -> list:
     """Grow the tree of each seed and the leaves of its fields in one pass,
-    the trees as one forest, keeping only the frontier and the leaves.
+    the trees as one forest, keeping only the frontier and the leaves (and,
+    with ``genealogy``, every node's parent, birth and split time).
 
     Entry j is the GrownLeaves of seeds[j]: its tree is the one
     sample_tree(dist, t, seeds[j]) grows, and its positions are the leaf
     x of sample_field(tree, key) for each key in field_keys[j] (every
-    seed has as many keys), bit for bit.  A tree past max_nodes gives the
-    error sample_tree raises for it instead; a horizon error is raised.
+    seed has as many keys), bit for bit; with ``genealogy``, its ``tree``
+    is that GwTree.  A tree past max_nodes gives the error sample_tree
+    raises for it instead; a horizon error is raised.
     """
-    waves, chunks = [], []
-    for live, bounds, cuts, _, split_at, pos, _, total in _forest(
+    # offsets[-2] and [-1]: the first node of the last wave and of this one
+    waves, chunks, nodes, offsets = [], [], [], [0, 0]
+    for live, bounds, cuts, birth, split_at, pos, child_of, total in _forest(
             dist, t, seeds, field_keys, max_nodes):
-        waves.append((live, bounds, cuts))
-        chunks.append(pos.take((split_at >= t).nonzero()[0], axis=1))
-    positions = np.concatenate(chunks, axis=1)  # a row per field
+        if len(seeds) > 1:  # kept for a lone tree, 0.3-0.5 us a wave
+            waves.append((live, bounds, cuts))
+        if genealogy:  # parents as ids in wave, tree, node order
+            nodes.append((child_of + offsets[-2], birth,
+                          np.where(split_at < t, split_at, np.nan)))
+            offsets.append(offsets[-1] + split_at.size)
+        if len(pos) or not genealogy:  # else the trees count the leaves
+            chunks.append(pos.take((split_at >= t).nonzero()[0], axis=1))
+    # a lone tree's leaves and nodes are in order; the gather would cost it
+    # 8-10% per node at t = 10 and 12 (BENCH_oneloop.json)
+    segments = _segments(waves) if len(seeds) > 1 else None
+    trees = (_genealogies(t, seeds, nodes, offsets[1:], segments)
+             if genealogy else [None] * len(seeds))
+    positions = np.concatenate(chunks, axis=1) if chunks else np.empty((0, 0))
     del chunks  # laid end to end in positions: free them before the gather
-    n_leaves = [positions.shape[1]]
-    # a lone tree's leaves are in order; the gather would cost it 8-10%
-    # per node at t = 10 and 12 (BENCH_oneloop.json)
-    if len(seeds) > 1:  # from wave, tree, node order to tree, wave, node
-        trees, bounds, cuts = map(np.concatenate, zip(*waves))
-        sizes = bounds[1:] - bounds[:-1]  # > 0 in a wave, < 0 between two
-        counts = (sizes - cuts[1:] + cuts[:-1])[sizes > 0]  # per wave, tree
-        n_leaves = np.bincount(trees, counts, len(seeds)).astype(np.int64)
-        order = np.argsort(trees, kind="stable")
-        src = np.cumsum(counts) - counts
-        sorted_counts = counts.take(order)
-        shift = src.take(order) - (np.cumsum(sorted_counts) - sorted_counts)
-        gather = np.repeat(shift, sorted_counts)
-        gather += np.arange(gather.size)
-        positions = positions.take(gather, axis=1)
-    hi, positions = np.cumsum(n_leaves).tolist(), list(positions)
+    hi = [trees[0].n_leaves if genealogy else positions.shape[1]]
+    if segments is not None:  # from wave, tree, node order to tree, wave, node
+        _, counts, order, wave_trees = segments
+        hi = np.bincount(wave_trees, counts, len(seeds)).astype(
+            np.int64).cumsum().tolist()  # where each tree's leaves end
+        if len(positions):
+            positions = positions.take(_tree_major(order, counts), axis=1)
+    positions = list(positions)
     return [over_budget(max_nodes, t, seed) if n_nodes > max_nodes
             else GrownLeaves(t=float(t), seed=seed, n_nodes=n_nodes,
                              n_leaves=b - a,
-                             positions=tuple(p[a:b] for p in positions))
-            for seed, n_nodes, a, b in zip(seeds, total.tolist(),
-                                           [0] + hi, hi)]
+                             positions=tuple(p[a:b] for p in positions),
+                             tree=tree)
+            for seed, n_nodes, a, b, tree in zip(seeds, total.tolist(),
+                                                 [0] + hi, hi, trees)]
+
+
+def _segments(waves: list) -> tuple:
+    """A forest's (wave, tree) segments from its waves' (live, bounds,
+    cuts): their node and leaf counts, the order that sorts them by tree,
+    stably, and their trees."""
+    trees, bounds, cuts = map(np.concatenate, zip(*waves))
+    sizes = bounds[1:] - bounds[:-1]  # > 0 in a wave, < 0 between two
+    in_wave = sizes > 0
+    sizes = sizes[in_wave]
+    counts = sizes - (cuts[1:] - cuts[:-1])[in_wave]
+    return sizes, counts, np.argsort(trees, kind="stable"), trees
+
+
+def _genealogies(t: float, seeds, nodes: list, offsets: list,
+                 segments: tuple | None) -> list:
+    """The GwTree of each seed, from the forest's ``nodes``: per wave, its
+    nodes' (parents as ids in wave, tree, node order, births, split
+    times), the waves starting at ``offsets``.  A forest of more than one
+    tree gathers them to tree order as its leaves are gathered, by its
+    (wave, tree) ``segments``, and each parent id follows its node there:
+    a tree's ids count from its root, in wave order."""
+    parent, birth, split = map(np.concatenate, zip(*nodes))
+    del nodes[:]  # laid end to end: free them before the gather
+    if segments is None:  # a lone tree: its nodes are in order
+        return [GwTree(t=float(t), seed=seeds[0], parent=parent, birth=birth,
+                       split=split, leaves=np.flatnonzero(np.isnan(split)),
+                       gen_offsets=np.array(offsets, np.int64))]
+    sizes, _, order, trees = segments
+    gather = _tree_major(order, sizes)
+    rank = np.empty_like(gather)
+    rank[gather] = np.arange(gather.size)
+    parent = rank.take(parent.take(gather))
+    birth, split = birth.take(gather), split.take(gather)
+    offsets = np.append(0, sizes.take(order).cumsum())
+    bounds = np.append(0, np.bincount(trees, minlength=len(seeds))
+                       .cumsum()).tolist()
+    genealogies = []
+    for seed, s0, s1 in zip(seeds, bounds, bounds[1:]):
+        lo, hi = offsets[s0], offsets[s1]
+        tree_parent, tree_split = parent[lo:hi], split[lo:hi]
+        tree_parent -= lo
+        tree_parent[0] = -1  # the root's, whose wave id was -1
+        genealogies.append(GwTree(
+            t=float(t), seed=seed, parent=tree_parent, birth=birth[lo:hi],
+            split=tree_split, leaves=np.flatnonzero(np.isnan(tree_split)),
+            gen_offsets=offsets[s0:s1 + 1] - lo))
+    return genealogies
 
 
 def grow_leaves(dist: OffspringDistribution, t: float, seed: int,
-                field_keys=(), max_nodes: int = NODE_BUDGET) -> GrownLeaves:
+                field_keys=(), max_nodes: int = NODE_BUDGET,
+                genealogy: bool = False) -> GrownLeaves:
     """grow_forest for one seed; the error of a tree past max_nodes is
     raised, as sample_tree raises it."""
-    (grown,) = grow_forest(dist, t, [seed], [field_keys], max_nodes)
+    (grown,) = grow_forest(dist, t, [seed], [field_keys], max_nodes,
+                           genealogy)
     if isinstance(grown, Exception):
         raise grown
     return grown

@@ -10,7 +10,6 @@ at t = 12 (criterion 6).  Runtime budgets are reported in the detail
 strings, not asserted, so the suite stays portable across machines.
 """
 
-import functools
 import math
 import multiprocessing
 import os
@@ -22,12 +21,10 @@ import pytest
 import scipy.stats as sps
 
 from bbmlab import (OffspringDistribution, gaussian_tail_bound,
-                    hill_estimator, ks_distance, many_to_two_pair_moment,
-                    rescaled_partition, sample_correlated_pair, sample_tree,
-                    stats)
+                    hill_estimator, ks_distance, rescaled_partition, stats)
 from bbmlab.experiments import ExperimentConfig, run
 from bbmlab.field import correlate
-from bbmlab.gwtree import grow_leaves, pair_sum
+from bbmlab.gwtree import grow_leaves
 from bbmlab.phase import GridCell, limiting_free_energy
 from bbmlab.streams import pair_keys, replica_seed, stream_key
 
@@ -94,14 +91,6 @@ def glassy_replica(i):
     fld = correlate(leaves, leaves.positions, 0.5)
     return (rescaled_partition(fld, GLASSY_BETA).real_shift,
             rescaled_partition(fld, complex(GLASSY_BETA.real, 0.0)).real_shift)
-
-
-def pairwise_sum(lam, damp, rho, t, i):
-    """Overlap-weighted pair sum of replica i (criterion 3)."""
-    rs = replica_seed(SEED, i)
-    tree = sample_tree(BINARY, t, rs)
-    fld = sample_correlated_pair(tree, rho, rs)
-    return pair_sum(tree, np.exp(lam * fld.x), damp)
 
 
 # ------------------------------------------------------------- fixtures
@@ -216,21 +205,20 @@ def test_martingale_moments(criteria, tmp_path_factory):
             "rho 0 vs 0.8 agree (t=2, 1e5 replicas)", ok, detail)
 
 
-def test_pairwise_sum_oracle(criteria):
-    sigma, tau, rho, t, n = 0.5, 0.3, 0.4, 3.0, 50000
-    lam = complex(sigma, rho * tau)
-    oracle = many_to_two_pair_moment(lam, rho, tau, t, 2.0)
-    damp = (1.0 - rho * rho) * tau * tau
+def test_pairwise_sum_oracle(criteria, tmp_path_factory):
+    # the pair sum of exp(lam x), lam = 0.5 + 0.4 * 0.3i, damped by
+    # (1 - 0.4^2) 0.3^2, against many_to_two_pair_moment with K = 2
+    out = str(tmp_path_factory.mktemp("acc-pair-moment"))
+    cfg = ExperimentConfig(experiment="pair_moment", replicas=50000, t=3.0,
+                           beta_list=[complex(0.5, 0.3)], rho=0.4,
+                           seed=SEED, output_dir=out)
     t0 = time.monotonic()
-    sums = np.array(pool_map(
-        functools.partial(pairwise_sum, lam, damp, rho, t), n))
+    result = run(cfg)
     elapsed = time.monotonic() - t0
-    mean = sums.mean()
-    se = sums.std(ddof=1) / math.sqrt(n)
-    z = (mean - oracle) / se
-    ok = abs(z) <= 3.0
-    detail = (f"mc {mean:.1f}+-{se:.1f} vs {oracle:.1f}, z={z:.2f}, "
-              f"{elapsed:.0f}s (budget 300s)")
+    s = result.summary
+    ok = abs(s["z"]) <= 3.0 and not result.failures
+    detail = (f"mc {s['mean']:.1f}+-{s['se']:.1f} vs {s['oracle']:.1f}, "
+              f"z={s['z']:.2f}, {elapsed:.0f}s (budget 300s)")
     verdict(criteria, 3, "pairwise overlap-weighted sum within 3 SE of the "
             "two-point moment (t=3, 5e4 replicas)", ok, detail)
 

@@ -55,6 +55,10 @@ CONFIGS = {
     "limit_object": dict(experiment="limit_object", replicas=500,
                          t_cond=3.0, min_clusters=10, rho=0.5,
                          beta_list=["1.5+0.5i"], a_list=[4.0]),
+    # chunks of 100 tasks on two workers, so the genealogies of 100 trees
+    # are gathered from one forest
+    "pair_moment": dict(experiment="pair_moment", replicas=200, t=3.0,
+                        rho=0.4, beta_list=["0.5+0.3i"]),
 }
 
 DIGESTS = {
@@ -110,6 +114,10 @@ DIGESTS = {
         "martingale.csv":
             "543c68cb36ebe13f1919472350558877e84f404a1f24fab079b5a3b4c87654a2",
     },
+    "pair_moment": {
+        "pair_moment.csv":
+            "ce9ea97327e2cc89507651fa22fd45d73ff30acd2a687f452289af4dab638a25",
+    },
     "tree_moments": {
         "tree_moments.csv":
             "a223d9bd40e320c23ae21564c1148aa1706781fae7168390561657d3af3fe728",
@@ -127,8 +135,9 @@ def body_digest(path):
     return hashlib.sha256(body).hexdigest()
 
 
-def run_outputs(name, output_dir, threads=2, **extra):
-    result = run(ExperimentConfig(**CONFIGS[name], **extra, threads=threads,
+def run_outputs(name, output_dir, threads=2, drop=(), **extra):
+    config = {k: v for k, v in CONFIGS[name].items() if k not in drop}
+    result = run(ExperimentConfig(**config, **extra, threads=threads,
                                   output_dir=output_dir))
     assert not result.failures
     return result.outputs
@@ -150,9 +159,11 @@ def test_csv_bodies_match_recorded_digests(name, tmp_path):
 
 def test_limit_object_from_bank_file_matches_memory(tmp_path):
     # the cluster_bank config samples the same clusters limit_object draws
-    # in memory; at rho = 0.5 the bank must carry their decorations
+    # in memory; at rho = 0.5 the bank must carry their decorations.  The
+    # run from the bank is given no key that only sampling reads
     bank = run_outputs("cluster_bank", str(tmp_path))["bank.txt"]
     assert csv_digests("limit_object", str(tmp_path),
+                       drop=("t_cond", "min_clusters"),
                        bank_path=bank) == DIGESTS["limit_object"]
 
 
@@ -184,14 +195,16 @@ def test_worker_formatted_rows_move_no_bit(name, tmp_path):
 
 def test_isotropy_from_glassy_tail_csv_matches_memory(tmp_path):
     # the glassy_tail config's samples, read back from its CSV, give the
-    # isotropy CSV that config's in-memory isotropy run writes
+    # isotropy CSV that config's in-memory isotropy run writes; the run
+    # from the CSV is given no key that only growth reads
     glassy = run(ExperimentConfig(**CONFIGS["glassy_tail"], threads=2,
                                   output_dir=str(tmp_path)))
-    config = dict(CONFIGS["glassy_tail"], experiment="isotropy", threads=2,
-                  output_dir=str(tmp_path))
     from_csv = run(ExperimentConfig(
-        **config, input_csv=glassy.outputs["glassy_tail.csv"]))
-    in_memory = run(ExperimentConfig(**config))
+        experiment="isotropy", input_csv=glassy.outputs["glassy_tail.csv"],
+        threads=2, output_dir=str(tmp_path)))
+    in_memory = run(ExperimentConfig(
+        **dict(CONFIGS["glassy_tail"], experiment="isotropy"), threads=2,
+        output_dir=str(tmp_path)))
     assert from_csv.ok and in_memory.ok
     assert body_digest(from_csv.outputs["isotropy.csv"]) == \
         body_digest(in_memory.outputs["isotropy.csv"])

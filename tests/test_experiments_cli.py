@@ -4,6 +4,7 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import importlib.util
 import io
 import json
@@ -209,6 +210,27 @@ class TestLoadConfig:
 
 
 @pytest.fixture(scope="module")
+def file_inputs(tmp_path_factory):
+    """The file inputs of isotropy and limit_object: a glassy_tail CSV of
+    samples and a cluster bank, each from a small run."""
+    out = str(tmp_path_factory.mktemp("file-inputs"))
+    glassy = run(ExperimentConfig(experiment="glassy_tail", replicas=30,
+                                  t=2.0, rho=0.5, beta_list=["1.5+0.5i"],
+                                  threads=1, output_dir=out))
+    bank = run(ExperimentConfig(experiment="cluster_bank", t_cond=1.0,
+                                min_clusters=3, threads=1, output_dir=out))
+    return {"SAMPLES": glassy.outputs["glassy_tail.csv"],
+            "BANK": bank.outputs["bank.txt"]}
+
+
+def _with_files(payload, file_inputs):
+    """The payload with the file input named SAMPLES or BANK in its place."""
+    return {key: file_inputs.get(value, value)
+            if key in ("input_csv", "bank_path") else value
+            for key, value in payload.items()}
+
+
+@pytest.fixture(scope="module")
 def tree_result(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("trees"))
     cfg = ExperimentConfig(experiment="tree_moments", replicas=200,
@@ -358,10 +380,12 @@ class TestReplicaRowReproduction:
     dict(experiment="glassy_tail", t=3.0, rho=0.5, beta_list=["1.5+0.5i"]),
     dict(experiment="truncation", t=4.0, rho=0.5, beta_list=["1.5+0.5i"]),
     dict(experiment="extremal_max", t_list=[2.0, 4.0]),
+    dict(experiment="pair_moment", t=3.0, rho=0.4, beta_list=["0.5+0.3i"]),
 ], ids=lambda config: config["experiment"])
 def test_table_observable_recomputes_a_replicas_rows(tmp_path, config):
-    # the table's observable, applied to the leaves that grow_leaves gives
-    # one replica, makes that replica's rows of the run's CSV
+    # the table's observable, applied to the leaves (and the genealogy,
+    # when the entry asks for it) that grow_leaves gives one replica, makes
+    # that replica's rows of the run's CSV
     cfg = ExperimentConfig(**config, replicas=6, threads=1,
                            output_dir=str(tmp_path))
     result = run(cfg)
@@ -374,9 +398,9 @@ def test_table_observable_recomputes_a_replicas_rows(tmp_path, config):
         for index in (0, 5):
             seed = replica_seed(cfg.seed, index)
             leaves = grow_leaves(BINARY, t, seed,
-                                 pair_keys(seed, spec.fields(cfg)))
-            rows = (spec.observable(cfg, [(index, leaves)])[0] if spec.group
-                    else spec.observable(cfg, index, leaves))
+                                 pair_keys(seed, spec.fields(cfg)),
+                                 genealogy=spec.genealogy)
+            (rows,) = spec.observable(cfg, [(index, leaves)])
             text = io.StringIO()
             csv.writer(text, lineterminator="\n").writerows(rows)
             stored = [row for row in body
@@ -727,8 +751,10 @@ def _raise_on_replica_7(cfg, index, leaves):
 
 
 def _patch_observable(monkeypatch, experiment, observable):
+    # a per-replica observable, lifted as the table lifts its own
     monkeypatch.setitem(EXPERIMENTS, experiment, dataclasses.replace(
-        EXPERIMENTS[experiment], observable=observable))
+        EXPERIMENTS[experiment], observable=functools.partial(
+            experiments._each_replica, observable)))
 
 
 def test_observable_failure_fails_its_task_only(tmp_path, monkeypatch):
@@ -1037,18 +1063,73 @@ class TestCli:
                               "tau_range": [0.0, 1.0]}),
         ("free_energy_scan", {"replicas": 5, "t": 2.0, "beta_list": ["0.5"],
                               "resolution": 3}),
+        # a key read only under some condition, where the run skips it:
+        # the other alternative of a need, or a key only growth reads
+        # beside a file input
+        ("tree_moments", {"replicas": 2, "t": 1.0, "t_list": [1.0, 2.0]}),
+        ("extremal_max", {"replicas": 2, "t": 2.0, "t_list": [2.0, 3.0]}),
+        ("free_energy_scan", {"replicas": 2, "t": 1.0, "beta_list": ["0.5"],
+                              "sigma_range": [0.5, 1.5],
+                              "tau_range": [0.0, 1.0], "resolution": 2}),
+        ("isotropy", {"input_csv": "SAMPLES", "beta_list": ["1.5+0.5i"]}),
+        ("isotropy", {"input_csv": "SAMPLES", "replicas": 5}),
+        ("isotropy", {"input_csv": "SAMPLES", "t": 2.0}),
+        ("isotropy", {"input_csv": "SAMPLES", "rho": 0.5}),
+        ("limit_object", {"replicas": 10, "beta_list": ["1.5"],
+                          "a_list": [4.0], "bank_path": "BANK",
+                          "t_cond": 1.0}),
+        ("limit_object", {"replicas": 10, "beta_list": ["1.5"],
+                          "a_list": [4.0], "bank_path": "BANK",
+                          "min_clusters": 2}),
+        ("limit_object", {"replicas": 10, "beta_list": ["1.5"],
+                          "a_list": [4.0], "bank_path": "BANK",
+                          "max_attempts": 50}),
     ])
     def test_dropped_value_exits_two_without_run_dir(
-            self, tmp_path, experiment, payload):
+            self, tmp_path, file_inputs, experiment, payload):
         # the run would drop a key it does not read, or a beta or a past
         # the first one it reads, yet echo them in its manifest and CSV
         # header; limit_object must name its one a, since the default
-        # a_list has four
+        # a_list has four.  SAMPLES and BANK name existing file inputs
+        payload = _with_files(payload, file_inputs)
         path = write_config(tmp_path, "dropped.json", payload)
         rc = cli.main([experiment, "--config", path,
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,payload", [
+        ("free_energy_scan", GRID),
+        ("isotropy", {"input_csv": "SAMPLES"}),
+        ("limit_object", {"replicas": 10, "beta_list": ["1.5"],
+                          "a_list": [4.0], "bank_path": "BANK"}),
+        ("bridge_check", {"replicas": 100, "t": 4.0, "r": 1.0}),
+        ("pair_moment", {"replicas": 4, "t": 1.0, "rho": 0.5,
+                         "beta_list": ["0.5+0.3i"]}),
+    ])
+    def test_echo_holds_the_keys_the_run_reads(
+            self, tmp_path, file_inputs, experiment, payload, capsys):
+        # the manifest's config and every CSV's config line echo the
+        # run-wide keys and the keys the entry needs and reads, no other
+        payload = _with_files(payload, file_inputs)
+        path = write_config(tmp_path, "echo.json", payload)
+        assert cli.main([experiment, "--config", path, "--threads", "1",
+                         "--out", str(tmp_path / "out")]) == 0
+        run_dir = capsys.readouterr().out.splitlines()[0]
+        with open(os.path.join(run_dir, "manifest.json"),
+                  encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        echo = manifest["config"]
+        spec = EXPERIMENTS[experiment]
+        assert set(echo) == {"experiment", "seed", "threads", "output_dir",
+                             *spec.reads, *"|".join(spec.needs).split("|")}
+        assert {key: echo[key] for key in payload} == payload
+        for name in manifest["outputs"].values():
+            if name.endswith(".csv"):
+                with open(os.path.join(run_dir, name),
+                          encoding="utf-8") as fh:
+                    first = fh.readline()
+                assert json.loads(first[len("# config "):]) == echo
 
     def test_benchmark_workload_configs_load(self, tmp_path):
         # perfbench runs each workload's config through load_config, so a

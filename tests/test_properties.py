@@ -3,8 +3,9 @@ branch-point pair sum and sampled trees over generated inputs, and
 bit-exactness of the exact small sum and its extraction kernel, of the
 segmented reductions against one-segment calls, of the group martingales
 against the ScaledComplex chain, of the shared-table sweeps, of the tree
-sampler's wave loop, of the forest grower, the leaf grower and the forest
-screen against the tree and field samplers, of a re-keyed generator
+sampler's wave loop, of the forest grower (with its genealogies against
+that wave loop), the leaf grower and the forest screen against the tree
+and field samplers, of a re-keyed generator
 against a fresh one, of the pair keys of a seed array against one-seed
 calls, and of the CSV row formatter against csv.writer.
 
@@ -253,12 +254,17 @@ def _tree_and_fields(law, t, seed, keys, max_nodes=NODE_BUDGET):
 @given(tree_seeds=st.lists(seeds, min_size=1, max_size=40),
        t=st.just(0.0) | st.floats(0.0, 4.0), law=st.sampled_from(LAWS),
        n_fields=st.integers(0, 2),
-       max_nodes=st.just(NODE_BUDGET) | st.integers(1, 300))
+       max_nodes=st.just(NODE_BUDGET) | st.integers(1, 300),
+       genealogy=st.booleans())
+@example(tree_seeds=[11], t=4.0, law=LAWS[2], n_fields=1,
+         max_nodes=NODE_BUDGET, genealogy=True)  # a lone tree
+@example(tree_seeds=[1, 2, 3, 5, 8, 13], t=3.5, law=LAWS[1], n_fields=2,
+         max_nodes=60, genealogy=True)  # some trees past the budget
 def test_grow_forest_matches_tree_and_fields(tree_seeds, t, law, n_fields,
-                                             max_nodes):
+                                             max_nodes, genealogy):
     keys = [_pair_keys(seed)[:n_fields] for seed in tree_seeds]
     try:
-        got = grow_forest(law, t, tree_seeds, keys, max_nodes)
+        got = grow_forest(law, t, tree_seeds, keys, max_nodes, genealogy)
     except ResourceLimitError as exc:  # the horizon's, raised for all
         got = [exc] * len(tree_seeds)
         assert (law.mean_children - 1.0) * t > math.log(max_nodes)
@@ -266,6 +272,16 @@ def test_grow_forest_matches_tree_and_fields(tree_seeds, t, law, n_fields,
     for seed, seed_keys, grown in zip(tree_seeds, keys, got):
         assert _grown_outcome(grown) == _tree_and_fields(
             law, t, seed, seed_keys, max_nodes)
+        if isinstance(grown, Exception) or not genealogy:
+            assert isinstance(grown, Exception) or grown.tree is None
+            continue
+        # against the test's own wave loop: sample_tree shares this code
+        tree = grown.tree
+        assert (tree.t, tree.seed) == (float(t), seed)
+        for name, expected in _reference_tree_arrays(law, t, seed).items():
+            got_array = getattr(tree, name)
+            assert got_array.dtype == expected.dtype
+            assert np.array_equal(got_array, expected, equal_nan=True), name
 
 
 def test_grow_forest_past_pool_cap(monkeypatch):
