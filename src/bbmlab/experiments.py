@@ -13,6 +13,7 @@ EXPERIMENTS, the table that run, validate_config and the CLI read.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -29,25 +30,25 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import stats
-from .extremal import (AcceptanceError, Cluster, LimitModel,
+from .extremal import (COX_CHUNK, AcceptanceError, Cluster, LimitModel,
+                       _cox_key, _limit_chunk, _limit_plan,
                        estimate_cox_constants, load_cluster_bank,
-                       sample_clusters, sample_limit_partition,
-                       save_cluster_bank)
+                       sample_clusters, save_cluster_bank)
 from .field import correlate
 from .gwtree import (NODE_BUDGET, GrownLeaves, forest_size, grow_forest,
                      pair_sum)
-from .offspring import OffspringDistribution
+from .offspring import _MEAN_TOL, OffspringDistribution
 from .oracles import (bridge_barrier_bound, gaussian_tail_bound,
                       many_to_two_pair_moment, martingale_second_moment)
 from .partition import (SQRT2, additive_martingales, derivative_martingale,
                         log_partitions, m_of_t, rescaled_partition,
                         truncation_sweep)
 from .phase import grid_betas, scan_cells
-from .streams import make_rng, pair_keys, replica_seed, stream_key
+from .streams import TAG_COX, make_rng, pair_keys, replica_seed, stream_key
 
 # No longer called here.  perfbench/spans.py rebinds these names in this
 # module to time them, so they stay imported until its BINDINGS move.
-from .extremal import sample_cluster  # noqa: F401
+from .extremal import sample_cluster, sample_limit_partition  # noqa: F401
 from .field import sample_correlated_pair, sample_field  # noqa: F401
 from .gwtree import sample_tree  # noqa: F401
 from .phase import classify, grid_scan, limiting_free_energy  # noqa: F401
@@ -286,6 +287,20 @@ def _check_scan(cfg: ExperimentConfig) -> None:
                               f"numbers, got {value!r}")
 
 
+def _mean_two(cfg: ExperimentConfig) -> None:
+    """Refuse an offspring law whose mean is not two (within the law's
+    own tolerance): the run compares with closed forms that assume it."""
+    mean = cfg.dist().mean_children
+    if abs(mean - 2.0) > _MEAN_TOL:
+        raise ConfigError(f"{cfg.experiment} compares with closed forms of "
+                          f"a mean-two law; the offspring mean is {mean!r}")
+
+
+def _check_pair(cfg: ExperimentConfig) -> None:
+    _horizons(cfg)
+    _mean_two(cfg)
+
+
 def _check_bridge(cfg: ExperimentConfig) -> None:
     if not 0.0 < 2.0 * cfg.r < cfg.t:
         raise ConfigError("bridge_check needs 0 < 2r < t")
@@ -391,8 +406,11 @@ class RunnerOutput:
     csvs: dict
     summary: dict
     failures: list
-    schedule: list  # _task_range entries: the tasks that ran, per horizon
+    schedule: list  # seed-schedule entries: the tasks that ran, per kind
     extra_outputs: dict = field(default_factory=dict)
+    # CSV name -> the bodies the pool workers formatted, written in this
+    # order after the CSV's rows
+    texts: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -440,6 +458,46 @@ def _replica_record(cfg: ExperimentConfig, task: tuple) -> dict:
     return {"t": t, "replica": index, "seed": replica_seed(cfg.seed, index)}
 
 
+class _Pool(contextlib.ExitStack):
+    """The worker pool that one run's _collect calls share; leaving the
+    context shuts it down.
+
+    Its workers fork when a call first submits chunks, so a run of two
+    stages (clusters, then the Cox draws from them) forks them once,
+    before the second stage's inputs exist.  A call in which a worker died
+    leaves the pool broken, and the next call forks a new one.
+    """
+
+    def __init__(self, threads: int):
+        super().__init__()
+        self.threads = threads
+        self.executor = None
+
+    def run(self, call, chunks: list, piece: int) -> list:
+        """call(chunk) for each chunk, in chunk order.  A chunk that comes
+        back without a result, since a worker died, is rerun in pieces of
+        ``piece`` tasks, each on its own (_rerun_alone)."""
+        # imported here, not at the top: the pool's modules
+        # (multiprocessing, socket, subprocess, logging) are a large share
+        # of this module's import time, which a serial run need not pay
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        if self.executor is None:
+            import numpy.random  # noqa: F401  (the workers inherit it)
+            self.executor = self.enter_context(
+                ProcessPoolExecutor(max_workers=self.threads))
+        futures = [self.executor.submit(call, chunk) for chunk in chunks]
+        done = []
+        for chunk, future in zip(chunks, futures):
+            try:
+                done.append(future.result())
+            except BrokenProcessPool:
+                self.executor = None  # closed with the stack
+                done += [_rerun_alone(call, chunk[i:i + piece])
+                         for i in range(0, len(chunk), piece)]
+        return done
+
+
 def _rerun_alone(call, chunk: list) -> tuple[list, str]:
     """Rerun a chunk lost to a dead pool worker in a one-worker pool.
 
@@ -457,7 +515,8 @@ def _rerun_alone(call, chunk: list) -> tuple[list, str]:
 
 
 def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
-             record=_task_record, least: int = 1) -> tuple[list, list, list]:
+             record=_task_record, least: int = 1,
+             pool: _Pool | None = None) -> tuple[list, list, list]:
     """Run the tasks in chunks; results come back in task order.
 
     chunk_worker(cfg, chunk) returns one (ok, payload) per task of the
@@ -471,6 +530,7 @@ def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
     pieces of len(tasks) // (threads * 8) tasks and chunks of at least
     ``least``; each chunk without a result is rerun piece by piece on its
     own (_rerun_alone), so only a piece that kills its worker again fails.
+    The chunks run on ``pool``, or else on a pool of this call's own.
     Without a pool, all tasks are one chunk.
     """
     call = functools.partial(chunk_worker, cfg)
@@ -478,24 +538,12 @@ def _collect(chunk_worker, cfg: ExperimentConfig, tasks: list,
     if threads <= 1 or len(tasks) <= 1:
         done = [call(tasks)]
     else:
-        # imported here, not at the top: the pool's modules
-        # (multiprocessing, socket, subprocess, logging) are a large share
-        # of this module's import time, which a serial run need not pay
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
         piece = max(1, len(tasks) // (threads * 8))
         size = max(piece, least)
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-        import numpy.random  # noqa: F401  (the workers inherit it)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(call, chunk) for chunk in chunks]
-        done = []
-        for chunk, future in zip(chunks, futures):
-            try:
-                done.append(future.result())
-            except BrokenProcessPool:
-                done += [_rerun_alone(call, chunk[i:i + piece])
-                         for i in range(0, len(chunk), piece)]
+        with (_Pool(threads) if pool is None
+              else contextlib.nullcontext(pool)) as pool:
+            done = pool.run(call, chunks, piece)
     outcomes = (outcome for chunk_outcomes, _ in done
                 for outcome in chunk_outcomes)
     payloads, failures = [], []
@@ -571,14 +619,14 @@ def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
     run_dir = _fresh_run_dir(config)
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.monotonic()
-    texts = ()
     if spec.runner:
         out = spec.runner(config, run_dir)
     else:
         rows, texts, failures, schedule = _run_replicas(spec, config)
         if spec.rows_file:  # its body is the workers' texts
             out = RunnerOutput({spec.rows_file: (spec.columns, ())},
-                               spec.finish(config, rows), failures, schedule)
+                               spec.finish(config, rows), failures, schedule,
+                               texts={spec.rows_file: texts})
         else:
             out = RunnerOutput(*spec.finish(config, rows), failures, schedule)
     echo = {key: value for key, value in asdict(config).items()
@@ -586,8 +634,7 @@ def run(config: ExperimentConfig, provided: set | None = None) -> RunResult:
     outputs = dict(out.extra_outputs)
     for name, (columns, rows) in out.csvs.items():
         path = os.path.join(run_dir, name)
-        _write_csv(path, columns, rows, echo,
-                   texts if name == spec.rows_file else ())
+        _write_csv(path, columns, rows, echo, out.texts.get(name, ()))
         outputs[name] = path
     wall = time.monotonic() - t0  # the CSVs written, the manifest not
     tasks = sum(e["range"][1] - e["range"][0] for e in out.schedule)
@@ -1067,8 +1114,8 @@ def _cluster_chunk(dist: OffspringDistribution, cfg: ExperimentConfig,
             for index, rs, cl in zip(chunk, seeds, drawn)], ""
 
 
-def _sample_clusters(cfg: ExperimentConfig,
-                     dist: OffspringDistribution) -> tuple[list, list, list]:
+def _sample_clusters(cfg: ExperimentConfig, dist: OffspringDistribution,
+                     pool: _Pool | None = None) -> tuple[list, list, list]:
     """(index, seed, cluster) for each accepted task, failure records and
     seed-schedule entries.  A pool run's chunks hold whole forests of
     forest_size(dist, t_cond) seeds, so a chunk screens wide forests and
@@ -1076,7 +1123,8 @@ def _sample_clusters(cfg: ExperimentConfig,
     n = cfg.min_clusters
     payloads, failures, _ = _collect(
         functools.partial(_cluster_chunk, dist), cfg, list(range(n)),
-        least=_forest_chunk(cfg, n, forest_size(dist, cfg.t_cond)))
+        least=_forest_chunk(cfg, n, forest_size(dist, cfg.t_cond)),
+        pool=pool)
     return ([p for p in payloads if p is not None], failures,
             [_task_range("cluster", "t_cond", cfg.t_cond, n)])
 
@@ -1105,21 +1153,59 @@ def _run_cluster_bank(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
                         extra_outputs={"bank.txt": bank_path})
 
 
+def _cox_chunk(plan: tuple, cfg: ExperimentConfig,
+               chunk: list) -> tuple[list, str]:
+    """_run_limit_object's chunk worker: per Cox chunk c of the chunk,
+    (True, (moduli, atom counts)) of its draws, or its failure, and the
+    draws' rows as one CSV body in chunk order, failed chunks left out."""
+    seed = stream_key(cfg.seed, COX_STREAM)
+    outcomes, body = [], io.StringIO()
+    for c in chunk:
+        try:
+            draws = _limit_chunk(plan, seed, cfg.replicas, c)
+        except Exception as exc:  # contained: counted as failures
+            outcomes.append(_failure(exc))
+            continue
+        values, counts = draws.values, draws.atom_counts
+        moduli = np.abs(values)
+        first = c * COX_CHUNK
+        _write_rows(body, zip(range(first, first + counts.size),
+                              values.real.tolist(), values.imag.tolist(),
+                              moduli.tolist(), counts.tolist()))
+        outcomes.append((True, (moduli, counts)))
+    return outcomes, body.getvalue()
+
+
+def _cox_record(cfg: ExperimentConfig, chunk: int) -> dict:
+    return {"chunk": chunk,
+            "key": _cox_key(stream_key(cfg.seed, COX_STREAM), chunk)}
+
+
 def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
+    """Clusters, or a bank file, then cfg.replicas limit draws in chunks of
+    COX_CHUNK (extremal.sample_limit_partition's chunks, so the same
+    bits), on one pool: each Cox chunk gets the per-cluster weights made
+    once here, not the bank, and formats its own rows."""
     failures, schedule = [], []
-    if cfg.bank_path:
-        clusters, _meta = load_cluster_bank(cfg.bank_path)
-    else:
-        results, failures, schedule = _sample_clusters(cfg, cfg.dist())
-        clusters = [c for _, _, c in results]
-    model = LimitModel(cox_constant=COX_CONSTANT, z_weight=COX_Z_WEIGHT,
-                       clusters=clusters)
-    beta = cfg.betas()[0]
-    a = float(cfg.a_list[0])
-    draws = sample_limit_partition(model, beta, cfg.rho, a, cfg.replicas,
-                                   stream_key(cfg.seed, COX_STREAM))
-    moduli = np.abs(draws.values)
-    counts = draws.atom_counts.astype(np.float64)
+    with _Pool(cfg.effective_threads()) as pool:
+        if cfg.bank_path:
+            clusters, _meta = load_cluster_bank(cfg.bank_path)
+        else:
+            results, failures, schedule = _sample_clusters(cfg, cfg.dist(),
+                                                           pool)
+            clusters = [c for _, _, c in results]
+        model = LimitModel(cox_constant=COX_CONSTANT, z_weight=COX_Z_WEIGHT,
+                           clusters=clusters)
+        beta = cfg.betas()[0]
+        a = float(cfg.a_list[0])
+        plan = _limit_plan(model, beta, cfg.rho, a)
+        chunks = list(range(-(-cfg.replicas // COX_CHUNK)))
+        payloads, cox_failures, texts = _collect(
+            functools.partial(_cox_chunk, plan), cfg, chunks, _cox_record,
+            pool=pool)
+    done = [p for p in payloads if p is not None] or [(np.empty(0),) * 2]
+    moduli = np.concatenate([m for m, _ in done])
+    counts = np.concatenate([n for _, n in done]).astype(np.float64)
     mean_atoms = float(np.mean(counts))
     dispersion = float(np.var(counts, ddof=1) / mean_atoms) \
         if mean_atoms > 0 else math.nan
@@ -1133,13 +1219,14 @@ def _run_limit_object(cfg: ExperimentConfig, run_dir: str) -> RunnerOutput:
         "n_zero": int(np.count_nonzero(moduli == 0.0)),
         **_hill_summary(beta, moduli, {"hill": 0.05}),
     }
-    rows = list(zip(range(cfg.replicas), draws.values.real.tolist(),
-                    draws.values.imag.tolist(), moduli.tolist(),
-                    draws.atom_counts.tolist()))
     cols = ["draw", "value_re", "value_im", "abs", "n_atoms"]
-    return RunnerOutput(csvs={"limit_draws.csv": (cols, rows)},
-                        summary=summary, failures=failures,
-                        schedule=schedule)
+    return RunnerOutput(
+        csvs={"limit_draws.csv": (cols, ())}, summary=summary,
+        failures=failures + cox_failures,
+        schedule=schedule + [{
+            "kind": "cox", "range": [0, len(chunks)], "chunk_draws": COX_CHUNK,
+            "key": f"stream_key(streams.cox.key, {hex(TAG_COX)}, c)"}],
+        texts={"limit_draws.csv": texts})
 
 
 # Each entry's needs, reads and check are its whole config contract (see
@@ -1156,7 +1243,8 @@ EXPERIMENTS = {
         columns=("t", "replica", "seed", "n_leaves")),
     "martingale": Experiment(
         ("replicas", "t", "beta_list"), ("rho", "rho_list") + _GROWS,
-        observable=_martingale_rows, finish=_martingale_finish,
+        check=_mean_two, observable=_martingale_rows,
+        finish=_martingale_finish,
         rows_file="martingale.csv",
         columns=("t", "sigma", "tau", "rho", "replica", "seed", "n_leaves",
                  "m_re", "m_im", "m_abs2")),
@@ -1195,7 +1283,7 @@ EXPERIMENTS = {
                  "z_deriv")),
     "pair_moment": Experiment(
         ("replicas", "t", "beta_list", "rho"), _GROWS,
-        reads_one=("beta_list",), check=_horizons,
+        reads_one=("beta_list",), check=_check_pair,
         observable=functools.partial(_each_replica, _pair_rows),
         genealogy=True, rhos=_x_alone, finish=_pair_finish,
         rows_file="pair_moment.csv",

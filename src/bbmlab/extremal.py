@@ -55,10 +55,15 @@ DEFAULT_MAX_ATTEMPTS = 100000
 # At 50 seeds a width of 64 wasted 10% and 128 wasted 19%, for no wall
 # time gained.
 SCREEN_BATCH = 16
-# Limit draws are made in blocks of whole draws holding at most this many
-# Cox atoms (a larger single draw is a block of its own).  The blocks fix
-# the order of the random stream, so changing this changes every draw.
+# A chunk's limit draws are made in blocks of whole draws holding at most
+# this many Cox atoms (a larger single draw is a block of its own).  The
+# blocks fix the order of the random stream, so changing this changes
+# every draw.
 COX_BLOCK = 1 << 14
+# Limit draws are cut into chunks of this many draws, each on its own
+# stream, so a pool can draw them apart, as bridge_check's BRIDGE_CHUNK
+# cuts its paths.  Changing it changes every draw.
+COX_CHUNK = 2000
 
 
 class AcceptanceError(RuntimeError):
@@ -204,26 +209,38 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
     circle mark and the cluster contributes its harvested relative marks
     ``z_rel``.
 
-    All atom counts come from one Poisson call.  The atoms are then drawn
-    in blocks of whole draws of at most COX_BLOCK atoms (a larger draw is
-    its own block): per block the exponentials, the cluster picks and, at
-    |rho| < 1, the mark uniforms, each as one array, with one unit-phase
-    factor per atom only when there is a phase, summed per draw with
-    np.add.reduceat.  Memory is bounded by the block, not by n_draws times
-    the mean atom count, and a draw without atoms is exactly 0j.
+    The draws are the concatenation of chunks of COX_CHUNK draws (the last
+    one partial): chunk c draws from its own stream, keyed
+    stream_key(seed, TAG_COX, c), so a pool that draws the chunks apart
+    (_limit_chunk, given the _limit_plan made once) gives these bits.
+    Memory holds the draws and one chunk's work.
     """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
+    plan = _limit_plan(model, beta, rho, threshold)
+    values = np.empty(n_draws, dtype=np.complex128)
+    counts = np.empty(n_draws, dtype=np.int64)
+    for lo in range(0, n_draws, COX_CHUNK):
+        part = _limit_chunk(plan, seed, n_draws, lo // COX_CHUNK)
+        values[lo:lo + COX_CHUNK] = part.values
+        counts[lo:lo + COX_CHUNK] = part.atom_counts
+    return LimitDraws(values=values, atom_counts=counts)
+
+
+def _limit_plan(model: LimitModel, beta, rho: float,
+                threshold: float) -> tuple:
+    """All a chunk of limit draws needs, made once per run: (the
+    per-cluster weights W = sum_l e^(lam Delta_l), with the harvested
+    marks folded in at |rho| < 1; lam; whether |rho| = 1, so that atoms
+    carry no circle marks; the mean atom count; the threshold).  It holds
+    K complex numbers, not the bank, so a pool sends it to each chunk."""
+    if threshold <= 0.0:
+        raise ValueError("threshold must be positive")
     if not -1.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [-1, 1]")
     full_phase = abs(rho) == 1.0
     # lambda = sigma + i rho tau: the x-correlated part of the phase
     lam = complex(beta.real, rho * beta.imag)
-
-    # per-cluster weights W = sum_l e^(lam Delta_l) (marks folded in when
-    # decorating), computed once per call
     weights = np.empty(len(model.clusters), dtype=np.complex128)
     for i, cl in enumerate(model.clusters):
         terms = np.exp(lam * cl.atoms)
@@ -231,10 +248,32 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
             terms = terms * np.exp(
                 1j * math.sqrt(1.0 - rho * rho) * beta.imag * cl.z_rel)
         weights[i] = terms.sum()
-
     mean_atoms = (model.cox_constant * model.z_weight
                   * math.exp(SQRT2 * threshold) / SQRT2)
-    rng = make_rng(seed, TAG_COX)
+    return weights, lam, full_phase, mean_atoms, threshold
+
+
+def _cox_key(seed: int, chunk: int) -> int:
+    """The Philox key of chunk ``chunk`` of the limit draws of ``seed``."""
+    return stream_key(seed, TAG_COX, chunk)
+
+
+def _limit_chunk(plan: tuple, seed: int, n_draws: int,
+                 chunk: int) -> LimitDraws:
+    """Chunk ``chunk`` of sample_limit_partition's n_draws draws: draws
+    [chunk * COX_CHUNK, min((chunk + 1) * COX_CHUNK, n_draws)).
+
+    Its atom counts come from one Poisson call.  The atoms are then drawn
+    in blocks of whole draws of at most COX_BLOCK atoms (a larger draw is
+    its own block): per block the exponentials, the cluster picks and, at
+    |rho| < 1, the mark uniforms, each as one array, with one unit-phase
+    factor per atom only when there is a phase, summed per draw with
+    np.add.reduceat.  Memory is bounded by the block, not by the draws
+    times the mean atom count, and a draw without atoms is exactly 0j.
+    """
+    weights, lam, full_phase, mean_atoms, threshold = plan
+    n_draws = min(COX_CHUNK, n_draws - chunk * COX_CHUNK)
+    rng = make_rng(_cox_key(seed, chunk))
     counts = rng.poisson(mean_atoms, n_draws)
     values = np.zeros(n_draws, dtype=np.complex128)
     first = np.concatenate(([0], np.cumsum(counts)))  # first atom of draw i
@@ -246,7 +285,7 @@ def sample_limit_partition(model: LimitModel, beta, rho: float,
         n = int(first[hi] - first[lo])
         if n:
             eta = -threshold + rng.standard_exponential(n) / SQRT2
-            terms = weights[rng.integers(0, len(model.clusters), n)]
+            terms = weights[rng.integers(0, len(weights), n)]
             terms *= np.exp(lam.real * eta)
             phase = lam.imag * eta if lam.imag else None
             if not full_phase:

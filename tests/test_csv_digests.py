@@ -9,12 +9,18 @@ deliberate change re-records the digest and says why in CHANGES.md.
 
 import csv
 import hashlib
+import io
 import os
 
 import numpy as np
 import pytest
 
-from bbmlab.experiments import EXPERIMENTS, ExperimentConfig, run
+from bbmlab import OffspringDistribution
+from bbmlab.experiments import (COX_CONSTANT, COX_STREAM, COX_Z_WEIGHT,
+                                DEFAULT_SEED, EXPERIMENTS, ExperimentConfig,
+                                run)
+from bbmlab.extremal import LimitModel, sample_clusters, sample_limit_partition
+from bbmlab.streams import replica_seed, stream_key
 
 CONFIGS = {
     "tree_moments": dict(experiment="tree_moments", replicas=30,
@@ -104,7 +110,7 @@ DIGESTS = {
     },
     "limit_object": {
         "limit_draws.csv":
-            "40e169cac51d776f09326bcb916ece99b6e2b5ef399a4b3d3478b042fbfe7a18",
+            "e7427ecda3c740de108e3db0d5fab9189a334b398dabe31e4ec252ddfb42fc0c",
     },
     "martingale": {
         "martingale.csv":
@@ -180,6 +186,34 @@ def test_cluster_chunks_move_no_bit(name, tmp_path):
             with open(outputs["bank.txt"], "rb") as fh:
                 banks.append(fh.read())
         assert banks[0] == banks[1]
+
+
+def test_cox_chunks_move_no_bit(tmp_path):
+    # 4,500 draws are three Cox chunks, the last one partial: one worker
+    # draws and formats them in this process, two on the pool, and both
+    # write the draws of one sample_limit_partition call from the same
+    # clusters, as csv.writer writes them
+    one, two = (run_outputs("limit_object", str(tmp_path), threads,
+                            drop=("replicas",), replicas=4500)
+                for threads in (1, 2))
+    assert outputs_digests(one) == outputs_digests(two)
+    cfg = CONFIGS["limit_object"]
+    clusters = sample_clusters(
+        cfg["t_cond"], OffspringDistribution.binary(),
+        [replica_seed(DEFAULT_SEED, i) for i in range(cfg["min_clusters"])])
+    draws = sample_limit_partition(
+        LimitModel(COX_CONSTANT, COX_Z_WEIGHT, clusters),
+        complex(1.5, 0.5), cfg["rho"], cfg["a_list"][0], 4500,
+        stream_key(DEFAULT_SEED, COX_STREAM))
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerows(
+        [("draw", "value_re", "value_im", "abs", "n_atoms")]
+        + list(zip(range(4500), draws.values.real.tolist(),
+                   draws.values.imag.tolist(),
+                   np.abs(draws.values).tolist(),
+                   draws.atom_counts.tolist())))
+    with open(one["limit_draws.csv"], encoding="utf-8", newline="") as fh:
+        assert fh.read().partition("\n")[2] == body.getvalue()
 
 
 @pytest.mark.parametrize("name", [

@@ -19,15 +19,15 @@ import pytest
 
 import bbmlab
 from bbmlab import (OffspringDistribution, additive_martingale, cli,
-                    experiments, gwtree, limiting_free_energy, m_of_t,
-                    martingale_second_moment, sample_correlated_pair,
+                    experiments, extremal, gwtree, limiting_free_energy,
+                    m_of_t, martingale_second_moment, sample_correlated_pair,
                     sample_tree)
 from bbmlab.experiments import (EXPERIMENTS, ConfigError, DEFAULT_SEED,
                                 ExperimentConfig, load_config, parse_complex,
                                 run, validate_config)
 from bbmlab.gwtree import ResourceLimitError, forest_size, grow_leaves
-from bbmlab.streams import (TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z, TAG_TREE,
-                            pair_keys, replica_seed, stream_key)
+from bbmlab.streams import (TAG_COX, TAG_FIELD, TAG_PAIR_X, TAG_PAIR_Z,
+                            TAG_TREE, pair_keys, replica_seed, stream_key)
 
 BINARY = OffspringDistribution.binary()
 
@@ -275,9 +275,12 @@ class TestRunArtifacts:
          [{"kind": "chunk", "t": 4.0, "range": [0, 2]}], {}),
         (dict(experiment="cluster_bank", t_cond=3.0, min_clusters=10),
          [{"kind": "cluster", "t_cond": 3.0, "range": [0, 10]}], {}),
-        (dict(experiment="limit_object", replicas=500, t_cond=3.0,
+        # 4,500 draws are three Cox chunks of 2,000, the last one partial
+        (dict(experiment="limit_object", replicas=4500, t_cond=3.0,
               min_clusters=10, beta_list=["1.5"], a_list=[4.0]),
-         [{"kind": "cluster", "t_cond": 3.0, "range": [0, 10]}],
+         [{"kind": "cluster", "t_cond": 3.0, "range": [0, 10]},
+          {"kind": "cox", "range": [0, 3], "chunk_draws": 2000,
+           "key": "stream_key(streams.cox.key, 0x7, c)"}],
          {"cox": 0x11D}),
         (dict(experiment="isotropy", replicas=60, t=3.0, rho=0.5,
               beta_list=["1.5+0.5i"]),
@@ -810,14 +813,24 @@ def test_dead_worker_fails_its_tasks_only(tmp_path, monkeypatch):
     assert manifest["ok"] == result.ok
 
 
-def test_dead_cluster_worker_fails_its_seed_only(tmp_path, monkeypatch):
+# limit_object draws 4,500 limit draws from its clusters: three Cox chunks
+# of 2,000, the last one partial
+LIMIT = dict(experiment="limit_object", replicas=4500, beta_list=["1.5"],
+             a_list=[4.0])
+
+
+@pytest.mark.parametrize("config", [dict(experiment="cluster_bank"), LIMIT],
+                         ids=["cluster_bank", "limit_object"])
+def test_dead_cluster_worker_fails_its_seed_only(tmp_path, monkeypatch,
+                                                 config):
     # 16 seeds on two workers go out as two chunks of 8, whole forests of
     # forest_size(binary, 1) = 128 seeds; the chunk holding task 7 is
     # rerun in pieces of max(1, 16 // (2 * 8)) = 1 seed, and only task 7's
     # piece kills its worker again.  The pool forks, so its workers see
     # the patched sampler, and each call logs its seeds to a file first.
-    cfg = ExperimentConfig(experiment="cluster_bank", t_cond=1.0,
-                           min_clusters=16, threads=2,
+    # limit_object then draws every Cox chunk from the other 15 clusters,
+    # on a pool that replaces the broken one
+    cfg = ExperimentConfig(**config, t_cond=1.0, min_clusters=16, threads=2,
                            output_dir=str(tmp_path))
     seeds = [replica_seed(cfg.seed, i) for i in range(cfg.min_clusters)]
     calls = tmp_path / "calls.txt"
@@ -842,10 +855,80 @@ def test_dead_cluster_worker_fails_its_seed_only(tmp_path, monkeypatch):
     (failure,) = result.failures
     assert failure["task"] == 7 and failure["seed"] == seeds[7]
     assert failure["error_type"] == "BrokenProcessPool"
-    rows = read_rows(result.outputs["clusters.csv"])
-    assert [int(r["index"]) for r in rows] == [
-        i for i in range(cfg.min_clusters) if i != 7]
+    if cfg.experiment == "cluster_bank":
+        rows = read_rows(result.outputs["clusters.csv"])
+        assert [int(r["index"]) for r in rows] == [
+            i for i in range(cfg.min_clusters) if i != 7]
+    else:
+        assert result.summary["clusters"] == cfg.min_clusters - 1
+        rows = read_rows(result.outputs["limit_draws.csv"])
+        assert [int(r["draw"]) for r in rows] == list(range(cfg.replicas))
     assert result.ok
+
+
+def test_dead_cox_worker_fails_its_chunk_only(tmp_path, monkeypatch):
+    # the three Cox chunks go out one per piece, after the clusters; the
+    # worker that draws chunk 1 dies, and so does the one that reruns it.
+    # Chunks 0 and 2 keep the rows a serial run writes, in draw order
+    cfg = ExperimentConfig(**LIMIT, t_cond=1.0, min_clusters=10, threads=2,
+                           output_dir=str(tmp_path))
+    serial = read_rows(run(dataclasses.replace(cfg, threads=1))
+                       .outputs["limit_draws.csv"])
+    limit_chunk = experiments._limit_chunk
+
+    def dying(plan, seed, n_draws, chunk):
+        if chunk == 1:
+            os._exit(3)
+        return limit_chunk(plan, seed, n_draws, chunk)
+
+    monkeypatch.setattr(experiments, "_limit_chunk", dying)
+    result = run(cfg)
+    (failure,) = result.failures
+    assert failure["chunk"] == 1
+    assert failure["key"] == stream_key(cfg.seed, 0x11D, TAG_COX, 1)
+    assert failure["error_type"] == "BrokenProcessPool"
+    rows = read_rows(result.outputs["limit_draws.csv"])
+    assert rows == serial[:2000] + serial[4000:]
+    assert result.tasks == cfg.min_clusters + 3
+    assert result.ok
+
+
+def test_cox_keys_are_distinct(tmp_path, monkeypatch):
+    # the keys the generators are given, every tag folded in: each Cox
+    # chunk's key differs from the others and from every key the cluster
+    # attempts grow their trees, x and z on.  The manifest's schedule
+    # gives the Cox keys the run used
+    grown, cox = [], []
+    rekey = gwtree.rekey
+    make_rng = extremal.make_rng
+
+    def grower_key(rng, seed, *tags):
+        grown.append(stream_key(seed, *tags))
+        return rekey(rng, seed, *tags)
+
+    def cox_key(seed, *tags):
+        cox.append(stream_key(seed, *tags))
+        return make_rng(seed, *tags)
+
+    monkeypatch.setattr(gwtree, "rekey", grower_key)
+    monkeypatch.setattr(extremal, "make_rng", cox_key)
+    for seed in (DEFAULT_SEED, 0, 3, 2 ** 63 + 12345):
+        grown.clear()
+        cox.clear()
+        result = run(ExperimentConfig(**LIMIT, t_cond=2.0, min_clusters=12,
+                                      seed=seed, threads=1,
+                                      output_dir=str(tmp_path)))
+        assert not result.failures
+        with open(os.path.join(result.run_dir, "manifest.json"),
+                  encoding="utf-8") as fh:
+            schedule = json.load(fh)["seed_schedule"]
+        (entry,) = [e for e in schedule["tasks"] if e["kind"] == "cox"]
+        assert cox == [stream_key(schedule["streams"]["cox"]["key"],
+                                  TAG_COX, c) for c in range(*entry["range"])]
+        assert len(set(cox)) == len(cox) == 3
+        # more than the trees, x and z of the 12 accepted attempts
+        assert len(set(grown)) > 3 * 12
+        assert set(cox).isdisjoint(grown)
 
 
 def test_default_worker_count_follows_affinity(monkeypatch):
@@ -1023,6 +1106,24 @@ class TestCli:
         # replica i always draws from seed XOR i, so a repeated entry
         # would rerun the same replicas and count them twice
         path = write_config(tmp_path, "repeat.json", payload)
+        rc = cli.main([experiment, "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment,payload", [
+        ("martingale", {"replicas": 5, "t": 1.5, "beta_list": ["0.5"]}),
+        ("pair_moment", {"replicas": 5, "t": 1.5, "rho": 0.4,
+                         "beta_list": ["0.5+0.3i"]}),
+    ])
+    def test_mean_two_forms_refuse_other_means_exit_two(
+            self, tmp_path, experiment, payload):
+        # martingale normalises by the growth rate of a mean-two law, and
+        # pair_moment compares with its two-point moment, so a law of mean
+        # 3 is refused even where general laws are allowed
+        path = write_config(tmp_path, "mean3.json", dict(
+            payload, offspring=[[1, 0.5], [5, 0.5]],
+            allow_general_offspring=True))
         rc = cli.main([experiment, "--config", path,
                        "--out", str(tmp_path / "out")])
         assert rc == 2

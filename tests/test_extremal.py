@@ -304,8 +304,9 @@ class TestVectorizedCoxDraws:
         assert np.all(draws.atom_counts > COX_BLOCK)
         total = int(draws.atom_counts.sum())
         assert abs(total - 4 * mean_atoms) <= 4.0 * math.sqrt(4 * mean_atoms)
-        # each draw, summed on its own from the same stream
-        rng = make_rng(seed, TAG_COX)
+        # each draw, summed on its own from the same stream: the four
+        # draws are chunk 0 of the limit draws of this seed
+        rng = make_rng(seed, TAG_COX, 0)
         assert np.array_equal(rng.poisson(model.cox_constant * math.exp(SQRT2)
                                           / SQRT2, 4), draws.atom_counts)
         lam = complex(1.5, 0.25)
